@@ -76,7 +76,7 @@ def _rand_orth(rng, d):
 
 
 # ---------------------------------------------------------------- 1
-def criterion_1(threads: int = 1):
+def criterion_1():
     """d=1: both optimizers hit the closed form t' sigma2/(n s' + pi^2 sigma2)."""
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -107,7 +107,7 @@ def criterion_1(threads: int = 1):
 
 
 # ---------------------------------------------------------------- 2
-def criterion_2(threads: int = 1):
+def criterion_2():
     """50 random PD instances, d in {2,5,10,20}: relative duality gap <= 1e-4."""
     rng = np.random.default_rng(202)
     dims = (2, 5, 10, 20)
@@ -138,7 +138,7 @@ def criterion_2(threads: int = 1):
 
 
 # ---------------------------------------------------------------- 3
-def criterion_3(threads: int = 1):
+def criterion_3():
     """Commuting instances: general solver == diagonal water-filling, 1e-6."""
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -170,7 +170,7 @@ def criterion_3(threads: int = 1):
 
 
 # ---------------------------------------------------------------- 4
-def criterion_4(threads: int = 1):
+def criterion_4():
     """gamma = delta: the method's w-iterates match an independent SGD loop."""
     n, d, seed = 2**12, 50, 7
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=1)
@@ -193,7 +193,7 @@ def criterion_4(threads: int = 1):
 
 
 # ---------------------------------------------------------------- 5
-def criterion_5(threads: int = 1):
+def criterion_5():
     """Full-gradient runs reproduce the exact bias recursion, 20 configs."""
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -236,9 +236,9 @@ BOUND_CHECK_SPEC = experiments.ExperimentSpec(
 )
 
 
-def criterion_6(threads: int = 1):
+def criterion_6():
     """Mean Monte-Carlo risk <= closed-form bound at every n."""
-    rep = experiments.run_bound_check(BOUND_CHECK_SPEC, threads=threads)
+    rep = experiments.run_bound_check(BOUND_CHECK_SPEC)
     lines = [
         f"n={row['n']}: risk {row['mc_mean']:.4e} <= bound {row['bound_total']:.4e}"
         for row in rep.rows
@@ -256,9 +256,9 @@ RATE_SWEEP_SPEC = experiments.ExperimentSpec(
 )
 
 
-def criterion_7(threads: int = 1):
+def criterion_7():
     """Deflated log-log slope within +-0.15 of -2/3."""
-    rep = experiments.run_rate_sweep(RATE_SWEEP_SPEC, threads=threads)
+    rep = experiments.run_rate_sweep(RATE_SWEEP_SPEC)
     return rep.ok, (
         f"deflated slope {rep.fit_deflated.slope:+.4f} vs predicted "
         f"{rep.predicted_exponent:+.4f} (gap {rep.fit_deflated.gap:.3f}, tol 0.15; "
@@ -277,9 +277,9 @@ EMERGENCE_SPEC = experiments.ExperimentSpec(
 )
 
 
-def criterion_8(threads: int = 1):
+def criterion_8():
     """Plateau, knee within an octave of d0^(a+1) = 512, then the drop."""
-    rep = experiments.run_emergence(EMERGENCE_SPEC, threads=threads)
+    rep = experiments.run_emergence(EMERGENCE_SPEC)
     return rep.ok, (
         f"knee n={rep.knee_n} (target {rep.knee_target:.0f}, ok={rep.knee_ok}); "
         f"plateau ratio {rep.plateau_ratio:.3f} (ok={rep.plateau_ok}); "
@@ -296,7 +296,7 @@ def _draw_params(rng, size, c_lo=0.0):
     return c, q, delta
 
 
-def criterion_9(threads: int = 1):
+def criterion_9():
     """2x2 momentum-matrix property suite, >= 1e4 draws per property."""
     rng = np.random.default_rng(909)
     N = 10_000
@@ -422,7 +422,7 @@ def criterion_9(threads: int = 1):
 
 
 # ---------------------------------------------------------------- 10
-def criterion_10(threads: int = 1):
+def criterion_10():
     """Prior sampler support (1e6 draws) and information-matrix quadrature."""
     from scipy.integrate import quad
 
@@ -495,22 +495,22 @@ CRITERIA = (
 )
 
 
-def run_criterion(number: int, threads: int = 1) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:
             start = time.perf_counter()
-            passed, detail = fn(threads=threads)
+            passed, detail = fn()
             elapsed = time.perf_counter() - start
             return CriterionResult(num, name, passed, elapsed, detail)
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(threads: int = 1, selected=None) -> bool:
+def run_all(selected=None) -> bool:
     all_ok = True
     for num, name, _ in CRITERIA:
         if selected is not None and num not in selected:
             continue
-        res = run_criterion(num, threads=threads)
+        res = run_criterion(num)
         status = "PASS" if res.passed else "FAIL"
         budget = CAPS_SECONDS[num]
         print(

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProblemInstance, excess_risk, sample_source
-from .psdlinalg import eigh, psd_inv_sqrt, spectral_norm, sym
+from .model import SAMPLE_TILE, ProblemInstance, excess_risk, sample_source
+from .psdlinalg import eigh, psd_inv_sqrt, psd_sqrt, spectral_norm, sym
 
 __all__ = [
     "ASGDConfig",
@@ -123,16 +123,6 @@ class ASGDConfig:
             "stages": self.stages,
             "stage_len": self.stage_len,
         }
-
-
-def config_from_json(obj: dict) -> ASGDConfig:
-    return ASGDConfig(
-        n=int(obj["n"]),
-        delta0=float(obj["delta0"]),
-        gamma0=float(obj["gamma0"]),
-        alpha=float(obj["alpha"]),
-        beta=float(obj["beta"]),
-    )
 
 
 def admissibility_ratio(cfg: ASGDConfig) -> float:
@@ -249,9 +239,52 @@ def choose_rate_parameters(
     return ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.5, beta=1.0)
 
 
-def _stage_plan(cfg: ASGDConfig):
-    bounds = [ell * cfg.stage_len for ell in range(cfg.stages + 1)]
-    return bounds
+# Sample-buffer budget of the lockstep kernel, in float64 elements (32 MB).
+SAMPLE_BUDGET = 1 << 22
+
+
+def _lockstep(inst, cfg, seeds, population=False, on_step=None):
+    """Advance one trajectory per seed in lockstep; returns (W, V), row j
+    for seeds[j]. Each seed draws its n samples from its own PCG64 stream in
+    time blocks of whole SAMPLE_TILEs, which shrink as rows are added to keep
+    the buffer within SAMPLE_BUDGET and never change a bit of a row.
+    ``on_step(t, ell, W)`` runs after step t (1-based) of stage ell.
+    """
+    rows, d = len(seeds), inst.d
+    W = np.zeros((rows, d))
+    V = np.zeros((rows, d))
+    if not population:
+        s_sqrt = psd_sqrt(inst.S)
+        gens = [np.random.default_rng(seed) for seed in seeds]
+        tiles = max(1, SAMPLE_BUDGET // (max(rows, 1) * (d + 1) * SAMPLE_TILE))
+        block = min(tiles * SAMPLE_TILE, cfg.n)
+        X = np.empty((rows, block, d))
+        Y = np.empty((rows, block))
+    alpha, beta = cfg.alpha, cfg.beta
+    t = 0
+    for ell in range(1, cfg.stages + 1):
+        delta, gamma, _ = cfg.stage_steps(ell)
+        for _ in range(cfg.stage_len):
+            U = W + (1.0 - alpha) * (V - W)
+            if population:
+                g = (inst.S @ (U - inst.w_star).T).T
+            else:
+                i = t % block
+                if i == 0:
+                    m = min(block, cfg.n - t)
+                    for j, gen in enumerate(gens):
+                        samples = sample_source(inst, m, gen, s_sqrt=s_sqrt)
+                        X[j, :m], Y[j, :m] = samples.X, samples.y
+                x = X[:, i]
+                # one dot product per row: the same bits as x @ u on each row
+                dots = np.matmul(x[:, None, :], U[:, :, None])[:, 0, 0]
+                g = (dots - Y[:, i])[:, None] * x
+            W = U - delta * g
+            V = (V + beta * (U - V)) - gamma * g
+            t += 1
+            if on_step is not None:
+                on_step(t, ell, W)
+    return W, V
 
 
 def run(
@@ -262,123 +295,58 @@ def run(
     record_every: int | None = None,
     record_iterates: bool = False,
 ) -> Trajectory:
-    """One trajectory. ``population=True`` replaces the sampled gradient by
+    """One trajectory: the one-seed case of the lockstep kernel behind
+    ``run_batch``, so its final risk equals ``run_batch``'s for the same
+    seed bit for bit. ``population=True`` replaces the sampled gradient by
     the exact-moment gradient g = S(u - w*) (deterministic, noiseless);
-    otherwise exactly stages*stage_len fresh samples are consumed in order.
+    otherwise the n samples of ``sample_source(inst, n, seed)`` are used in
+    order and the last n - stages*stage_len are left unused.
     record_every=None records only the final point; record_every <= 0 means
     once per stage (every stage_len steps).
     """
-    d = inst.d
-    w = np.zeros(d)
-    v = np.zeros(d)
-    if population:
-        S = inst.S
-        w_star = inst.w_star
-    else:
-        samples = sample_source(inst, cfg.n, seed)
-        X, y = samples.X, samples.y
     if record_every is not None and record_every <= 0:
         record_every = cfg.stage_len
-    alpha, beta = cfg.alpha, cfg.beta
-    steps, risks, stage_of = [], [], []
-    iterates = [] if record_iterates else None
+    steps, risks, stage_of, iterates = [], [], [], []
 
-    def record(t, stage):
+    def record(t, stage, w):
         steps.append(t)
         risks.append(excess_risk(inst, w))
         stage_of.append(stage)
         if record_iterates:
             iterates.append(w.copy())
 
-    t = 0
-    for ell in range(1, cfg.stages + 1):
-        delta, gamma, _ = cfg.stage_steps(ell)
-        for _ in range(cfg.stage_len):
-            u = w + (1.0 - alpha) * (v - w)
-            if population:
-                g = S @ (u - w_star)
-            else:
-                x = X[t]
-                g = (x @ u - y[t]) * x
-            w = u - delta * g
-            v = (v + beta * (u - v)) - gamma * g
-            t += 1
-            if record_every is not None and t % record_every == 0:
-                record(t, ell)
-    if not steps or steps[-1] != t:
-        record(t, cfg.stages)
+    on_step = None
+    if record_every is not None:
+        def on_step(t, ell, W):
+            if t % record_every == 0:
+                record(t, ell, W[0])
+
+    W, V = _lockstep(inst, cfg, [seed], population, on_step)
+    n_used = cfg.stages * cfg.stage_len
+    if not steps or steps[-1] != n_used:
+        record(n_used, cfg.stages, W[0])
     return Trajectory(
-        final_w=w,
-        final_v=v,
+        final_w=W[0],
+        final_v=V[0],
         steps=np.array(steps, dtype=int),
         risks=np.array(risks),
         stage_of_step=np.array(stage_of, dtype=int),
-        stage_boundaries=tuple(_stage_plan(cfg)),
-        n_used=t,
+        stage_boundaries=tuple(range(0, n_used + 1, cfg.stage_len)),
+        n_used=n_used,
         iterates=np.array(iterates) if record_iterates else None,
     )
 
 
-def run_batch(
-    inst: ProblemInstance,
-    cfg: ASGDConfig,
-    seeds,
-    threads: int = 1,
-) -> np.ndarray:
-    """Final excess risk for each seed, matching a loop over ``run``.
-
-    All seeds advance in lockstep as rows of (n_seeds, d) arrays, which
-    amortizes the per-step Python cost. Row arithmetic mirrors run() exactly
-    up to the reduction order of the inner products (a few ulps), and the
-    result is deterministic: the same seeds give the same bits regardless of
-    ``threads``, which only splits the seed list into contiguous chunks.
+def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
+    """Final excess risk for each seed: element i equals
+    ``run(inst, cfg, seed=seeds[i]).risks[-1]`` bit for bit, however the
+    seeds are grouped into calls. The one lockstep kernel runs all seeds as
+    rows of (len(seeds), d) arrays to amortize the per-step Python cost; its
+    sample buffer holds max(SAMPLE_BUDGET, SAMPLE_TILE * len(seeds) * (d+1))
+    floats at most, whatever n is.
     """
-    seeds = list(seeds)
-    if threads > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = math.ceil(len(seeds) / threads)
-        parts = [seeds[i : i + chunk] for i in range(0, len(seeds), chunk)]
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            out = pool.map(lambda p: run_batch(inst, cfg, p, threads=1), parts)
-        return np.concatenate(list(out))
-
-    d = inst.d
-    # cap the resident sample block at ~256 MB by splitting the seed list;
-    # samples are drawn per seed, so splitting cannot change any result
-    if len(seeds) > 1 and len(seeds) * cfg.n * (d + 1) > 32_000_000:
-        half = len(seeds) // 2
-        return np.concatenate(
-            [
-                run_batch(inst, cfg, seeds[:half], threads=1),
-                run_batch(inst, cfg, seeds[half:], threads=1),
-            ]
-        )
-    n_seeds = len(seeds)
-    dec = eigh(inst.S)
-    s_sqrt = dec.eigenvectors @ (
-        np.sqrt(np.maximum(dec.eigenvalues, 0.0))[:, None] * dec.eigenvectors.T
-    )
-    X_all = np.empty((n_seeds, cfg.n, d))
-    y_all = np.empty((n_seeds, cfg.n))
-    for j, seed in enumerate(seeds):
-        samples = sample_source(inst, cfg.n, seed, s_sqrt=s_sqrt)
-        X_all[j], y_all[j] = samples.X, samples.y
-    W = np.zeros((n_seeds, d))
-    V = np.zeros((n_seeds, d))
-    alpha, beta = cfg.alpha, cfg.beta
-    t = 0
-    for ell in range(1, cfg.stages + 1):
-        delta, gamma, _ = cfg.stage_steps(ell)
-        for _ in range(cfg.stage_len):
-            x = X_all[:, t, :]
-            U = W + (1.0 - alpha) * (V - W)
-            g = ((x * U).sum(axis=1) - y_all[:, t])[:, None] * x
-            W = U - delta * g
-            V = (V + beta * (U - V)) - gamma * g
-            t += 1
-    # per-row excess_risk so the reduction order (hence every bit) matches
-    # what run() computes for the same seed
+    W, _ = _lockstep(inst, cfg, list(seeds))
+    # per-row excess_risk so the reduction order (hence every bit) matches run()
     return np.array([excess_risk(inst, w) for w in W])
 
 

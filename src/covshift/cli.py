@@ -1,20 +1,18 @@
 """Command-line interface.
 
 Every subcommand runs a study from a JSON spec file, prints a short report,
-and exits 0 exactly when all of that study's assertions pass. Seed-level
-thread parallelism is controlled by --threads, overridden by the
-COVSHIFT_THREADS environment variable.
+and exits 0 exactly when all of that study's assertions pass. Every value is
+determined by the spec and the seed.
 """
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
 
 from . import acceptance, experiments
-from .estimators import default_noise_coeff
+from .estimators import DEFAULT_BIAS_COEFF, default_noise_coeff
 from .model import whiten
 from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
 
@@ -36,11 +34,6 @@ def _load_spec(path, out, tol, seed) -> experiments.ExperimentSpec:
     return replace(spec, params=params, output_path=out or spec.output_path)
 
 
-def _threads(threads: int) -> int:
-    env = os.environ.get("COVSHIFT_THREADS")
-    return int(env) if env else threads
-
-
 def _finish(ok: bool):
     click.echo("OK" if ok else "FAILED")
     sys.exit(0 if ok else 1)
@@ -50,7 +43,6 @@ common = [
     click.option("--spec", "spec_path", required=True, type=click.Path(exists=True)),
     click.option("--out", default=None, type=click.Path()),
     click.option("--tol", default=None, type=float),
-    click.option("--threads", default=1, type=int, show_default=True),
     click.option("--seed", default=None, type=int),
 ]
 
@@ -69,10 +61,10 @@ def main():
 
 @main.command()
 @_with_common
-def duality(spec_path, out, tol, threads, seed):
+def duality(spec_path, out, tol, seed):
     """Certify lower-bound value == preconditioner objective per n."""
     spec = _load_spec(spec_path, out, tol, seed)
-    rep = experiments.run_duality(spec, threads=_threads(threads))
+    rep = experiments.run_duality(spec)
     for row in rep.rows:
         click.echo(
             f"n={row['n']:>6} eps={row['epsilon']:.1e} "
@@ -85,13 +77,14 @@ def duality(spec_path, out, tol, threads, seed):
 
 @main.command()
 @_with_common
-def precondition(spec_path, out, tol, threads, seed):
+def precondition(spec_path, out, tol, seed):
     """Solve the preconditioner program; write the certified A as JSON."""
     spec = _load_spec(spec_path, out, tol, seed)
     inst = experiments.resolve_instance(spec)
     n = int(spec.n_grid[0])
-    prog = PrecondProgram(whiten(inst), 1.0 / 3.141592653589793**2,
-                          default_noise_coeff(inst, n))
+    prog = PrecondProgram(
+        whiten(inst), DEFAULT_BIAS_COEFF, default_noise_coeff(inst, n)
+    )
     gap_tol = spec.params.get("tol", 1e-4)
     ok = True
     try:
@@ -113,7 +106,7 @@ def precondition(spec_path, out, tol, threads, seed):
 @_with_common
 @click.option("--n", "n_override", default=None, type=int)
 @click.option("--seeds", "seeds_override", default=None, type=int)
-def asgd(spec_path, out, tol, threads, seed, n_override, seeds_override):
+def asgd(spec_path, out, tol, seed, n_override, seeds_override):
     """Monte-Carlo risk of the staged method vs. the closed-form bound."""
     spec = _load_spec(spec_path, out, tol, seed)
     from dataclasses import replace
@@ -122,7 +115,7 @@ def asgd(spec_path, out, tol, threads, seed, n_override, seeds_override):
         spec = replace(spec, n_grid=(n_override,))
     if seeds_override is not None:
         spec = replace(spec, seeds=seeds_override)
-    rep = experiments.run_bound_check(spec, threads=_threads(threads))
+    rep = experiments.run_bound_check(spec)
     for row in rep.rows:
         click.echo(
             f"n={row['n']:>6} risk={row['mc_mean']:.6e} (+-{row['mc_stderr']:.1e}) "
@@ -134,10 +127,10 @@ def asgd(spec_path, out, tol, threads, seed, n_override, seeds_override):
 
 @main.command()
 @_with_common
-def sweep(spec_path, out, tol, threads, seed):
+def sweep(spec_path, out, tol, seed):
     """Rate sweep: fitted log-log slope vs. the predicted exponent."""
     spec = _load_spec(spec_path, out, tol, seed)
-    rep = experiments.run_rate_sweep(spec, threads=_threads(threads))
+    rep = experiments.run_rate_sweep(spec)
     click.echo(
         f"predicted exponent {rep.predicted_exponent:+.4f}; "
         f"raw slope {rep.fit_raw.slope:+.4f} (r2 {rep.fit_raw.r2:.3f}); "
@@ -150,10 +143,10 @@ def sweep(spec_path, out, tol, threads, seed):
 
 @main.command()
 @_with_common
-def emergence(spec_path, out, tol, threads, seed):
+def emergence(spec_path, out, tol, seed):
     """Plateau/knee/drop shape of the risk curve for a plateau target."""
     spec = _load_spec(spec_path, out, tol, seed)
-    rep = experiments.run_emergence(spec, threads=_threads(threads))
+    rep = experiments.run_emergence(spec)
     click.echo(
         f"knee at n={rep.knee_n} (target {rep.knee_target:.0f}, "
         f"ok={rep.knee_ok}); plateau ratio {rep.plateau_ratio:.3f} "
@@ -164,14 +157,13 @@ def emergence(spec_path, out, tol, threads, seed):
 
 
 @main.command()
-@click.option("--threads", default=1, type=int, show_default=True)
 @click.option("--only", default=None, type=str, help="comma-separated criterion numbers")
-def verify(threads, only):
+def verify(only):
     """Run the full acceptance suite (one line per criterion)."""
     selected = None
     if only:
         selected = [int(tok) for tok in only.split(",")]
-    ok = acceptance.run_all(threads=_threads(threads), selected=selected)
+    ok = acceptance.run_all(selected=selected)
     sys.exit(0 if ok else 1)
 
 

@@ -30,9 +30,9 @@ from . import model
 from .asgd import choose_parameters, choose_rate_parameters, risk_bound, run_batch
 from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
-from .model import ProblemInstance, SpectralTriple, whiten
+from .model import ProblemInstance, whiten
 from .precond import PrecondProgram, solve_general
-from .psdlinalg import spectral_norm, sym
+from .psdlinalg import spectral_norm
 from .riskoracle import semi_stochastic_bias, semi_stochastic_variance
 
 __all__ = [
@@ -209,19 +209,7 @@ class DualityReport:
     ok: bool
 
 
-def _ridged(triple: SpectralTriple, eps: float) -> SpectralTriple:
-    if eps == 0:
-        return triple
-    return SpectralTriple(
-        S_prime=triple.S_prime,
-        T_prime=sym(triple.T_prime + eps * np.eye(triple.d)),
-        eig_S_prime=triple.eig_S_prime,
-        M_sqrt=triple.M_sqrt,
-        M_inv_sqrt=triple.M_inv_sqrt,
-    )
-
-
-def run_duality(spec: ExperimentSpec, threads: int = 1) -> DualityReport:
+def run_duality(spec: ExperimentSpec) -> DualityReport:
     """Certify that the preconditioner objective meets the lower-bound value
     (coefficients 1/pi^2 and sigma2/n) on each n of the grid. For a singular
     whitened target the program is solved along a decreasing epsilon-ladder
@@ -243,7 +231,7 @@ def run_duality(spec: ExperimentSpec, threads: int = 1) -> DualityReport:
         ladder = [e * t_norm for e in EPSILON_LADDER] if singular else [0.0]
         prev_upper = math.inf
         for eps in ladder:
-            cert = maximize_F(_ridged(triple, eps), inst.sigma2, n)
+            cert = maximize_F(triple.ridged(eps), inst.sigma2, n)
             try:
                 prec = solve_general(
                     PrecondProgram(
@@ -289,7 +277,7 @@ class BoundCheckReport:
     ok: bool
 
 
-def run_bound_check(spec: ExperimentSpec, threads: int = 1) -> BoundCheckReport:
+def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
     """Mean Monte-Carlo excess risk of the staged method against the
     closed-form bound at each n, with the exact semi-stochastic bias and
     variance alongside for diagnosis. Fails if any mean exceeds its bound.
@@ -304,7 +292,7 @@ def run_bound_check(spec: ExperimentSpec, threads: int = 1) -> BoundCheckReport:
         cfg = choose_parameters(
             inst, n, kappa_tilde=kappa_tilde, require_admissible=False
         )
-        risks = run_batch(inst, cfg, seeds, threads=threads)
+        risks = run_batch(inst, cfg, seeds)
         bound = risk_bound(inst, cfg)
         mean = float(risks.mean())
         stderr = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
@@ -344,7 +332,7 @@ class RateSweepReport:
     ok: bool
 
 
-def run_rate_sweep(spec: ExperimentSpec, threads: int = 1) -> RateSweepReport:
+def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     """Fit the log-log slope of mean Monte-Carlo risk across the n-grid and
     compare with the predicted exponent -(r+s)a/(sa+1); the deflated fit
     divides out the (ln n)^(3((1+r)a-1)/a) factor that rides on the rate.
@@ -370,7 +358,7 @@ def run_rate_sweep(spec: ExperimentSpec, threads: int = 1) -> RateSweepReport:
         cfg = choose_rate_parameters(
             inst, n, a=a, s=s, r=r, nu=nu, n_ref=spec.n_grid[0], base=base
         )
-        risks = run_batch(inst, cfg, _seed_range(spec), threads=threads)
+        risks = run_batch(inst, cfg, _seed_range(spec))
         mean = float(risks.mean())
         try:
             lower = maximize_F(triple, inst.sigma2, n, max_iter=2000).value
@@ -447,7 +435,7 @@ class EmergenceReport:
     ok: bool
 
 
-def run_emergence(spec: ExperimentSpec, threads: int = 1) -> EmergenceReport:
+def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
     """Risk-vs-n curve for a plateau target (leading d0 directions all need
     precision d0^-(1+r)a). The curve should hold a plateau while
     n < d0^(a+1), then drop at the power-law rate:
@@ -480,7 +468,7 @@ def run_emergence(spec: ExperimentSpec, threads: int = 1) -> EmergenceReport:
         cfg = choose_rate_parameters(
             inst, n, n_ref=n_ref, base=base, exponent=exponent
         )
-        risks = run_batch(inst, cfg, _seed_range(spec), threads=threads)
+        risks = run_batch(inst, cfg, _seed_range(spec))
         mean = float(risks.mean())
         stderr = (
             float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0

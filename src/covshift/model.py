@@ -28,7 +28,6 @@ __all__ = [
     "ProblemInstance",
     "SpectralTriple",
     "PowerLawSpec",
-    "Sample",
     "Samples",
     "make_power_law_instance",
     "whiten",
@@ -38,10 +37,14 @@ __all__ = [
     "instance_from_json",
     "spec_to_json",
     "spec_from_json",
-    "replace",
 ]
 
 NOISE_KINDS = ("gaussian", "rademacher")
+
+# Rows per matrix product in sample_source: BLAS picks kernels and splits
+# rows between workers by shape, so only products of one fixed shape give a
+# row the same bits wherever a draw is cut (at multiples of this).
+SAMPLE_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +118,12 @@ class SpectralTriple:
     def d(self) -> int:
         return self.S_prime.shape[0]
 
+    def ridged(self, eps: float) -> "SpectralTriple":
+        """This triple with T' replaced by T' + eps I; itself when eps <= 0."""
+        if not eps > 0:
+            return self
+        return replace(self, T_prime=self.T_prime + eps * np.eye(self.d))
+
 
 @dataclass(frozen=True)
 class PowerLawSpec:
@@ -141,12 +150,6 @@ class PowerLawSpec:
             raise ValueError("d0 must lie in [1, d]")
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    y: float
-
-
 @dataclass(frozen=True, eq=False)
 class Samples:
     """A batch of n samples; X has shape (n, d), y shape (n,)."""
@@ -156,10 +159,6 @@ class Samples:
 
     def __len__(self):
         return self.X.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield Sample(self.X[i], float(self.y[i]))
 
 
 # =====================================================================
@@ -252,29 +251,36 @@ def excess_risk(inst: ProblemInstance, w) -> float:
 # sampling
 # =====================================================================
 
-def sample_source(inst: ProblemInstance, n: int, seed: int, s_sqrt=None) -> Samples:
+def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
     """Draw n i.i.d. source samples x ~ N(0, S), y = x'w* + eps.
 
-    Each sample consumes exactly d+1 standard normals from a PCG64 stream
-    (column d is the noise channel), so block-chunked replays of the same
-    seed reproduce the identical sample stream. eps is N(0, sigma2) for
-    gaussian noise and sigma * sign(z) for rademacher.
+    ``seed`` is an int or a ``np.random.Generator``, which is advanced in
+    place. Each sample consumes exactly d+1 standard normals from the PCG64
+    stream (column d is the noise channel), and rows are transformed in
+    SAMPLE_TILE-row products, so drawing one stream in consecutive blocks
+    whose lengths are multiples of SAMPLE_TILE (the last may be shorter)
+    reproduces one whole draw bit for bit. eps is N(0, sigma2) for gaussian
+    noise and sigma * sign(z) for rademacher.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if s_sqrt is None:
         s_sqrt = psd_sqrt(inst.S)
+    d = inst.d
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, inst.d + 1))
-    X = Z[:, : inst.d] @ s_sqrt.T
+    Z = rng.standard_normal((n, d + 1))
+    X = np.empty((n, d))
+    y = np.empty(n)
+    for a in range(0, n, SAMPLE_TILE):
+        X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T
+        y[a : a + SAMPLE_TILE] = X[a : a + SAMPLE_TILE] @ inst.w_star
     sigma = np.sqrt(inst.sigma2)
     if inst.noise == "gaussian":
-        eps = sigma * Z[:, inst.d]
+        eps = sigma * Z[:, d]
     else:  # rademacher
-        z = Z[:, inst.d]
+        z = Z[:, d]
         eps = sigma * np.where(z >= 0, 1.0, -1.0)
-    y = X @ inst.w_star + eps
-    return Samples(X=X, y=y)
+    return Samples(X=X, y=y + eps)
 
 
 # =====================================================================

@@ -229,18 +229,8 @@ def solve_general(
     if eps is None:
         min_eig = float(np.linalg.eigvalsh(T_prime).min())
         eps = 1e-8 * t_norm if min_eig < 1e-10 * t_norm else 0.0
-    T_eff = T_prime + eps * I if eps > 0 else T_prime
-    triple_eff = (
-        SpectralTriple(
-            S_prime=triple.S_prime,
-            T_prime=T_eff,
-            eig_S_prime=triple.eig_S_prime,
-            M_sqrt=triple.M_sqrt,
-            M_inv_sqrt=triple.M_inv_sqrt,
-        )
-        if eps > 0
-        else triple
-    )
+    triple_eff = triple.ridged(eps)
+    T_eff = triple_eff.T_prime
 
     # -------- certified dual floor --------
     try:

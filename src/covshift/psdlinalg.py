@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "NotPSD",
     "EigenSolverError",
-    "SymMatrix",
     "EigenDecomposition",
     "sym",
     "eigh",
@@ -37,31 +36,6 @@ def sym(X) -> np.ndarray:
     """Symmetrize by averaging; returns a float ndarray."""
     X = np.asarray(X, dtype=float)
     return 0.5 * (X + X.T)
-
-
-class SymMatrix:
-    """A d x d real symmetric matrix; symmetry is enforced on construction
-    by averaging with the transpose."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        A = np.asarray(values, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("dimension must be >= 1")
-        self.values = 0.5 * (A + A.T)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None):
-        return self.values if dtype is None else self.values.astype(dtype)
-
-    def __repr__(self):
-        return f"SymMatrix({self.values!r})"
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,16 @@
 """End-to-end acceptance gate: every numbered criterion must pass inside its
 wall-clock budget. Each test prints its own one-line PASS/FAIL summary (run
 pytest with -s to watch them stream)."""
-import os
-
 import pytest
 
 from covshift.acceptance import CAPS_SECONDS, CRITERIA, run_criterion
-
-THREADS = int(os.environ.get("COVSHIFT_THREADS", min(4, os.cpu_count() or 1)))
 
 
 @pytest.mark.parametrize(
     "number,name", [(num, name) for num, name, _ in CRITERIA], ids=lambda v: str(v)
 )
 def test_criterion(number, name):
-    res = run_criterion(number, threads=THREADS)
+    res = run_criterion(number)
     budget = CAPS_SECONDS[number]
     status = "PASS" if res.passed else "FAIL"
     line = (

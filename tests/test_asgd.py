@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covshift import asgd
 from covshift.asgd import (
     ASGDConfig,
     InfeasibleSchedule,
@@ -16,6 +17,7 @@ from covshift.asgd import (
 )
 from covshift.model import (
     PowerLawSpec,
+    ProblemInstance,
     make_power_law_instance,
     sample_source,
 )
@@ -240,18 +242,35 @@ def test_run_batch_matches_single_runs():
     seeds = list(range(12))
     batch = run_batch(inst, cfg, seeds)
     singles = np.array([run(inst, cfg, seed=s).risks[-1] for s in seeds])
-    # same trajectories up to BLAS summation-order ulps
-    assert np.allclose(batch, singles, rtol=1e-9, atol=0.0)
+    assert np.array_equal(batch, singles)
     assert batch.shape == (12,)
 
 
-def test_run_batch_thread_invariant():
-    inst = power_law(d=8)
-    cfg = choose_rate_parameters(inst, 2**7)
-    seeds = list(range(8))
-    a = run_batch(inst, cfg, seeds, threads=1)
-    b = run_batch(inst, cfg, seeds, threads=4)
-    assert np.array_equal(a, b)
+def rotated(d, seed=0):
+    base = power_law(d=d)
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    Q = Q * np.sign(np.diag(R))
+    return ProblemInstance(
+        S=Q @ base.S @ Q.T, T=Q @ base.T @ Q.T, M=Q @ base.M @ Q.T,
+        w_star=Q @ base.w_star, sigma2=base.sigma2,
+    )
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
+def test_run_batch_grouping_invariant(dense, monkeypatch):
+    # rows never interact and every seed owns its sample stream, so neither
+    # how the seeds are grouped into calls nor the time-block length the
+    # sample budget implies may change a bit
+    inst = rotated(12) if dense else power_law(d=12)
+    cfg = ASGDConfig(n=1000, delta0=0.01, gamma0=0.05, alpha=1 / 1.01, beta=0.01)
+    seeds = list(range(7))
+    whole = run_batch(inst, cfg, seeds)
+    parts = np.concatenate([run_batch(inst, cfg, p) for p in ([0, 1, 2], [3], [4, 5, 6])])
+    assert np.array_equal(whole, parts)
+    monkeypatch.setattr(asgd, "SAMPLE_BUDGET", 1)  # one sample tile per block
+    assert np.array_equal(whole, run_batch(inst, cfg, seeds))
+    assert run(inst, cfg, seed=4).risks[-1] == whole[4]
 
 
 @settings(max_examples=25, deadline=None)

@@ -128,24 +128,6 @@ def test_emergence_runs(tmp_path):
     assert "knee at n=" in res.output
 
 
-def test_threads_env_override_keeps_results(tmp_path):
-    spec = write_spec(
-        tmp_path / "asgd.json",
-        kind="bound_check",
-        instance={"type": "powerlaw", "d": 8, "a": 2.0, "s": 1.0, "r": 0.0,
-                  "sigma2": 1.0, "seed": 0},
-        n_grid=[2**6],
-        seeds=4,
-    )
-    runner = CliRunner()
-    serial = runner.invoke(main, ["asgd", "--spec", spec])
-    threaded = runner.invoke(
-        main, ["asgd", "--spec", spec], env={"COVSHIFT_THREADS": "4"}
-    )
-    assert serial.exit_code == 0 and threaded.exit_code == 0
-    assert serial.output == threaded.output
-
-
 def test_verify_single_criterion():
     res = CliRunner().invoke(main, ["verify", "--only", "1"])
     assert res.exit_code == 0, res.output

@@ -161,7 +161,7 @@ def test_run_bound_check_reproducible_bit_for_bit():
         seeds=4,
     )
     a = run_bound_check(spec)
-    b = run_bound_check(spec, threads=2)
+    b = run_bound_check(spec)
     assert a.rows == b.rows
 
 

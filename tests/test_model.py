@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covshift.model import (
+    SAMPLE_TILE,
     PowerLawSpec,
     ProblemInstance,
     excess_risk,
@@ -122,6 +123,26 @@ def test_sample_source_shapes_and_determinism():
     assert np.array_equal(s1.X, s2.X) and np.array_equal(s1.y, s2.y)
     s3 = sample_source(inst, n=64, seed=6)
     assert not np.array_equal(s1.X, s3.X)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
+@pytest.mark.parametrize("n", [SAMPLE_TILE - 3, 3 * SAMPLE_TILE + 1, 4 * SAMPLE_TILE + 77])
+def test_sample_source_block_replay_reproduces_stream(dense, n):
+    # one Generator drawn in blocks of whole tiles, with a ragged last block,
+    # gives the bits of one whole draw from the same seed
+    d = 100
+    if dense:
+        inst = rand_instance(17, d=d)
+    else:
+        inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
+    whole = sample_source(inst, n, seed=3)
+    for block in (SAMPLE_TILE, 2 * SAMPLE_TILE):
+        gen = np.random.default_rng(3)
+        parts = [
+            sample_source(inst, min(block, n - a), gen) for a in range(0, n, block)
+        ]
+        assert np.array_equal(np.concatenate([p.X for p in parts]), whole.X)
+        assert np.array_equal(np.concatenate([p.y for p in parts]), whole.y)
 
 
 def test_sample_source_moments():
