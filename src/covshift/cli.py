@@ -17,7 +17,7 @@ from .model import whiten
 from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
 
 
-def _load_spec(path, out, tol, seed) -> experiments.ExperimentSpec:
+def _load_spec(path, out, tol=None, seed=None) -> experiments.ExperimentSpec:
     with open(path) as fh:
         obj = json.load(fh)
     if "kind" not in obj:  # bare instance description: wrap it
@@ -39,18 +39,14 @@ def _finish(ok: bool):
     sys.exit(0 if ok else 1)
 
 
-common = [
-    click.option("--spec", "spec_path", required=True, type=click.Path(exists=True)),
-    click.option("--out", default=None, type=click.Path()),
-    click.option("--tol", default=None, type=float),
-    click.option("--seed", default=None, type=int),
-]
-
-
-def _with_common(fn):
-    for opt in reversed(common):
-        fn = opt(fn)
-    return fn
+# Each subcommand takes only the options its study reads: --tol where the
+# study reads params["tol"], --seed where it draws Monte-Carlo seeds.
+spec_option = click.option(
+    "--spec", "spec_path", required=True, type=click.Path(exists=True)
+)
+out_option = click.option("--out", default=None, type=click.Path())
+tol_option = click.option("--tol", default=None, type=float)
+seed_option = click.option("--seed", default=None, type=int)
 
 
 @click.group()
@@ -60,10 +56,12 @@ def main():
 
 
 @main.command()
-@_with_common
-def duality(spec_path, out, tol, seed):
+@spec_option
+@out_option
+@tol_option
+def duality(spec_path, out, tol):
     """Certify lower-bound value == preconditioner objective per n."""
-    spec = _load_spec(spec_path, out, tol, seed)
+    spec = _load_spec(spec_path, out, tol=tol)
     rep = experiments.run_duality(spec)
     for row in rep.rows:
         click.echo(
@@ -76,10 +74,12 @@ def duality(spec_path, out, tol, seed):
 
 
 @main.command()
-@_with_common
-def precondition(spec_path, out, tol, seed):
+@spec_option
+@out_option
+@tol_option
+def precondition(spec_path, out, tol):
     """Solve the preconditioner program; write the certified A as JSON."""
-    spec = _load_spec(spec_path, out, tol, seed)
+    spec = _load_spec(spec_path, out, tol=tol)
     inst = experiments.resolve_instance(spec)
     n = int(spec.n_grid[0])
     prog = PrecondProgram(
@@ -103,12 +103,14 @@ def precondition(spec_path, out, tol, seed):
 
 
 @main.command()
-@_with_common
+@spec_option
+@out_option
+@seed_option
 @click.option("--n", "n_override", default=None, type=int)
 @click.option("--seeds", "seeds_override", default=None, type=int)
-def asgd(spec_path, out, tol, seed, n_override, seeds_override):
+def asgd(spec_path, out, seed, n_override, seeds_override):
     """Monte-Carlo risk of the staged method vs. the closed-form bound."""
-    spec = _load_spec(spec_path, out, tol, seed)
+    spec = _load_spec(spec_path, out, seed=seed)
     from dataclasses import replace
 
     if n_override is not None:
@@ -126,10 +128,13 @@ def asgd(spec_path, out, tol, seed, n_override, seeds_override):
 
 
 @main.command()
-@_with_common
+@spec_option
+@out_option
+@tol_option
+@seed_option
 def sweep(spec_path, out, tol, seed):
     """Rate sweep: fitted log-log slope vs. the predicted exponent."""
-    spec = _load_spec(spec_path, out, tol, seed)
+    spec = _load_spec(spec_path, out, tol=tol, seed=seed)
     rep = experiments.run_rate_sweep(spec)
     click.echo(
         f"predicted exponent {rep.predicted_exponent:+.4f}; "
@@ -142,10 +147,12 @@ def sweep(spec_path, out, tol, seed):
 
 
 @main.command()
-@_with_common
-def emergence(spec_path, out, tol, seed):
+@spec_option
+@out_option
+@seed_option
+def emergence(spec_path, out, seed):
     """Plateau/knee/drop shape of the risk curve for a plateau target."""
-    spec = _load_spec(spec_path, out, tol, seed)
+    spec = _load_spec(spec_path, out, seed=seed)
     rep = experiments.run_emergence(spec)
     click.echo(
         f"knee at n={rep.knee_n} (target {rep.knee_target:.0f}, "

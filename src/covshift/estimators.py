@@ -23,6 +23,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .lowerbound import LowerBoundCertificate
 from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source, whiten
 from .psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt, spectral_norm, sym
 
@@ -40,7 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
-    """A preconditioner matrix with its certified objective value."""
+    """A preconditioner matrix with its certified objective value and, from
+    ``solve_general``, the dual ``certificate`` its ``gap`` is measured to."""
 
     A: np.ndarray
     objective_value: float
@@ -50,6 +52,7 @@ class Preconditioner:
     noise_coeff: float
     n: int = None
     gap: float = None
+    certificate: LowerBoundCertificate = None
 
 
 @dataclass(frozen=True)

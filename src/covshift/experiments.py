@@ -160,6 +160,16 @@ def _seed_range(spec: ExperimentSpec) -> range:
     return range(base, base + spec.seeds)
 
 
+def _mc_summary(risks) -> dict:
+    """Mean, standard error (0 for one seed) and median of per-seed risks."""
+    k = len(risks)
+    return {
+        "mc_mean": float(risks.mean()),
+        "mc_stderr": float(risks.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
+        "mc_median": float(np.median(risks)),
+    }
+
+
 def _ols(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -214,6 +224,10 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     (coefficients 1/pi^2 and sigma2/n) on each n of the grid. For a singular
     whitened target the program is solved along a decreasing epsilon-ladder
     of ridges and the values must decrease monotonically toward the limit.
+
+    Each row's lower value and iteration count come from the dual
+    certificate that ``solve_general`` computed as its floor, the same
+    program as maximize_F(triple.ridged(eps), sigma2, n).
     """
     inst = resolve_instance(spec)
     if inst.d > 64:
@@ -231,7 +245,6 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
         ladder = [e * t_norm for e in EPSILON_LADDER] if singular else [0.0]
         prev_upper = math.inf
         for eps in ladder:
-            cert = maximize_F(triple.ridged(eps), inst.sigma2, n)
             try:
                 prec = solve_general(
                     PrecondProgram(
@@ -241,6 +254,7 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
                 )
             except MaxIterationsError as err:
                 prec = err.best
+            cert = prec.certificate
             gap = (prec.objective_value - cert.value) / max(cert.value, 1e-300)
             worst = max(worst, abs(gap))
             if prec.objective_value > prev_upper * (1 + 1e-9):
@@ -292,15 +306,11 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
         cfg = choose_parameters(
             inst, n, kappa_tilde=kappa_tilde, require_admissible=False
         )
-        risks = run_batch(inst, cfg, seeds)
+        mc = _mc_summary(run_batch(inst, cfg, seeds))
         bound = risk_bound(inst, cfg)
-        mean = float(risks.mean())
-        stderr = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
         row = {
             "n": n,
-            "mc_mean": mean,
-            "mc_stderr": stderr,
-            "mc_median": float(np.median(risks)),
+            **mc,
             "bound_total": bound.total,
             "bound_variance": bound.effective_variance,
             "bound_bias": bound.effective_bias,
@@ -311,7 +321,7 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
             "spec_hash": h,
         }
         rows.append(row)
-        ok = ok and (mean <= bound.total)
+        ok = ok and (mc["mc_mean"] <= bound.total)
     if spec.output_path:
         _write_csv(spec.output_path, "risk bound check", spec, rows)
     return BoundCheckReport(rows=rows, ok=ok)
@@ -358,23 +368,18 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
         cfg = choose_rate_parameters(
             inst, n, a=a, s=s, r=r, nu=nu, n_ref=spec.n_grid[0], base=base
         )
-        risks = run_batch(inst, cfg, _seed_range(spec))
-        mean = float(risks.mean())
+        mc = _mc_summary(run_batch(inst, cfg, _seed_range(spec)))
         try:
             lower = maximize_F(triple, inst.sigma2, n, max_iter=2000).value
         except MaxIterationsError as err:
             lower = err.best.value
-        means.append(mean)
+        means.append(mc["mc_mean"])
         lowers.append(lower)
         rows.append(
             {
                 "n": n,
-                "mc_mean": mean,
-                "mc_median": float(np.median(risks)),
-                "mc_stderr": float(risks.std(ddof=1) / math.sqrt(len(risks)))
-                if len(risks) > 1
-                else 0.0,
-                "deflated_mean": mean / math.log(n) ** log_exp,
+                **mc,
+                "deflated_mean": mc["mc_mean"] / math.log(n) ** log_exp,
                 "lower_value": lower,
                 "step": cfg.delta0,
                 "spec_hash": h,
@@ -468,19 +473,13 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
         cfg = choose_rate_parameters(
             inst, n, n_ref=n_ref, base=base, exponent=exponent
         )
-        risks = run_batch(inst, cfg, _seed_range(spec))
-        mean = float(risks.mean())
-        stderr = (
-            float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
-        )
-        means.append(mean)
-        stderrs.append(stderr)
+        mc = _mc_summary(run_batch(inst, cfg, _seed_range(spec)))
+        means.append(mc["mc_mean"])
+        stderrs.append(mc["mc_stderr"])
         rows.append(
             {
                 "n": n,
-                "mc_mean": mean,
-                "mc_stderr": stderr,
-                "mc_median": float(np.median(risks)),
+                **mc,
                 "step": cfg.delta0,
                 "spec_hash": h,
             }

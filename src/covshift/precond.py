@@ -8,8 +8,8 @@ worst-case (over the ellipsoid) excess-risk bound
 in whitened coordinates. This module minimizes that bound over A:
 
 * ``solve_diagonal`` — exact water-filling closed form when S, T, M are
-  simultaneously diagonal: a single scalar threshold tau determines every
-  diagonal entry of A.
+  simultaneously diagonal: a single scalar threshold tau, found by a
+  prefix-sum scan over the breakpoints, determines every diagonal entry of A.
 * ``solve_general`` — arbitrary PD S, M and PSD T. Strong duality gives
 
     min_A obj(A) = sup { <T', (F^{-1} + S'/noise_coeff)^{-1}> :
@@ -18,18 +18,17 @@ in whitened coordinates. This module minimizes that bound over A:
   so the solver runs projected gradient ascent on the dual (reusing the
   lower-bound machinery), recovers a primal A from the dual optimum, and
   certifies the duality gap, with a Polyak subgradient polish to close the
-  last digits.
+  last digits. The dual certificate is returned with the preconditioner.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import Preconditioner, eval_upper_objective, make_preconditioner
-from .lowerbound import MaxIterationsError, maximize_F
+from .lowerbound import LowerBoundCertificate, MaxIterationsError, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, spectral_norm, sym
 
@@ -79,42 +78,6 @@ class DiagonalSolution:
     value: float
 
 
-def _diag_objective(tau, t_w, t_raw, lam, bias_coeff, noise_coeff):
-    """Objective of the diagonal program as a function of the threshold tau.
-
-    t_w is the whitened target spectrum t_i/m_i; coordinates with
-    t_w > tau^2 are shrunk to a_i = 1 - tau/sqrt(t_w_i), the rest zeroed.
-    """
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    tau2 = np.atleast_1d(tau) ** 2
-    active = t_w[None, :] > tau2[:, None]
-    safe = np.sqrt(np.where(t_w > 0, t_w, 1.0))  # dead coordinates never activate
-    a = np.where(active, 1.0 - np.atleast_1d(tau)[:, None] / safe[None, :], 0.0)
-    noise = np.sum(a**2 * (t_raw / lam)[None, :], axis=1)
-    vals = bias_coeff * np.atleast_1d(tau) ** 2 + noise_coeff * noise
-    return float(vals[0]) if scalar else vals
-
-
-def _golden_min(f, lo, hi, tol=1e-12):
-    """Golden-section minimum of a unimodal-enough scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> DiagonalSolution:
     """Exact solution when S = diag(lam), M = diag(m), T = diag(t).
 
@@ -123,10 +86,20 @@ def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> Diagonal
         bias_coeff * max_i t_w_i (1 - a_i)^2  +  noise_coeff * sum_i a_i^2 t_i / lam_i
 
     with t_w_i = t_i / m_i. For a fixed bias level tau^2 the best a is the
-    soft shrinkage a_i = max(0, 1 - tau / sqrt(t_w_i)), so the problem
-    reduces to a 1-D convex C^1 minimization over tau, solved by
-    golden-section search on each interval between consecutive breakpoints
-    sqrt(t_w_i) (where the active set changes).
+    soft shrinkage a_i = max(0, 1 - tau / s_i), s_i = sqrt(t_w_i), so the
+    problem reduces to a convex C^1 function of tau,
+
+        g(tau) = b tau^2 + v sum_{s_i > tau} c_i (1 - tau / s_i)^2
+
+    with b = bias_coeff, v = noise_coeff and c_i = t_i / lam_i.
+
+    Between consecutive breakpoints s_i, g is a quadratic whose stationary
+    point over the top-k active set is
+
+        tau_k = v sum c_i/s_i / (b + v sum c_i/s_i^2),
+
+    and the minimizer is the first tau_k (scanning from the largest s) that
+    lies at or above the next breakpoint: one sort and two prefix sums.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     m = np.asarray(m, dtype=float).reshape(-1)
@@ -142,27 +115,25 @@ def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> Diagonal
     if noise_coeff < 0:
         raise ValueError("noise_coeff must be nonnegative")
 
-    t_w = t / m
-    support = t_w > 0
-
-    def g(tau):
-        return _diag_objective(tau, t_w, t, lam, bias_coeff, noise_coeff)
-
-    if noise_coeff == 0 or not support.any():
+    s = np.sqrt(t / m)
+    c = t / lam
+    live = s > 0
+    if noise_coeff == 0 or not live.any():
         tau = 0.0
     else:
-        knots = np.unique(np.concatenate([[0.0], np.sqrt(t_w[support])]))
-        candidates = list(knots)
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            candidates.append(_golden_min(g, lo, hi))
-        candidates = np.asarray(candidates)
-        tau = float(candidates[np.argmin(g(candidates))])
+        order = np.argsort(-s[live], kind="stable")
+        s_desc, c_desc = s[live][order], c[live][order]
+        tau_k = (noise_coeff * np.cumsum(c_desc / s_desc)) / (
+            bias_coeff + noise_coeff * np.cumsum(c_desc / s_desc**2)
+        )
+        # tau_K >= 0 always holds, so the scan stops by the last interval
+        k = int(np.argmax(tau_k >= np.append(s_desc[1:], 0.0)))
+        tau = float(tau_k[k])
 
-    active = t_w > tau**2
-    a = np.where(active, 1.0 - tau / np.sqrt(np.where(active, t_w, 1.0)), 0.0)
-    return DiagonalSolution(
-        tau=tau, a=a, active_set=np.flatnonzero(active), value=g(tau)
-    )
+    active = s > tau
+    a = np.where(active, 1.0 - tau / np.where(active, s, 1.0), 0.0)
+    value = float(bias_coeff * tau**2 + noise_coeff * np.sum(a**2 * c))
+    return DiagonalSolution(tau=tau, a=a, active_set=np.flatnonzero(active), value=value)
 
 
 def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarray:
@@ -203,8 +174,12 @@ def solve_general(
     Pipeline: dual projected-gradient ascent for a certified floor, primal
     recovery from the dual optimum, a closed-form warm start when S' and T'
     commute, then Polyak-stepped subgradient descent until the relative
-    duality gap is below ``tol``. Raises MaxIterationsError (carrying the
-    best preconditioner and its gap) if the budget runs out first.
+    duality gap is below ``tol``. The returned preconditioner carries that
+    floor as ``certificate`` (the exact zero floor for the degenerate
+    programs T' = 0 and noise_coeff = 0), so callers read the dual value
+    instead of solving the dual again. Raises MaxIterationsError (carrying
+    the best preconditioner, with its certificate, and its gap) if the
+    budget runs out first.
 
     Singular T' is ridged to T' + eps I with eps = epsilon_reg, defaulting
     to 1e-8 |T'|_op; the reported objective is for the ridged program.
@@ -215,15 +190,14 @@ def solve_general(
     T_prime = triple.T_prime
     t_norm = spectral_norm(T_prime)
 
-    # -------- degenerate programs with exact answers --------
-    if t_norm == 0.0:
-        prec = make_preconditioner(
-            triple, np.zeros((d, d)), prog.bias_coeff, prog.noise_coeff
+    # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
+    if t_norm == 0.0 or prog.noise_coeff == 0.0:
+        A = np.zeros((d, d)) if t_norm == 0.0 else I
+        prec = make_preconditioner(triple, A, prog.bias_coeff, prog.noise_coeff)
+        zero = LowerBoundCertificate(
+            F=np.zeros((d, d)), value=0.0, iterations=0, grad_norm=0.0
         )
-        return replace(prec, gap=0.0)
-    if prog.noise_coeff == 0.0:
-        prec = make_preconditioner(triple, I, prog.bias_coeff, prog.noise_coeff)
-        return replace(prec, gap=0.0)
+        return replace(prec, gap=0.0, certificate=zero)
 
     eps = prog.epsilon_reg
     if eps is None:
@@ -299,7 +273,7 @@ def solve_general(
     prec = make_preconditioner(
         triple_eff, best_A, prog.bias_coeff, prog.noise_coeff
     )
-    prec = replace(prec, gap=float(max(gap, 0.0)))
+    prec = replace(prec, gap=float(max(gap, 0.0)), certificate=cert)
     if gap > tol:
         raise MaxIterationsError(
             f"duality gap {gap:.3e} above tol {tol:.1e} after {it} polish steps",

@@ -134,6 +134,16 @@ def test_verify_single_criterion():
     assert "PASS criterion  1" in res.output
 
 
+def test_options_a_study_does_not_read_are_rejected(tmp_path):
+    spec = duality_spec(tmp_path)
+    runner = CliRunner()
+    for args in (["duality", "--spec", spec, "--seed", "7"],
+                 ["emergence", "--spec", spec, "--tol", "1"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+
 def test_missing_spec_file_errors():
     res = CliRunner().invoke(main, ["duality", "--spec", "/no/such/file.json"])
     assert res.exit_code == 2

@@ -14,6 +14,7 @@ from covshift.precond import (
     solve_diagonal,
     solve_general,
 )
+from covshift.psdlinalg import spectral_norm
 
 B = 1.0 / math.pi**2
 
@@ -87,6 +88,61 @@ def test_diagonal_beats_random_competitors(seed):
         assert sol.value <= diag_objective(a, lam, m, t, bias_coeff, noise_coeff) + 1e-9
 
 
+def kkt_residual(sol, lam, m, t, bias_coeff, noise_coeff):
+    """d/dtau of b tau^2 + v sum_active c (1 - tau/s)^2 at the solution, and
+    the size of its two sides."""
+    s = np.sqrt(t / m)[sol.active_set]
+    c = (t / lam)[sol.active_set]
+    pull = noise_coeff * np.sum(c / s)
+    resid = 2 * bias_coeff * sol.tau - 2 * noise_coeff * np.sum(c / s * (1 - sol.tau / s))
+    return resid, bias_coeff * sol.tau + pull
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_diagonal_threshold_is_exact_stationary_point(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 60))
+    lam = rng.uniform(0.05, 3.0, d)
+    m = 2.0 ** rng.integers(-2, 3, d)  # powers of two: t / m recovers t_w exactly
+    t_w = rng.uniform(0.0, 1.5, d)
+    t_w[rng.random(d) < 0.2] = 0.0
+    if rng.random() < 0.5:
+        t_w = rng.choice(t_w, d)  # tied breakpoints
+    t = t_w * m
+    bias_coeff = float(rng.uniform(0.01, 1.0))
+    noise_coeff = float(rng.uniform(0.0, 0.5))
+    sol = solve_diagonal(lam, m, t, bias_coeff, noise_coeff)
+    resid, scale = kkt_residual(sol, lam, m, t, bias_coeff, noise_coeff)
+    assert abs(resid) <= 1e-13 * scale
+    assert sol.value == pytest.approx(
+        diag_objective(sol.a, lam, m, t, bias_coeff, noise_coeff), rel=1e-13, abs=1e-300
+    )
+
+
+def test_diagonal_scalar_matches_closed_form():
+    # d = 1: a = b t_w / (b t_w + v c) and value = b t_w v c / (b t_w + v c)
+    lam, m, t, b, v = 0.7, 1.3, 0.9, B, 0.04
+    t_w, c = t / m, t / lam
+    sol = solve_diagonal([lam], [m], [t], b, v)
+    assert sol.a[0] == pytest.approx(b * t_w / (b * t_w + v * c), rel=1e-14)
+    assert sol.value == pytest.approx(b * t_w * v * c / (b * t_w + v * c), rel=1e-14)
+    assert list(sol.active_set) == [0]
+
+
+def test_diagonal_tied_breakpoints():
+    # three coordinates share t_w = 0.5, so two breakpoint intervals are empty
+    lam = np.array([1.0, 0.5, 0.25, 2.0, 0.8])
+    m = np.ones(5)
+    t = np.array([0.5, 0.5, 0.5, 0.1, 0.9])
+    sol = solve_diagonal(lam, m, t, B, 0.05)
+    resid, scale = kkt_residual(sol, lam, m, t, B, 0.05)
+    assert abs(resid) <= 1e-13 * scale
+    tied = sol.a[:3]
+    assert np.all(tied == tied[0])
+    assert sol.value == pytest.approx(diag_objective(sol.a, lam, m, t, B, 0.05), rel=1e-13)
+
+
 def test_diagonal_validation():
     with pytest.raises(ValueError):
         solve_diagonal([1.0], [1.0, 1.0], [1.0], B, 0.1)
@@ -146,6 +202,11 @@ def test_general_agrees_with_diagonal_when_commuting():
     assert prec.objective_value == pytest.approx(diag.value, rel=1e-5)
 
 
+def assert_zero_floor(cert, d):
+    assert np.array_equal(cert.F, np.zeros((d, d)))
+    assert (cert.value, cert.iterations, cert.grad_norm) == (0.0, 0, 0.0)
+
+
 def test_general_degenerate_cases():
     rng = np.random.default_rng(3)
     d = 4
@@ -154,11 +215,39 @@ def test_general_degenerate_cases():
     triple = make_triple(S, np.zeros((d, d)))
     prec = solve_general(PrecondProgram(triple, bias_coeff=B, noise_coeff=0.1))
     assert np.all(prec.A == 0.0) and prec.gap == 0.0
+    assert_zero_floor(prec.certificate, d)
     # zero noise: the identity zeroes the bias at no cost
     triple = make_triple(S, rand_pd(rng, d, 0.7))
     prec = solve_general(PrecondProgram(triple, bias_coeff=B, noise_coeff=0.0))
     assert np.allclose(prec.A, np.eye(d)) and prec.gap == 0.0
     assert prec.objective_value == pytest.approx(0.0, abs=1e-15)
+    assert_zero_floor(prec.certificate, d)
+
+
+def program_dual(prog, eps=0.0, **kw):
+    """The dual solve solve_general runs as its floor, called directly."""
+    return maximize_F(
+        prog.triple.ridged(eps), prog.noise_coeff, 1, radius=prog.bias_coeff, **kw
+    )
+
+
+@pytest.mark.parametrize("rank", [5, 2], ids=["dense", "singular_T"])
+def test_general_returns_its_dual_certificate(rank):
+    rng = np.random.default_rng(40 + rank)
+    d = 5
+    G = rng.normal(size=(d, rank))
+    triple = make_triple(rand_pd(rng, d), G @ G.T)
+    prog = PrecondProgram(triple, bias_coeff=B, noise_coeff=0.02)
+    prec = solve_general(prog, tol=1e-5)
+    # a rank-deficient target is ridged by the solver's default 1e-8 |T'|
+    eps = 1e-8 * spectral_norm(triple.T_prime) if rank < d else 0.0
+    cert = program_dual(prog, eps)
+    assert np.array_equal(prec.certificate.F, cert.F)
+    assert prec.certificate.iterations == cert.iterations
+    assert prec.certificate.value == cert.value
+    assert prec.gap == pytest.approx(
+        (prec.objective_value - cert.value) / cert.value, rel=1e-12, abs=1e-15
+    )
 
 
 def test_general_handles_singular_target():
@@ -183,6 +272,10 @@ def test_general_raises_with_best_on_tiny_budget():
         assert err.best is not None
         assert err.best.gap == pytest.approx(err.gap)
         assert err.gap > 1e-12
+        with pytest.raises(MaxIterationsError) as dual:
+            program_dual(prog, max_iter=3)
+        assert np.array_equal(err.best.certificate.F, dual.value.best.F)
+        assert err.best.certificate.iterations == dual.value.best.iterations == 3
     else:
         pytest.skip("warm start already within tol on this instance")
 
