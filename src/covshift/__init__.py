@@ -97,7 +97,6 @@ from .psdlinalg import (
 )
 from .riskoracle import (
     DivergentStationaryState,
-    MomentumMatrix2x2,
     RegimeLabel,
     SemiStochastic,
     StationaryPair,
@@ -105,8 +104,6 @@ from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    momentum_eigenvalues,
-    momentum_matrix,
     momentum_power,
     per_direction_table,
     regime,

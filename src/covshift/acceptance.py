@@ -33,8 +33,6 @@ from .model import (
 from .precond import PrecondProgram, solve_diagonal, solve_general
 from .riskoracle import (
     eig_pair_pm,
-    lambda_dagger,
-    lambda_ddagger,
     momentum_power,
     semi_stochastic_bias,
     spectral_radius,

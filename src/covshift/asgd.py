@@ -151,16 +151,13 @@ def choose_parameters(
     inst: ProblemInstance,
     n: int,
     kappa_tilde: int | None = None,
-    delta_prime: float | None = None,
-    gamma_prime: float | None = None,
     require_admissible: bool = True,
 ) -> ASGDConfig:
     """Schedule constants from the source spectrum.
 
     With lambda the eigenvalues of S and kt = kappa_tilde:
 
-        delta' = 1/(psi tr S)            (or any smaller value)
-        gamma' in [delta', 1/(psi sum_{i>kt} lambda_i)]   (default: the cap)
+        delta' = 1/(psi tr S),  gamma' = 1/(psi sum_{i>kt} lambda_i)
         beta   = delta'/(4376 psi kt gamma' ln n),  alpha = 1/(1+beta)
         delta0 = delta'/(2188 ln n),     gamma0 = gamma'/(2188 ln n)
 
@@ -180,19 +177,11 @@ def choose_parameters(
         raise ValueError("need 1 <= kappa_tilde < d")
     psi = inst.psi
     ln_n = math.log(n)
-    delta_cap = 1.0 / (psi * float(lam.sum()))
-    if delta_prime is None:
-        delta_prime = delta_cap
-    elif not 0 < delta_prime <= delta_cap * (1 + 1e-12):
-        raise ValueError("delta_prime must lie in (0, 1/(psi tr S)]")
+    delta_prime = 1.0 / (psi * float(lam.sum()))
     tail = float(lam[kappa_tilde:].sum())
     if tail <= 0:
         raise ValueError("source spectrum vanishes beyond kappa_tilde")
-    gamma_cap = 1.0 / (psi * tail)
-    if gamma_prime is None:
-        gamma_prime = gamma_cap
-    elif not delta_prime * (1 - 1e-12) <= gamma_prime <= gamma_cap * (1 + 1e-12):
-        raise ValueError("gamma_prime must lie in [delta_prime, 1/(psi tail sum)]")
+    gamma_prime = 1.0 / (psi * tail)
     beta = delta_prime / (4376.0 * psi * kappa_tilde * gamma_prime * ln_n)
     alpha = 1.0 / (1.0 + beta)
     cfg = ASGDConfig(
@@ -239,15 +228,11 @@ def choose_rate_parameters(
     return ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.5, beta=1.0)
 
 
-# Sample-buffer budget of the lockstep kernel, in float64 elements (32 MB).
-SAMPLE_BUDGET = 1 << 22
-
-
 def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     """Advance one trajectory per seed in lockstep; returns (W, V), row j
-    for seeds[j]. Each seed draws its n samples from its own PCG64 stream in
-    time blocks of whole SAMPLE_TILEs, which shrink as rows are added to keep
-    the buffer within SAMPLE_BUDGET and never change a bit of a row.
+    for seeds[j]. Each seed draws its n samples from its own PCG64 stream
+    one SAMPLE_TILE of rows at a time, which reproduces a whole draw bit for
+    bit, so the sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats.
     ``on_step(t, ell, W)`` runs after step t (1-based) of stage ell.
     """
     rows, d = len(seeds), inst.d
@@ -256,8 +241,7 @@ def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     if not population:
         s_sqrt = psd_sqrt(inst.S)
         gens = [np.random.default_rng(seed) for seed in seeds]
-        tiles = max(1, SAMPLE_BUDGET // (max(rows, 1) * (d + 1) * SAMPLE_TILE))
-        block = min(tiles * SAMPLE_TILE, cfg.n)
+        block = min(SAMPLE_TILE, cfg.n)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
     alpha, beta = cfg.alpha, cfg.beta
@@ -342,8 +326,8 @@ def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     ``run(inst, cfg, seed=seeds[i]).risks[-1]`` bit for bit, however the
     seeds are grouped into calls. The one lockstep kernel runs all seeds as
     rows of (len(seeds), d) arrays to amortize the per-step Python cost; its
-    sample buffer holds max(SAMPLE_BUDGET, SAMPLE_TILE * len(seeds) * (d+1))
-    floats at most, whatever n is.
+    sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n
+    is.
     """
     W, _ = _lockstep(inst, cfg, list(seeds))
     # per-row excess_risk so the reduction order (hence every bit) matches run()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -29,8 +30,6 @@ def _load_spec(path, out, tol=None, seed=None) -> experiments.ExperimentSpec:
         params["tol"] = tol
     if seed is not None:
         params["seed_base"] = seed
-    from dataclasses import replace
-
     return replace(spec, params=params, output_path=out or spec.output_path)
 
 
@@ -97,7 +96,7 @@ def precondition(spec_path, out, tol):
     )
     if out:
         with open(out, "w") as fh:
-            json.dump(precond_to_json(prec), fh, indent=2)
+            json.dump({**precond_to_json(prec), "n": n}, fh, indent=2)
         click.echo(f"wrote {out}")
     _finish(ok)
 
@@ -111,8 +110,6 @@ def precondition(spec_path, out, tol):
 def asgd(spec_path, out, seed, n_override, seeds_override):
     """Monte-Carlo risk of the staged method vs. the closed-form bound."""
     spec = _load_spec(spec_path, out, seed=seed)
-    from dataclasses import replace
-
     if n_override is not None:
         spec = replace(spec, n_grid=(n_override,))
     if seeds_override is not None:

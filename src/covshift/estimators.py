@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .lowerbound import LowerBoundCertificate
-from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source, whiten
-from .psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt, spectral_norm, sym
+from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source
+from .psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt, spectral_norm
 
 __all__ = [
     "Preconditioner",
@@ -50,7 +50,6 @@ class Preconditioner:
     variance_term: float
     bias_coeff: float
     noise_coeff: float
-    n: int = None
     gap: float = None
     certificate: LowerBoundCertificate = None
 
@@ -99,7 +98,7 @@ def eval_upper_objective(
 
 
 def make_preconditioner(
-    triple: SpectralTriple, A, bias_coeff: float, noise_coeff: float, n: int = None
+    triple: SpectralTriple, A, bias_coeff: float, noise_coeff: float
 ) -> Preconditioner:
     """Validate and package A together with its objective value."""
     val = eval_upper_objective(triple, A, noise_coeff, bias_coeff)
@@ -110,7 +109,6 @@ def make_preconditioner(
         variance_term=val.variance_term,
         bias_coeff=bias_coeff,
         noise_coeff=noise_coeff,
-        n=n,
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SpectralTriple
-from .psdlinalg import eigh, project_psd_nuclear_ball, psd_sqrt, sym
+from .psdlinalg import eigh, project_psd_nuclear_ball, psd_inv_sqrt, psd_sqrt, sym
 
 __all__ = [
     "DEFAULT_RADIUS",
@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 1.0 / math.pi**2
+
+GAP_TOL = 1e-12
+"""maximize_F stops once its linear optimality gap is at most
+GAP_TOL * max(1, value); in practice the stall rule usually stops it first."""
+
+MIN_PRIOR_WIDTH = 1e-8
+"""prior_from_certificate collapses cos^2 widths below this to point masses."""
 
 
 class DegeneratePrior(ValueError):
@@ -98,7 +105,6 @@ def maximize_F(
     sigma2: float,
     n: int,
     radius: float = DEFAULT_RADIUS,
-    tol: float = 1e-12,
     max_iter: int = 5000,
 ) -> LowerBoundCertificate:
     """Maximize the risk-floor objective over {F PSD, trace F <= radius}.
@@ -114,7 +120,7 @@ def maximize_F(
 
         max_{G feasible} <grad, G - F>  =  radius * lam_max(grad) - <grad, F>
 
-    certifies that the objective is within ``tol * max(1, value)`` of its
+    certifies that the objective is within ``GAP_TOL * max(1, value)`` of its
     maximum (the gap upper-bounds the suboptimality of a concave objective).
     Raises MaxIterationsError carrying the best certificate if the budget
     runs out first; any returned value is a valid lower bound either way.
@@ -150,7 +156,7 @@ def maximize_F(
     for it in range(1, max_iter + 1):
         grad = gradient(F)
         gap = radius * float(np.linalg.eigvalsh(grad)[-1]) - float(np.sum(grad * F))
-        if gap <= tol * max(1.0, abs(val)):
+        if gap <= GAP_TOL * max(1.0, abs(val)):
             break
         if momentum:
             beta = (t_mom - 1.0) / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2)))
@@ -196,7 +202,7 @@ def maximize_F(
     value = eval_lower_objective(triple, F, sigma2, n)
     grad_norm = float(np.linalg.norm(project_psd_nuclear_ball(F + grad, radius) - F))
     cert = LowerBoundCertificate(F=F, value=value, iterations=it, grad_norm=grad_norm)
-    if gap > tol * max(1.0, abs(value)) and stall < 3:
+    if gap > GAP_TOL * max(1.0, abs(value)) and stall < 3:
         raise MaxIterationsError(
             f"optimality gap {gap:.3e} after {max_iter} iterations",
             best=cert,
@@ -273,20 +279,18 @@ def sample_prior(prior: CosSquaredPrior, n: int, seed: int) -> np.ndarray:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         z[:, live] = 0.5 * (lo + hi)
-    from .psdlinalg import psd_inv_sqrt  # local import avoids cycle at module load
-
     m_inv_sqrt = psd_inv_sqrt(prior.M)
     return z @ prior.U.T @ m_inv_sqrt.T
 
 
-def prior_from_certificate(F, M, min_g: float = 1e-8) -> CosSquaredPrior:
+def prior_from_certificate(F, M) -> CosSquaredPrior:
     """Map a feasible dual variable F to the prior whose information matrix
     matches it: U = eigenvectors of F, g_i = pi sqrt(eig_i(F)), clamped into
-    [0, 1], with widths below ``min_g`` collapsed to point masses."""
+    [0, 1], with widths below MIN_PRIOR_WIDTH collapsed to point masses."""
     dec = eigh(F)
     g = math.pi * np.sqrt(np.maximum(dec.eigenvalues, 0.0))
     g = np.minimum(g, 1.0)
-    g[g < min_g] = 0.0
+    g[g < MIN_PRIOR_WIDTH] = 0.0
     return CosSquaredPrior(U=dec.eigenvectors, g=g, M=M)
 
 

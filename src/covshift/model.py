@@ -10,7 +10,7 @@ problem is naturally stated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "sample_source",
     "instance_to_json",
     "instance_from_json",
-    "spec_to_json",
-    "spec_from_json",
 ]
 
 NOISE_KINDS = ("gaussian", "rademacher")
@@ -310,27 +308,4 @@ def instance_from_json(doc) -> ProblemInstance:
         sigma2=float(doc["sigma2"]),
         psi=float(doc.get("psi", 3.0)),
         noise=doc.get("noise", "gaussian"),
-    )
-
-
-def spec_to_json(spec: PowerLawSpec) -> dict:
-    return {
-        "kind": "powerlaw",
-        "d": spec.d,
-        "a": spec.a,
-        "s": spec.s,
-        "r": spec.r,
-        "nu": spec.nu,
-        "d0": spec.d0,
-    }
-
-
-def spec_from_json(doc) -> PowerLawSpec:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if doc.get("kind") != "powerlaw":
-        raise ValueError(f"not a power-law spec: kind={doc.get('kind')!r}")
-    return PowerLawSpec(
-        d=int(doc["d"]), a=float(doc["a"]), s=float(doc["s"]), r=float(doc["r"]),
-        nu=int(doc.get("nu", 0)), d0=None if doc.get("d0") is None else int(doc["d0"]),
     )

@@ -292,5 +292,4 @@ def precond_to_json(prec: Preconditioner) -> dict:
         "bias_coeff": prec.bias_coeff,
         "noise_coeff": prec.noise_coeff,
         "gap": prec.gap,
-        "n": prec.n,
     }

@@ -52,16 +52,13 @@ class EigenDecomposition:
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: first component of each eigenvector that
-    is clearly nonzero is made positive."""
-    U = U.copy()
-    d = U.shape[0]
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            U[:, j] = -col
-    return U
+    is clearly nonzero (the largest one if none is) is made positive."""
+    if not U.size:
+        return U.copy()
+    big = np.abs(U) > 1e-12
+    k = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(U).argmax(axis=0))
+    flip = U[k, np.arange(U.shape[1])] < 0
+    return np.where(flip, -U, U)
 
 
 def eigh(X) -> EigenDecomposition:
@@ -86,23 +83,21 @@ def eigh(X) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=U)
 
 
-def _clamp_tol(X: np.ndarray, tol) -> float:
-    if tol is not None:
-        return float(tol)
+def _clamp_tol(X: np.ndarray) -> float:
     scale = float(np.max(np.abs(X))) if X.size else 0.0
     return 1e-10 * max(1.0, scale)
 
 
-def psd_sqrt(X, tol=None) -> np.ndarray:
+def psd_sqrt(X) -> np.ndarray:
     """Symmetric PSD square root.
 
-    Eigenvalues within ``tol`` below zero are clamped to 0 (floating point
-    produces those routinely); anything below -tol raises NotPSD. Default
-    tol is 1e-10 * max(1, |X|_max).
+    Eigenvalues within tol = 1e-10 * max(1, |X|_max) below zero are clamped
+    to 0 (floating point produces those routinely); anything below -tol
+    raises NotPSD.
     """
     dec = eigh(X)
     w = dec.eigenvalues
-    t = _clamp_tol(np.asarray(X, float), tol)
+    t = _clamp_tol(np.asarray(X, float))
     if w.min(initial=0.0) < -t:
         raise NotPSD(f"eigenvalue {w.min():.6e} below -{t:.2e}")
     w = np.maximum(w, 0.0)
@@ -110,11 +105,12 @@ def psd_sqrt(X, tol=None) -> np.ndarray:
     return sym((U * np.sqrt(w)) @ U.T)
 
 
-def psd_inv_sqrt(X, tol=None) -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix."""
+def psd_inv_sqrt(X) -> np.ndarray:
+    """Inverse symmetric square root of a positive definite matrix; raises
+    NotPSD unless every eigenvalue exceeds 1e-10 * max(1, |X|_max)."""
     dec = eigh(X)
     w = dec.eigenvalues
-    t = _clamp_tol(np.asarray(X, float), tol)
+    t = _clamp_tol(np.asarray(X, float))
     if w.size == 0 or w.min() <= t:
         raise NotPSD(f"matrix not positive definite (min eigenvalue {w.min(initial=0.0):.6e})")
     U = dec.eigenvectors

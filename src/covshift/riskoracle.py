@@ -27,12 +27,9 @@ from .model import ProblemInstance
 from .psdlinalg import eigh
 
 __all__ = [
-    "MomentumMatrix2x2",
     "RegimeLabel",
     "StationaryPair",
     "DivergentStationaryState",
-    "momentum_matrix",
-    "momentum_eigenvalues",
     "eig_pair",
     "eig_pair_pm",
     "spectral_radius",
@@ -53,49 +50,6 @@ class DivergentStationaryState(ArithmeticError):
     """The driven 2x2 recursion has no finite stationary point (U22*lambda >= 1)."""
 
 
-@dataclass(frozen=True)
-class MomentumMatrix2x2:
-    """One-direction transition matrix; only the products of step sizes with
-    the eigenvalue enter."""
-
-    lam: float
-    c: float
-    q: float
-    delta: float
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.array(
-            [
-                [0.0, 1.0 - self.delta * self.lam],
-                [-self.c, 1.0 + self.c - self.q * self.lam],
-            ]
-        )
-
-    @property
-    def trace(self) -> float:
-        return 1.0 + self.c - self.q * self.lam
-
-    @property
-    def det(self) -> float:
-        return self.c * (1.0 - self.delta * self.lam)
-
-
-def momentum_matrix(
-    lam: float,
-    cfg_or_c,
-    q: float | None = None,
-    delta: float | None = None,
-    ell: int = 1,
-) -> MomentumMatrix2x2:
-    """Build A(lambda) either from raw constants (lam, c, q, delta) or from
-    an ASGDConfig and a stage number."""
-    if isinstance(cfg_or_c, ASGDConfig):
-        d_l, _, q_l = cfg_or_c.stage_steps(ell)
-        return MomentumMatrix2x2(lam=lam, c=cfg_or_c.c, q=q_l, delta=d_l)
-    return MomentumMatrix2x2(lam=lam, c=cfg_or_c, q=q, delta=delta)
-
-
 def eig_pair_pm(c, q, delta, lam):
     """Eigenvalues of A(lambda) in the minus/plus-branch convention,
     vectorized, as complex arrays: x_{1,2} = (tr -+ sqrt(tr^2 - 4 det))/2
@@ -112,11 +66,6 @@ def eig_pair(c, q, delta, lam):
     x1, x2 = eig_pair_pm(c, q, delta, lam)
     swap = np.abs(x1) > np.abs(x2)
     return np.where(swap, x2, x1), np.where(swap, x1, x2)
-
-
-def momentum_eigenvalues(A: MomentumMatrix2x2) -> tuple[complex, complex]:
-    x1, x2 = eig_pair(A.c, A.q, A.delta, A.lam)
-    return complex(x1), complex(x2)
 
 
 def spectral_radius(c, q, delta, lam):

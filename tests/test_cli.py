@@ -63,6 +63,7 @@ def test_precondition_writes_json(tmp_path):
         "noise_coeff", "objective", "variance_term",
     ]
     assert len(doc["A"]) == 3
+    assert doc["n"] == 16  # the first n of the spec's grid, which was solved
 
 
 def test_asgd_overrides_and_bound(tmp_path):

@@ -119,14 +119,13 @@ def test_make_preconditioner_records_terms():
     inst = rand_instance(10)
     triple = whiten(inst)
     A = 0.6 * np.eye(inst.d)
-    pre = make_preconditioner(triple, A, DEFAULT_BIAS_COEFF, 0.01, n=256)
+    pre = make_preconditioner(triple, A, DEFAULT_BIAS_COEFF, 0.01)
     ref = eval_upper_objective(triple, A, 0.01, bias_coeff=DEFAULT_BIAS_COEFF)
     assert pre.objective_value == pytest.approx(ref.objective, rel=1e-12)
     assert pre.bias_term == pytest.approx(ref.bias_term, rel=1e-12)
     assert pre.variance_term == pytest.approx(ref.variance_term, rel=1e-12)
     assert pre.bias_coeff == DEFAULT_BIAS_COEFF
     assert pre.noise_coeff == 0.01
-    assert pre.n == 256
     assert np.array_equal(pre.A, A)
 
 

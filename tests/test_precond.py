@@ -296,7 +296,7 @@ def test_precond_to_json_round_trip_fields():
     prec = solve_general(PrecondProgram(triple, bias_coeff=B, noise_coeff=0.05), tol=1e-5)
     doc = precond_to_json(prec)
     assert sorted(doc) == [
-        "A", "bias_coeff", "bias_term", "gap", "n",
+        "A", "bias_coeff", "bias_term", "gap",
         "noise_coeff", "objective", "variance_term",
     ]
     assert np.allclose(np.array(doc["A"]), prec.A)

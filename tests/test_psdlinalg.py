@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from covshift.psdlinalg import (
     NotPSD,
+    _fix_signs,
     eigh,
     project_psd_nuclear_ball,
     psd_inv_sqrt,
@@ -41,6 +42,37 @@ def test_eigh_descending_and_reconstructs():
     assert np.all(np.diff(w) <= 0)
     assert np.allclose(U @ np.diag(w) @ U.T, X, atol=1e-10)
     assert np.allclose(U.T @ U, np.eye(8), atol=1e-12)
+
+
+def fix_signs_loop(U):
+    """Reference sign convention, one column at a time: flip the column if
+    its first entry with |u| > 1e-12 (its largest, if none is) is negative."""
+    U = U.copy()
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
+        if col[k] < 0:
+            U[:, j] = -col
+    return U
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 30])
+def test_fix_signs_matches_per_column_loop(d):
+    rng = np.random.default_rng(d)
+    for _ in range(25):
+        U = rng.standard_normal((d, d))
+        U[: d // 2, ::2] *= 1e-14  # leading entries below the threshold
+        U[0, ::3] = -0.0  # signed zeros must keep their sign bit
+        U[:, -1] = 1e-13 * rng.standard_normal(d)  # an all-tiny column
+        if d > 2:
+            U[:, 1] = 0.0
+            U[:, 2] = 0.0
+            U[0, 2] = -0.0  # an all-zero column led by -0.0 is not flipped
+        got, ref = _fix_signs(U), fix_signs_loop(U)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_psd_sqrt_squares_back():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covshift.asgd import ASGDConfig, choose_rate_parameters, run
+from covshift.asgd import ASGDConfig, choose_parameters, choose_rate_parameters, run
 from covshift.model import PowerLawSpec, make_power_law_instance
+from covshift.psdlinalg import eigh
 from covshift.riskoracle import (
     DivergentStationaryState,
+    eig_pair,
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    momentum_eigenvalues,
-    momentum_matrix,
     momentum_power,
     per_direction_table,
     regime,
@@ -24,9 +24,14 @@ from covshift.riskoracle import (
 )
 
 
+def transition(lam, c, q, delta):
+    """The one-direction momentum matrix A(lambda) as a 2x2 array."""
+    return np.array([[0.0, 1 - delta * lam], [-c, 1 + c - q * lam]])
+
+
 def kron_stationary(lam, c, q, delta):
     """Independent route: solve vec(U) from the 4x4 linear system."""
-    A = np.array([[0.0, 1 - delta * lam], [-c, 1 + c - q * lam]])
+    A = transition(lam, c, q, delta)
     N = lam * np.array([[delta * delta, delta * q], [delta * q, q * q]])
     G = np.array([[0.0, delta * lam], [0.0, q * lam]])
     K = np.eye(4) - np.kron(A, A) + np.kron(G, G)
@@ -36,25 +41,6 @@ def kron_stationary(lam, c, q, delta):
 # ------------------------------------------------------------- 2x2 algebra
 
 
-def test_momentum_matrix_entries_trace_det():
-    A = momentum_matrix(0.8, 0.6, q=0.12, delta=0.05)
-    expected = np.array([[0.0, 1 - 0.05 * 0.8], [-0.6, 1 + 0.6 - 0.12 * 0.8]])
-    assert np.array_equal(A.entries, expected)
-    assert A.trace == pytest.approx(np.trace(expected), rel=1e-15)
-    assert A.det == pytest.approx(np.linalg.det(expected), rel=1e-12)
-
-
-def test_momentum_matrix_from_config():
-    cfg = ASGDConfig(n=2**6, delta0=0.04, gamma0=0.2, alpha=1 / 1.25, beta=0.25)
-    A1 = momentum_matrix(0.5, cfg, ell=1)
-    assert A1.c == pytest.approx(cfg.c)
-    assert A1.delta == pytest.approx(cfg.delta0)
-    assert A1.q == pytest.approx(cfg.q)
-    A3 = momentum_matrix(0.5, cfg, ell=3)
-    assert A3.delta == pytest.approx(cfg.delta0 / 16)
-    assert A3.q == pytest.approx(cfg.q / 16)
-
-
 def test_eigenvalues_match_numpy():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -62,10 +48,9 @@ def test_eigenvalues_match_numpy():
         delta = rng.uniform(1e-3, 0.5)
         q = delta * rng.uniform(1.0, 5.0)
         lam = rng.uniform(1e-3, 1.5)
-        A = momentum_matrix(lam, c, q=q, delta=delta)
-        x1, x2 = momentum_eigenvalues(A)
-        ref = np.sort_complex(np.linalg.eigvals(A.entries))
-        got = np.sort_complex(np.array([x1, x2]))
+        x1, x2 = eig_pair(c, q, delta, lam)
+        ref = np.sort_complex(np.linalg.eigvals(transition(lam, c, q, delta)))
+        got = np.sort_complex(np.array([complex(x1), complex(x2)]))
         assert np.allclose(got, ref, atol=1e-10)
         assert spectral_radius(c, q, delta, lam) == pytest.approx(
             np.abs(ref).max(), abs=1e-10
@@ -109,7 +94,7 @@ def test_momentum_power_matches_matrix_power(seed, k):
     q = delta * rng.uniform(1.0, 5.0)
     lam = rng.uniform(1e-3, 1.5)
     closed = momentum_power(c, q, delta, lam, k)
-    brute = np.linalg.matrix_power(momentum_matrix(lam, c, q=q, delta=delta).entries, k)
+    brute = np.linalg.matrix_power(transition(lam, c, q, delta), k)
     assert np.allclose(closed, brute, atol=1e-8 * max(1.0, np.abs(brute).max()))
 
 
@@ -125,7 +110,7 @@ def test_momentum_power_double_root_branch():
     c, q, delta = 0.5, 0.2, 0.1
     dag = lambda_dagger(c, q, delta)  # discriminant exactly zero here
     closed = momentum_power(c, q, delta, dag, 12)
-    brute = np.linalg.matrix_power(momentum_matrix(dag, c, q=q, delta=delta).entries, 12)
+    brute = np.linalg.matrix_power(transition(dag, c, q, delta), 12)
     assert np.allclose(closed, brute, atol=1e-9)
 
 
@@ -226,6 +211,41 @@ def test_semi_stochastic_variance_scales_with_noise():
     v2 = semi_stochastic_variance(inst2, cfg)
     # the sigma^2-driven part is linear in the noise level
     assert v2.total == pytest.approx(2 * v1.total, rel=1e-10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the float64 second-moment recursion loses digits "
+    "when 1 - c is tiny (here 9.5e-8); relative errors 7e-7 to 6e-6 against "
+    "a 40-digit replay, up to 2.7% at n=2^16",
+)
+def test_semi_stochastic_variance_matches_extended_precision():
+    mpmath = pytest.importorskip("mpmath")
+    inst = make_power_law_instance(PowerLawSpec(d=100, a=2.0, s=1.0, r=0.0), seed=0)
+    cfg = choose_parameters(inst, 2**12, require_admissible=False)
+    got = semi_stochastic_variance(inst, cfg).per_direction
+    dec = eigh(inst.S)
+    lam, V = dec.eigenvalues, dec.eigenvectors
+    t_diag = np.diag(V.T @ inst.T @ V)
+    directions, ref = [0, 59, 99], []
+    with mpmath.workdps(40):
+        # the same recursion from the same float64 inputs, in 40 digits
+        c, s2 = mpmath.mpf(cfg.c), mpmath.mpf(inst.sigma2)
+        for i in directions:
+            lam_i = mpmath.mpf(float(lam[i]))
+            C11 = C12 = C22 = mpmath.mpf(0)
+            for ell in range(1, cfg.stages + 1):
+                delta, _, q = (mpmath.mpf(x) for x in cfg.stage_steps(ell))
+                b, e = 1 - delta * lam_i, 1 + c - q * lam_i
+                n11, n12, n22 = s2 * lam_i * delta**2, s2 * lam_i * delta * q, s2 * lam_i * q**2
+                for _ in range(cfg.stage_len):
+                    C11, C12, C22 = (
+                        b * b * C22 + n11,
+                        -c * b * C12 + e * b * C22 + n12,
+                        c * c * C11 - 2 * c * e * C12 + e * e * C22 + n22,
+                    )
+            ref.append(float(mpmath.mpf(float(t_diag[i])) * C11))
+    assert list(got[directions]) == pytest.approx(ref, rel=1e-8, abs=0)
 
 
 def test_per_direction_table_rows():
