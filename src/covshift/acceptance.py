@@ -46,7 +46,7 @@ CAPS_SECONDS = {
     4: 10.0,
     5: 60.0,
     6: 600.0,
-    7: 1200.0,
+    7: 60.0,
     8: 600.0,
     9: 120.0,
     10: 60.0,

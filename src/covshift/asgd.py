@@ -10,7 +10,13 @@ one fresh sample (single global counter, leftovers unused):
     v <- beta u + (1 - beta) v - gamma g
 
 starting from w = v = 0. With gamma = delta the v-iterate coincides with w
-bit-for-bit and the method collapses to plain SGD on the same ladder.
+bit-for-bit and the method collapses to plain SGD on the same ladder, so the
+kernel then steps w alone.
+
+``run`` and ``run_batch`` share one lockstep kernel. On exactly diagonal S
+it draws the seeds' samples element by element and, given enough seeds,
+on a thread pool sized by the process's CPU affinity mask; every path gives
+the same bits (see ``_lockstep``).
 
 Also here: the schedule chooser (with its admissibility requirement), the
 effective dimension k*, and the closed-form excess-risk bound for the
@@ -19,12 +25,21 @@ schedule.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SAMPLE_TILE, ProblemInstance, excess_risk, sample_source
-from .psdlinalg import eigh, psd_inv_sqrt, psd_sqrt, spectral_norm, sym
+from .model import (
+    SAMPLE_TILE,
+    ProblemInstance,
+    _source_factor,
+    excess_risk,
+    sample_source,
+)
+from .psdlinalg import eigh, psd_inv_sqrt, spectral_norm, sym
 
 __all__ = [
     "ASGDConfig",
@@ -41,6 +56,11 @@ __all__ = [
 ]
 
 ADMISSIBILITY_FLOOR = 16.0
+
+POOL_MIN_SEEDS = 16
+"""The lockstep kernel draws a tile on a thread pool only when each worker
+gets at least this many seeds: with fewer, handing the tile to the pool
+costs more than the parallel draws save."""
 
 
 class InfeasibleSchedule(ValueError):
@@ -228,47 +248,82 @@ def choose_rate_parameters(
     return ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.5, beta=1.0)
 
 
+def _cores() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     """Advance one trajectory per seed in lockstep; returns (W, V), row j
-    for seeds[j]. Each seed draws its n samples from its own PCG64 stream
-    one SAMPLE_TILE of rows at a time, which reproduces a whole draw bit for
-    bit, so the sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats.
-    ``on_step(t, ell, W)`` runs after step t (1-based) of stage ell.
+    for seeds[j]. ``on_step(t, ell, W)`` runs after step t (1-based) of
+    stage ell.
+
+    Each seed draws its n samples from its own PCG64 stream one SAMPLE_TILE
+    of rows at a time, which reproduces a whole draw bit for bit, so the
+    sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats: X laid out
+    (seeds, tile, d) so each step reads contiguous rows, y as (seeds, tile),
+    and no second buffer. When S is exactly diagonal (checked once per call)
+    the draws scale the normals element by element, so filling a tile makes
+    no threaded BLAS product; the per-seed draws then run on a thread pool
+    of up to one worker per CPU in the affinity mask, each worker drawing a
+    fixed block of at least POOL_MIN_SEEDS seeds in seed order. Every
+    generator is thus advanced by one thread at a time, exactly as in the
+    inline loop that fills the tile for fewer seeds or dense S.
+
+    Under plain SGD (gamma0 == delta0) the v-iterate equals w bit for bit
+    by induction (V - W is +0, so u = w and both updates subtract the same
+    step), so only W is stepped and it is returned as V too.
     """
     rows, d = len(seeds), inst.d
     W = np.zeros((rows, d))
     V = np.zeros((rows, d))
+    workers = 1
     if not population:
-        s_sqrt = psd_sqrt(inst.S)
+        factor = _source_factor(inst.S)
         gens = [np.random.default_rng(seed) for seed in seeds]
         block = min(SAMPLE_TILE, cfg.n)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
-    alpha, beta = cfg.alpha, cfg.beta
+        if factor.ndim == 1:
+            workers = max(1, min(_cores(), rows // POOL_MIN_SEEDS))
+        parts = np.array_split(np.arange(rows), workers)
+
+        def fill(part, m):
+            for j in part:
+                samples = sample_source(inst, m, gens[j], s_sqrt=factor)
+                X[j, :m], Y[j, :m] = samples.X, samples.y
+
+    alpha, beta, vanilla = cfg.alpha, cfg.beta, cfg.vanilla_sgd
     t = 0
-    for ell in range(1, cfg.stages + 1):
-        delta, gamma, _ = cfg.stage_steps(ell)
-        for _ in range(cfg.stage_len):
-            U = W + (1.0 - alpha) * (V - W)
-            if population:
-                g = (inst.S @ (U - inst.w_star).T).T
-            else:
-                i = t % block
-                if i == 0:
-                    m = min(block, cfg.n - t)
-                    for j, gen in enumerate(gens):
-                        samples = sample_source(inst, m, gen, s_sqrt=s_sqrt)
-                        X[j, :m], Y[j, :m] = samples.X, samples.y
-                x = X[:, i]
-                # one dot product per row: the same bits as x @ u on each row
-                dots = np.matmul(x[:, None, :], U[:, :, None])[:, 0, 0]
-                g = (dots - Y[:, i])[:, None] * x
-            W = U - delta * g
-            V = (V + beta * (U - V)) - gamma * g
-            t += 1
-            if on_step is not None:
-                on_step(t, ell, W)
-    return W, V
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for ell in range(1, cfg.stages + 1):
+            delta, gamma, _ = cfg.stage_steps(ell)
+            for _ in range(cfg.stage_len):
+                U = W if vanilla else W + (1.0 - alpha) * (V - W)
+                if population:
+                    g = (inst.S @ (U - inst.w_star).T).T
+                else:
+                    i = t % block
+                    if i == 0:
+                        m = min(block, cfg.n - t)
+                        if pool is None:
+                            fill(range(rows), m)
+                        else:  # read every result, so a worker's error raises here
+                            list(pool.map(fill, parts, [m] * workers))
+                    x = X[:, i]
+                    # one dot product per row: the same bits as x @ u on each row
+                    dots = np.matmul(x[:, None, :], U[:, :, None])[:, 0, 0]
+                    g = (dots - Y[:, i])[:, None] * x
+                W = U - delta * g
+                if not vanilla:
+                    V = (V + beta * (U - V)) - gamma * g
+                t += 1
+                if on_step is not None:
+                    on_step(t, ell, W)
+    return W, W if vanilla else V
 
 
 def run(
@@ -324,10 +379,13 @@ def run(
 def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     """Final excess risk for each seed: element i equals
     ``run(inst, cfg, seed=seeds[i]).risks[-1]`` bit for bit, however the
-    seeds are grouped into calls. The one lockstep kernel runs all seeds as
-    rows of (len(seeds), d) arrays to amortize the per-step Python cost; its
-    sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n
-    is.
+    seeds are grouped into calls and however many CPUs the process may use.
+    The one lockstep kernel runs all seeds as rows of (len(seeds), d) arrays
+    to amortize the per-step Python cost; its sample buffer holds
+    SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. On exactly
+    diagonal S, with at least 2 * POOL_MIN_SEEDS seeds and more than one
+    CPU in the affinity mask, the seeds' draws for each tile run on a
+    thread pool that lives for this call.
     """
     W, _ = _lockstep(inst, cfg, list(seeds))
     # per-row excess_risk so the reduction order (hence every bit) matches run()

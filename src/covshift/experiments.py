@@ -225,9 +225,10 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     whitened target the program is solved along a decreasing epsilon-ladder
     of ridges and the values must decrease monotonically toward the limit.
 
-    Each row's lower value and iteration count come from the dual
-    certificate that ``solve_general`` computed as its floor, the same
-    program as maximize_F(triple.ridged(eps), sigma2, n).
+    Each row's lower value, iteration count, ``dual_gap`` and
+    ``stop_reason`` come from the dual certificate that ``solve_general``
+    computed as its floor, the same program as
+    maximize_F(triple.ridged(eps), sigma2, n).
     """
     inst = resolve_instance(spec)
     if inst.d > 64:
@@ -268,6 +269,8 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
                     "upper_value": prec.objective_value,
                     "relative_gap": gap,
                     "iterations": cert.iterations,
+                    "dual_gap": cert.gap,
+                    "stop_reason": cert.stop_reason,
                     "spec_hash": h,
                 }
             )

@@ -67,12 +67,27 @@ class MaxIterationsError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LowerBoundCertificate:
-    """Feasible dual variable F with its objective value and solver telemetry."""
+    """Feasible dual variable F with its objective value and solver telemetry.
+
+    ``gap`` is the linear optimality gap at F (an upper bound on how far
+    ``value`` is below the maximum) and ``stop_reason`` says why the solver
+    stopped: "converged" (gap within GAP_TOL), "stalled" (three rounds
+    without measurable ascent) or "budget" (iterations ran out; only on
+    ``MaxIterationsError.best``).
+    """
 
     F: np.ndarray
     value: float
     iterations: int
     grad_norm: float
+    gap: float
+    stop_reason: str
+
+    @classmethod
+    def zero_floor(cls, d: int) -> "LowerBoundCertificate":
+        """The exact floor F = 0, value 0 of a program with nothing to bound."""
+        return cls(F=np.zeros((d, d)), value=0.0, iterations=0, grad_norm=0.0,
+                   gap=0.0, stop_reason="converged")
 
     def to_json(self) -> dict:
         return {
@@ -80,6 +95,8 @@ class LowerBoundCertificate:
             "value": self.value,
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
+            "gap": self.gap,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -127,8 +144,7 @@ def maximize_F(
     """
     d = triple.d
     if sigma2 == 0:
-        F0 = np.zeros((d, d))
-        return LowerBoundCertificate(F=F0, value=0.0, iterations=0, grad_norm=0.0)
+        return LowerBoundCertificate.zero_floor(d)
     nu = sigma2 / n
     I = np.eye(d)
     Sp, Tp = triple.S_prime, triple.T_prime
@@ -143,6 +159,9 @@ def maximize_F(
         H = np.linalg.solve(I + Sp @ F / nu, I)
         return sym(H @ Tp @ H.T)
 
+    def linear_gap(F, grad):
+        return radius * float(np.linalg.eigvalsh(grad)[-1]) - float(np.sum(grad * F))
+
     F = (radius / d) * I
     val = smooth_value(F)
     F_prev = F
@@ -152,10 +171,11 @@ def maximize_F(
     stall = 0
     gap = math.inf
     grad = np.zeros_like(F)
+    gap_at = None  # the iterate gap and grad were measured at
     it = 0
     for it in range(1, max_iter + 1):
         grad = gradient(F)
-        gap = radius * float(np.linalg.eigvalsh(grad)[-1]) - float(np.sum(grad * F))
+        gap, gap_at = linear_gap(F, grad), F
         if gap <= GAP_TOL * max(1.0, abs(val)):
             break
         if momentum:
@@ -199,10 +219,20 @@ def maximize_F(
         t_mom = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
         momentum = True
         L *= 0.7  # probe a longer step next round; backtracking re-grows it
+    if gap_at is not F:  # the last stall or the last budgeted step moved F
+        grad = gradient(F)
+        gap = linear_gap(F, grad)
     value = eval_lower_objective(triple, F, sigma2, n)
     grad_norm = float(np.linalg.norm(project_psd_nuclear_ball(F + grad, radius) - F))
-    cert = LowerBoundCertificate(F=F, value=value, iterations=it, grad_norm=grad_norm)
-    if gap > GAP_TOL * max(1.0, abs(value)) and stall < 3:
+    if gap <= GAP_TOL * max(1.0, abs(value)):
+        reason = "converged"
+    elif stall >= 3:
+        reason = "stalled"
+    else:
+        reason = "budget"
+    cert = LowerBoundCertificate(F=F, value=value, iterations=it, grad_norm=grad_norm,
+                                 gap=gap, stop_reason=reason)
+    if reason == "budget":
         raise MaxIterationsError(
             f"optimality gap {gap:.3e} after {max_iter} iterations",
             best=cert,

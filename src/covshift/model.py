@@ -249,6 +249,20 @@ def excess_risk(inst: ProblemInstance, w) -> float:
 # sampling
 # =====================================================================
 
+def _is_diagonal(A: np.ndarray) -> bool:
+    """Every off-diagonal entry is exactly zero (no tolerance)."""
+    return not np.any(A[~np.eye(A.shape[0], dtype=bool)])
+
+
+def _source_factor(S: np.ndarray) -> np.ndarray:
+    """The factor sample_source scales standard normals by: psd_sqrt(S), or
+    its diagonal as a vector when S and that root are exactly diagonal."""
+    root = psd_sqrt(S)
+    if _is_diagonal(S) and _is_diagonal(root):
+        return np.diag(root)
+    return root
+
+
 def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
     """Draw n i.i.d. source samples x ~ N(0, S), y = x'w* + eps.
 
@@ -259,18 +273,28 @@ def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
     whose lengths are multiples of SAMPLE_TILE (the last may be shorter)
     reproduces one whole draw bit for bit. eps is N(0, sigma2) for gaussian
     noise and sigma * sign(z) for rademacher.
+
+    ``s_sqrt`` is the symmetric root of S, or its diagonal as a vector; by
+    default the vector when S is exactly diagonal (any nonzero off-diagonal
+    entry, however small, keeps the matrix). With the vector, X = Z * s_sqrt
+    element by element: each entry of the tile product Z @ s_sqrt.T has one
+    nonzero term, so the bits are the same and no BLAS product is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if s_sqrt is None:
-        s_sqrt = psd_sqrt(inst.S)
+        s_sqrt = _source_factor(inst.S)
     d = inst.d
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, d + 1))
-    X = np.empty((n, d))
+    if s_sqrt.ndim == 1:
+        X = Z[:, :d] * s_sqrt
+    else:
+        X = np.empty((n, d))
+        for a in range(0, n, SAMPLE_TILE):
+            X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T
     y = np.empty(n)
     for a in range(0, n, SAMPLE_TILE):
-        X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T
         y[a : a + SAMPLE_TILE] = X[a : a + SAMPLE_TILE] @ inst.w_star
     sigma = np.sqrt(inst.sigma2)
     if inst.noise == "gaussian":

@@ -194,10 +194,7 @@ def solve_general(
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
         A = np.zeros((d, d)) if t_norm == 0.0 else I
         prec = make_preconditioner(triple, A, prog.bias_coeff, prog.noise_coeff)
-        zero = LowerBoundCertificate(
-            F=np.zeros((d, d)), value=0.0, iterations=0, grad_norm=0.0
-        )
-        return replace(prec, gap=0.0, certificate=zero)
+        return replace(prec, gap=0.0, certificate=LowerBoundCertificate.zero_floor(d))
 
     eps = prog.epsilon_reg
     if eps is None:

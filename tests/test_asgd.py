@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covshift import asgd
 from covshift.asgd import (
     ASGDConfig,
     InfeasibleSchedule,
@@ -196,6 +198,32 @@ def test_vanilla_schedule_collapses_to_sgd():
     assert traj.n_used == t
 
 
+def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
+    # the kernel steps only w under plain SGD; the full u/v recursion, run
+    # here, must keep v == w bit for bit and land on run()'s iterates
+    inst = power_law(d=5)
+    step = 1.0 / (inst.psi * np.trace(inst.S))
+    alpha, beta = 0.7, 0.3
+    cfg = ASGDConfig(n=2**8, delta0=step, gamma0=step, alpha=alpha, beta=beta)
+    traj = run(inst, cfg, seed=9, record_every=0, record_iterates=True)
+    samples = sample_source(inst, cfg.n, 9)
+    w = np.zeros(5)
+    v = np.zeros(5)
+    t = 0
+    for ell in range(1, cfg.stages + 1):
+        delta, gamma, _ = cfg.stage_steps(ell)
+        for _ in range(cfg.stage_len):
+            x = samples.X[t]
+            u = w + (1.0 - alpha) * (v - w)
+            g = (x @ u - samples.y[t]) * x
+            w = u - delta * g
+            v = (v + beta * (u - v)) - gamma * g
+            t += 1
+        assert np.array_equal(v, w)
+        assert np.array_equal(traj.iterates[ell - 1], w)
+    assert np.array_equal(traj.final_w, w) and np.array_equal(traj.final_v, w)
+
+
 def test_run_is_deterministic_and_seed_sensitive():
     inst = power_law(d=10)
     cfg = choose_rate_parameters(inst, 2**7)
@@ -267,6 +295,46 @@ def test_run_batch_grouping_invariant(dense):
     parts = np.concatenate([run_batch(inst, cfg, p) for p in ([0, 1, 2], [3], [4, 5, 6])])
     assert np.array_equal(whole, parts)
     assert run(inst, cfg, seed=4).risks[-1] == whole[4]
+
+
+def test_parallel_tile_fill_changes_no_bit(monkeypatch):
+    # diagonal S: the per-seed draws of a tile run on a thread pool when
+    # every worker gets POOL_MIN_SEEDS seeds; n = 600 leaves a ragged tile
+    inst = power_law(d=20)
+    cfg = ASGDConfig(n=600, delta0=0.01, gamma0=0.05, alpha=1 / 1.01, beta=0.01)
+    seeds = list(range(40))
+    pools, submits, joined = [], [], []
+
+    class RecordingPool(asgd.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+        def submit(self, fn, part, *args):
+            submits.append(len(part))
+            return super().submit(fn, part, *args)
+
+        def shutdown(self, wait=True, **kwargs):
+            super().shutdown(wait, **kwargs)
+            joined.append(wait)
+
+    monkeypatch.setattr(asgd, "ThreadPoolExecutor", RecordingPool)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
+    try:
+        for cores in (1, 4):
+            monkeypatch.setattr(asgd.os, "sched_getaffinity",
+                                lambda pid, k=cores: set(range(k)), raising=False)
+            results[cores] = run_batch(inst, cfg, seeds)
+    finally:
+        sys.setswitchinterval(interval)
+    # 1 core: inline; 4 cores: min(4, 40 // 16) = 2 workers, one block of
+    # 20 seeds each for every one of the 3 tiles, joined when the call ends
+    assert (pools, submits, joined) == ([2], [20] * 6, [True])
+    singles = np.array([run(inst, cfg, seed=s).risks[-1] for s in seeds])
+    assert np.array_equal(results[1], results[4])
+    assert np.array_equal(results[4], singles)
 
 
 @settings(max_examples=25, deadline=None)

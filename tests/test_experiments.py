@@ -97,11 +97,17 @@ def test_run_duality_small_instance(tmp_path):
     for row in rep.rows:
         assert row["spec_hash"] == h
         assert row["upper_value"] >= row["lower_value"] - 1e-12
+        assert row["stop_reason"] in ("converged", "stalled")
+        assert 0 <= row["dual_gap"] < 1e-6
     # CSV artifact: two comment lines + column note, then header + rows
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# ") and lines[1] == f"# spec_hash={h}"
     assert lines[2].startswith("# n,") or lines[2].startswith("# n ")
     assert len(lines) == 3 + 1 + len(rep.rows)
+    header = lines[3].split(",")
+    assert "dual_gap" in header and "stop_reason" in header
+    reasons = [line.split(",")[header.index("stop_reason")] for line in lines[4:]]
+    assert reasons == [row["stop_reason"] for row in rep.rows]
 
 
 def test_run_duality_singular_target_uses_ladder():

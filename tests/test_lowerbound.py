@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covshift.lowerbound import (
+    GAP_TOL,
     CosSquaredPrior,
     DegeneratePrior,
     InfiniteInformation,
@@ -17,7 +18,7 @@ from covshift.lowerbound import (
     sample_prior,
 )
 from covshift.model import ProblemInstance, whiten
-from covshift.psdlinalg import project_psd_nuclear_ball
+from covshift.psdlinalg import project_psd_nuclear_ball, sym
 
 RADIUS = 1.0 / math.pi**2
 
@@ -104,6 +105,38 @@ def test_zero_noise_gives_zero_bound():
     assert np.all(cert.F == 0.0)
 
 
+def linear_gap(triple, F, sigma2, n, radius=RADIUS):
+    """The Frank-Wolfe gap radius * lam_max(grad) - <grad, F> at F."""
+    I = np.eye(triple.d)
+    H = np.linalg.solve(I + triple.S_prime @ F / (sigma2 / n), I)
+    grad = sym(H @ triple.T_prime @ H.T)
+    return radius * float(np.linalg.eigvalsh(grad)[-1]) - float(np.sum(grad * F))
+
+
+def test_certificate_reports_converged():
+    # d = 1: the start F = radius is optimal, so the first gap is exactly 0
+    triple = make_triple(np.array([[2.0]]), np.array([[0.5]]))
+    cert = maximize_F(triple, 0.25, 16)
+    assert (cert.stop_reason, cert.iterations) == ("converged", 1)
+    assert cert.gap <= GAP_TOL * max(1.0, cert.value)
+    # the exact zero floor of a noiseless program
+    zero = maximize_F(triple, 0.0, 16)
+    assert (zero.gap, zero.stop_reason) == (0.0, "converged")
+    doc = cert.to_json()
+    assert (doc["gap"], doc["stop_reason"]) == (cert.gap, "converged")
+
+
+def test_certificate_reports_stalled_with_gap_at_returned_F():
+    # on this instance the last stalled round still moves F, so a gap
+    # measured before that move (1.7e-9 here) is not the returned F's
+    rng = np.random.default_rng(13)
+    triple = make_triple(rand_pd(rng, 6), rand_pd(rng, 6, 0.7))
+    cert = maximize_F(triple, 0.25, 64)
+    assert cert.stop_reason == "stalled"
+    assert cert.gap > GAP_TOL * max(1.0, cert.value)
+    assert cert.gap == linear_gap(triple, cert.F, 0.25, 64)
+
+
 def test_max_iterations_error_carries_best_iterate():
     rng = np.random.default_rng(4)
     triple = make_triple(rand_pd(rng, 6), rand_pd(rng, 6, 0.7))
@@ -111,6 +144,8 @@ def test_max_iterations_error_carries_best_iterate():
         maximize_F(triple, 0.25, 64, max_iter=2)
     err = exc_info.value
     assert err.best is not None and err.gap > 0
+    assert (err.best.stop_reason, err.best.gap) == ("budget", err.gap)
+    assert err.gap == linear_gap(triple, err.best.F, 0.25, 64)
     full = maximize_F(triple, 0.25, 64).value
     # the interrupted iterate is still a feasible point, so still a lower bound
     assert err.best.value <= full + 1e-12

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from covshift.model import (
     SAMPLE_TILE,
+    _source_factor,
     PowerLawSpec,
     ProblemInstance,
     excess_risk,
@@ -13,7 +14,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
-from covshift.psdlinalg import NotPSD
+from covshift.psdlinalg import NotPSD, psd_sqrt
 
 
 def test_power_law_source_spectrum():
@@ -143,6 +144,32 @@ def test_sample_source_block_replay_reproduces_stream(dense, n):
         ]
         assert np.array_equal(np.concatenate([p.X for p in parts]), whole.X)
         assert np.array_equal(np.concatenate([p.y for p in parts]), whole.y)
+
+
+@pytest.mark.parametrize("n", [100, 769])
+def test_sample_source_diagonal_path_matches_tiled_product(n):
+    # diagonal S scales the normals element by element: the bits of the
+    # tiled Z @ s_sqrt.T that dense S uses
+    d = 100
+    inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
+    s_sqrt = psd_sqrt(inst.S)
+    factor = _source_factor(inst.S)
+    assert factor.ndim == 1 and np.array_equal(factor, np.diag(s_sqrt))
+    Z = np.random.default_rng(3).standard_normal((n, d + 1))
+    X = np.concatenate([
+        Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T for a in range(0, n, SAMPLE_TILE)
+    ])
+    got = sample_source(inst, n, seed=3)
+    assert np.array_equal(got.X, X)
+    dense = sample_source(inst, n, seed=3, s_sqrt=s_sqrt)
+    assert np.array_equal(got.X, dense.X) and np.array_equal(got.y, dense.y)
+
+
+def test_source_factor_diagonal_check_is_exact():
+    S = np.diag([1.0, 0.25, 0.5])
+    assert _source_factor(S).ndim == 1
+    S[0, 1] = S[1, 0] = 1e-300  # below any tolerance, still off-diagonal
+    assert _source_factor(S).ndim == 2
 
 
 def test_sample_source_moments():

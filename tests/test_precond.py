@@ -205,6 +205,7 @@ def test_general_agrees_with_diagonal_when_commuting():
 def assert_zero_floor(cert, d):
     assert np.array_equal(cert.F, np.zeros((d, d)))
     assert (cert.value, cert.iterations, cert.grad_norm) == (0.0, 0, 0.0)
+    assert (cert.gap, cert.stop_reason) == (0.0, "converged")
 
 
 def test_general_degenerate_cases():
