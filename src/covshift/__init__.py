@@ -97,7 +97,6 @@ from .psdlinalg import (
 )
 from .riskoracle import (
     DivergentStationaryState,
-    RegimeLabel,
     SemiStochastic,
     StationaryPair,
     eig_pair,
@@ -105,8 +104,6 @@ from .riskoracle import (
     lambda_dagger,
     lambda_ddagger,
     momentum_power,
-    per_direction_table,
-    regime,
     semi_stochastic_bias,
     semi_stochastic_variance,
     semi_stochastic_variance_bound,

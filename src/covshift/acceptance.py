@@ -49,7 +49,7 @@ CAPS_SECONDS = {
     7: 60.0,
     8: 600.0,
     9: 120.0,
-    10: 60.0,
+    10: 15.0,
 }
 
 

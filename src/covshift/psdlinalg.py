@@ -1,9 +1,12 @@
 """Dense symmetric / PSD matrix primitives shared by the whole package.
 
 Everything here is a pure function on small dense matrices (design envelope
-d <= ~2000, double precision). Decompositions are made deterministic by a
-sign convention on eigenvectors, so downstream solvers and tests are
-reproducible bit-for-bit.
+d <= ~2000, double precision). Decompositions from ``eigh`` are made
+deterministic by a sign convention on eigenvectors, so downstream solvers
+and tests are reproducible bit-for-bit. The nuclear-ball projection, which
+the dual solver calls every iteration, returns U f(w) U' and so does not
+depend on those signs: it skips the convention but keeps the
+reconstruction check.
 """
 from __future__ import annotations
 
@@ -61,11 +64,15 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return np.where(flip, -U, U)
 
 
-def eigh(X) -> EigenDecomposition:
-    """Symmetric eigendecomposition, eigenvalues sorted non-increasing.
+def _eigh_unsigned(X) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (non-increasing) and eigenvectors of sym(X), with the
+    eigenvector signs LAPACK returned.
 
-    Raises EigenSolverError (carrying the residual) if LAPACK fails to
-    converge or the reconstruction misses the 1e-9 relative tolerance.
+    Enough for any spectral function U f(w) U': negating a column of U
+    negates both factors of each of its terms, which leaves the product
+    bit for bit unchanged. Raises EigenSolverError (carrying the residual)
+    if LAPACK fails to converge or the reconstruction misses the 1e-9
+    relative tolerance.
     """
     Xs = sym(X)
     try:
@@ -73,14 +80,25 @@ def eigh(X) -> EigenDecomposition:
     except np.linalg.LinAlgError as e:
         raise EigenSolverError(f"eigensolver did not converge: {e}") from e
     order = np.argsort(-w, kind="stable")
-    w, U = w[order], _fix_signs(U[:, order])
+    w, U = w[order], U[:, order]
     resid = np.linalg.norm((U * w) @ U.T - Xs)
     tol = 1e-9 * max(1.0, np.linalg.norm(Xs))
     if resid > tol:
         raise EigenSolverError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
-    return EigenDecomposition(eigenvalues=w, eigenvectors=U)
+    return w, U
+
+
+def eigh(X) -> EigenDecomposition:
+    """Symmetric eigendecomposition, eigenvalues sorted non-increasing,
+    eigenvectors under the deterministic sign convention of _fix_signs.
+
+    Raises EigenSolverError (carrying the residual) if LAPACK fails to
+    converge or the reconstruction misses the 1e-9 relative tolerance.
+    """
+    w, U = _eigh_unsigned(X)
+    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_signs(U))
 
 
 def _clamp_tol(X: np.ndarray) -> float:
@@ -146,7 +164,6 @@ def project_psd_nuclear_ball(X, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    dec = eigh(X)
-    v = _simplex_cap_project(np.maximum(dec.eigenvalues, 0.0), float(radius))
-    U = dec.eigenvectors
+    w, U = _eigh_unsigned(X)
+    v = _simplex_cap_project(np.maximum(w, 0.0), float(radius))
     return sym((U * v) @ U.T)

@@ -27,7 +27,6 @@ from .model import ProblemInstance
 from .psdlinalg import eigh
 
 __all__ = [
-    "RegimeLabel",
     "StationaryPair",
     "DivergentStationaryState",
     "eig_pair",
@@ -35,14 +34,12 @@ __all__ = [
     "spectral_radius",
     "lambda_dagger",
     "lambda_ddagger",
-    "regime",
     "momentum_power",
     "stationary_U",
     "SemiStochastic",
     "semi_stochastic_bias",
     "semi_stochastic_variance",
     "semi_stochastic_variance_bound",
-    "per_direction_table",
 ]
 
 
@@ -89,29 +86,6 @@ def lambda_ddagger(c: float, q: float, delta: float) -> float:
     if denom == 0.0:
         return math.inf
     return (1.0 - c) ** 2 / denom**2
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Which of the three eigenvalue regimes lambda falls in: I1 = [0, dag]
-    (real eigenvalues, slow contraction), I2 = (dag, ddag) (complex pair of
-    modulus sqrt(c(1-delta*lambda))), I3 = [ddag, inf) (real again)."""
-
-    label: str
-    lambda_dagger: float
-    lambda_ddagger: float
-
-
-def regime(c: float, q: float, delta: float, lam: float) -> RegimeLabel:
-    dag = lambda_dagger(c, q, delta)
-    ddag = lambda_ddagger(c, q, delta)
-    if lam <= dag:
-        label = "I1"
-    elif lam < ddag:
-        label = "I2"
-    else:
-        label = "I3"
-    return RegimeLabel(label=label, lambda_dagger=dag, lambda_ddagger=ddag)
 
 
 def momentum_power(c, q, delta, lam, k: int) -> np.ndarray:
@@ -282,27 +256,3 @@ def semi_stochastic_variance_bound(inst: ProblemInstance, cfg: ASGDConfig) -> fl
         float(np.sum(t_diag[head] / (2.0 * K * lam[head])))
         + (128.0 / 15.0) * K * ratio**2 * float(np.sum(lam[~head] * t_diag[~head]))
     )
-
-
-def per_direction_table(inst: ProblemInstance, cfg: ASGDConfig) -> list[dict]:
-    """Rows (i, lambda_i, t_ii, bias_i, var_i, regime) for CSV diagnostics,
-    regimes classified at stage-1 constants."""
-    dec = eigh(inst.S)
-    lam, V = dec.eigenvalues, dec.eigenvectors
-    t_diag = np.diag(V.T @ inst.T @ V)
-    bias = semi_stochastic_bias(inst, cfg).per_direction
-    var = semi_stochastic_variance(inst, cfg).per_direction
-    rows = []
-    for i in range(lam.size):
-        lab = regime(cfg.c, cfg.q, cfg.delta0, float(lam[i])).label
-        rows.append(
-            {
-                "i": i + 1,
-                "lambda": float(lam[i]),
-                "t_ii": float(t_diag[i]),
-                "bias": float(bias[i]),
-                "variance": float(var[i]),
-                "regime": lab,
-            }
-        )
-    return rows

@@ -10,6 +10,7 @@ from covshift.lowerbound import (
     DegeneratePrior,
     InfiniteInformation,
     MaxIterationsError,
+    _cos2_quantile,
     eval_lower_objective,
     fisher_information_gaussian,
     maximize_F,
@@ -234,3 +235,55 @@ def test_sample_prior_second_moment():
 def test_sample_prior_deterministic():
     prior = CosSquaredPrior(U=np.eye(2), g=np.array([0.5, 0.5]), M=np.eye(2))
     assert np.array_equal(sample_prior(prior, 100, seed=3), sample_prior(prior, 100, seed=3))
+
+
+def cos2_tail_mass(e):
+    """Mass of the cos^2 density within e*g of an end of [-g, g]:
+    (x - sin x)/(2 pi) at x = pi e, summed as the Taylor series of x - sin x
+    so the flat tail keeps its relative digits."""
+    x = np.pi * np.asarray(e, dtype=float)
+    term = x**3 / 6.0
+    total = term.copy()
+    for k in range(2, 16):  # the 15th term is below 1e-18 at x = pi
+        term = term * (-(x * x) / ((2 * k) * (2 * k + 1)))
+        total += term
+    return total / (2.0 * np.pi)
+
+
+def cos2_quantile_by_bisection(u, g):
+    """60 bisection passes on t in [-g, g] for the CDF
+    t/(2g) + 1/2 + sin(pi t/g)/(2 pi), compared as tail masses (left of 0:
+    F(t) = mass(1 + t/g); right of it: 1 - F(t) = mass(1 - t/g)) so that
+    neither tail loses its digits to the 1/2 offset."""
+    u = np.asarray(u, dtype=float)
+    lo = np.full(u.shape, -g)
+    hi = np.full(u.shape, g)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = np.where(
+            mid <= 0,
+            cos2_tail_mass(1.0 + mid / g) < u,
+            cos2_tail_mass(1.0 - mid / g) > 1.0 - u,
+        )
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+EDGE_LEVELS = [0.0, 5e-324, 1e-300, 1e-20, 1e-12, 0.5, float(np.nextafter(1.0, 0.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+    st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+)
+def test_sample_prior_newton_matches_bisection(levels, g):
+    u = np.array(EDGE_LEVELS + levels)
+    z = _cos2_quantile(u, g)
+    ref = cos2_quantile_by_bisection(u, g)
+    assert np.all(np.abs(z - ref) <= 1e-12 * g)
+    assert np.all(np.abs(z) <= g)
+    # mirrored levels: for hi >= 1/2 both 1 - hi and 1 - (1 - hi) are exact
+    hi = np.maximum(u, 1.0 - u)
+    assert np.array_equal(_cos2_quantile(1.0 - hi, g), -_cos2_quantile(hi, g))

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covshift.psdlinalg import (
+    EigenSolverError,
     NotPSD,
+    _eigh_unsigned,
     _fix_signs,
+    _simplex_cap_project,
     eigh,
     project_psd_nuclear_ball,
     psd_inv_sqrt,
@@ -73,6 +76,59 @@ def test_fix_signs_matches_per_column_loop(d):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
     assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
+
+
+def spectral_test_matrices(rng, d):
+    """(name, matrix) pairs: random symmetric, PSD, low-rank PSD, and PD
+    with every eigenvalue repeated (ties exercise the stable sort)."""
+    G = rng.standard_normal((d, d))
+    B = rng.standard_normal((d, max(1, d // 3)))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    tied = np.repeat(rng.uniform(0.5, 2.0, (d + 1) // 2), 2)[:d]
+    return [
+        ("symmetric", sym(G)),
+        ("psd", rand_pd(rng, d)),
+        ("low_rank", B @ B.T),
+        ("tied", sym((Q * tied) @ Q.T)),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 30])
+def test_spectral_functions_ignore_eigenvector_signs(d):
+    # each function equals U f(w) U' built from the sign-fixed eigh, bit
+    # for bit; the projection decomposes without the sign convention
+    rng = np.random.default_rng(100 + d)
+    flipped = 0
+    for name, X in spectral_test_matrices(rng, d):
+        dec = eigh(X)
+        w, U = dec.eigenvalues, dec.eigenvectors
+        flipped += int(np.any(U != _eigh_unsigned(X)[1]))
+        radius = 0.5 * float(np.abs(w).sum())
+        ref = sym((U * _simplex_cap_project(np.maximum(w, 0.0), radius)) @ U.T)
+        assert np.array_equal(project_psd_nuclear_ball(X, radius), ref)
+        if name != "symmetric":
+            ref = sym((U * np.sqrt(np.maximum(w, 0.0))) @ U.T)
+            assert np.array_equal(psd_sqrt(X), ref)
+        if name in ("psd", "tied"):
+            assert np.array_equal(psd_inv_sqrt(X), sym((U / np.sqrt(w)) @ U.T))
+    if d > 1:
+        assert flipped  # the sign convention changed some eigenvectors
+
+
+def test_spectral_functions_keep_reconstruction_check(monkeypatch):
+    # a decomposition that misses the 1e-9 reconstruction tolerance is
+    # rejected on the sign-free path too
+    real_eigh = np.linalg.eigh
+
+    def perturbed_eigh(X):
+        w, U = real_eigh(X)
+        return w + 1e-6, U
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    X = rand_pd(np.random.default_rng(9), 5)
+    for fn in (lambda A: project_psd_nuclear_ball(A, 1.0), psd_sqrt, psd_inv_sqrt, eigh):
+        with pytest.raises(EigenSolverError, match="residual"):
+            fn(X)
 
 
 def test_psd_sqrt_squares_back():

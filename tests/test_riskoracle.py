@@ -14,8 +14,6 @@ from covshift.riskoracle import (
     lambda_dagger,
     lambda_ddagger,
     momentum_power,
-    per_direction_table,
-    regime,
     semi_stochastic_bias,
     semi_stochastic_variance,
     semi_stochastic_variance_bound,
@@ -62,9 +60,10 @@ def test_regime_breakpoints_and_labels():
     dag = lambda_dagger(c, q, delta)
     ddag = lambda_ddagger(c, q, delta)
     assert 0 < dag < ddag
-    assert regime(c, q, delta, dag * 0.5).label == "I1"
-    assert regime(c, q, delta, (dag + ddag) / 2).label == "I2"
-    assert regime(c, q, delta, ddag * 1.5).label == "I3"
+    # below dag (I1) and above ddag (I3) the pair is real
+    for lam in (dag * 0.5, ddag * 1.5):
+        x1, x2 = eig_pair_pm(c, q, delta, lam)
+        assert x1.imag == 0 and x2.imag == 0
     # at the lower breakpoint the discriminant vanishes: a double real root
     x1, x2 = eig_pair_pm(c, q, delta, dag)
     assert abs(x1 - x2) < 1e-8
@@ -246,22 +245,3 @@ def test_semi_stochastic_variance_matches_extended_precision():
                     )
             ref.append(float(mpmath.mpf(float(t_diag[i])) * C11))
     assert list(got[directions]) == pytest.approx(ref, rel=1e-8, abs=0)
-
-
-def test_per_direction_table_rows():
-    inst = make_power_law_instance(
-        PowerLawSpec(d=6, a=2.0, s=1.0, r=0.0), seed=8, sigma2=0.4
-    )
-    cfg = choose_rate_parameters(inst, 2**6)
-    rows = per_direction_table(inst, cfg)
-    assert len(rows) == 6
-    assert [row["i"] for row in rows] == list(range(1, 7))
-    lam = np.diag(inst.S)[np.argsort(np.diag(inst.S))[::-1]]
-    bias = semi_stochastic_bias(inst, cfg).per_direction
-    var = semi_stochastic_variance(inst, cfg).per_direction
-    for i, row in enumerate(rows):
-        assert set(row) == {"i", "lambda", "t_ii", "bias", "variance", "regime"}
-        assert row["lambda"] == pytest.approx(lam[i], rel=1e-12)
-        assert row["bias"] == pytest.approx(bias[i], abs=1e-15)
-        assert row["variance"] == pytest.approx(var[i], abs=1e-15)
-        assert row["regime"] in ("I1", "I2", "I3")
