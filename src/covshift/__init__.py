@@ -28,12 +28,10 @@ from .asgd import (
 from .estimators import (
     DEFAULT_BIAS_COEFF,
     ObjectiveValue,
-    Preconditioner,
     RiskEstimate,
     default_noise_coeff,
     estimate,
     eval_upper_objective,
-    make_preconditioner,
     mc_risk,
 )
 from .experiments import (
@@ -54,11 +52,9 @@ from .experiments import (
 from .lowerbound import (
     CosSquaredPrior,
     DegeneratePrior,
-    InfiniteInformation,
     LowerBoundCertificate,
     MaxIterationsError,
     eval_lower_objective,
-    fisher_information_gaussian,
     maximize_F,
     prior_from_certificate,
     prior_information_matrix,
@@ -79,6 +75,7 @@ from .model import (
 from .precond import (
     DiagonalSolution,
     PrecondProgram,
+    Preconditioner,
     precond_to_json,
     recover_A_from_F,
     solve_diagonal,

@@ -33,6 +33,8 @@ from .model import (
 from .precond import PrecondProgram, solve_diagonal, solve_general
 from .riskoracle import (
     eig_pair_pm,
+    lambda_dagger,
+    lambda_ddagger,
     momentum_power,
     semi_stochastic_bias,
     spectral_radius,
@@ -299,7 +301,7 @@ def criterion_9():
 
     # regime I1: real eigenvalues, explicit contraction bound
     c, q, delta = _draw_params(rng, N)
-    dag = (1.0 - c) ** 2 / (np.sqrt(q - c * delta) + np.sqrt(c * (q - delta))) ** 2
+    dag = lambda_dagger(c, q, delta)
     lam = dag * rng.uniform(0.0, 1.0, N)
     _, x2 = eig_pair_pm(c, q, delta, lam)
     bound = 1.0 - lam * (q - c * delta) / (1.0 - c)
@@ -308,12 +310,7 @@ def criterion_9():
 
     # regime I2: complex pair of modulus sqrt(c(1 - delta lam))
     c, q, delta = _draw_params(rng, N, c_lo=0.05)
-    dag = (1.0 - c) ** 2 / (np.sqrt(q - c * delta) + np.sqrt(c * (q - delta))) ** 2
-    with np.errstate(divide="ignore"):
-        ddag_den = np.sqrt(q - c * delta) - np.sqrt(c * (q - delta))
-        ddag = np.where(
-            ddag_den > 0, (1.0 - c) ** 2 / np.maximum(ddag_den, 1e-300) ** 2, np.inf
-        )
+    dag, ddag = lambda_dagger(c, q, delta), lambda_ddagger(c, q, delta)
     hi = np.minimum(ddag, (1.0 + c) / q)
     lam = dag + (hi - dag) * rng.uniform(0.05, 0.95, N)
     inside = (lam > dag) & (lam < ddag)
@@ -329,8 +326,7 @@ def criterion_9():
     # regime I3: small real root bounded by c delta / q
     c, q, delta = _draw_params(rng, N, c_lo=0.05)
     q = delta * rng.uniform(1.0, 1.3, N)  # keep ddag below the stability edge
-    den = np.sqrt(q - c * delta) - np.sqrt(c * (q - delta))
-    ddag = (1.0 - c) ** 2 / den**2
+    ddag = lambda_ddagger(c, q, delta)
     cap = (1.0 + c) / q
     ok_draw = ddag < cap
     lam = np.where(ok_draw, ddag + (cap - ddag) * rng.uniform(0.0, 1.0, N), ddag)

@@ -155,13 +155,12 @@ def admissibility_ratio(cfg: ASGDConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded checkpoints (global step, excess risk, stage) plus finals."""
+    """Recorded checkpoints (global step, excess risk) plus finals."""
 
     final_w: np.ndarray
     final_v: np.ndarray
     steps: np.ndarray
     risks: np.ndarray
-    stage_of_step: np.ndarray
     stage_boundaries: tuple
     n_used: int
     iterates: np.ndarray | None = None
@@ -258,8 +257,7 @@ def _cores() -> int:
 
 def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     """Advance one trajectory per seed in lockstep; returns (W, V), row j
-    for seeds[j]. ``on_step(t, ell, W)`` runs after step t (1-based) of
-    stage ell.
+    for seeds[j]. ``on_step(t, W)`` runs after step t (1-based).
 
     Each seed draws its n samples from its own PCG64 stream one SAMPLE_TILE
     of rows at a time, which reproduces a whole draw bit for bit, so the
@@ -322,7 +320,7 @@ def _lockstep(inst, cfg, seeds, population=False, on_step=None):
                     V = (V + beta * (U - V)) - gamma * g
                 t += 1
                 if on_step is not None:
-                    on_step(t, ell, W)
+                    on_step(t, W)
     return W, W if vanilla else V
 
 
@@ -345,31 +343,29 @@ def run(
     """
     if record_every is not None and record_every <= 0:
         record_every = cfg.stage_len
-    steps, risks, stage_of, iterates = [], [], [], []
+    steps, risks, iterates = [], [], []
 
-    def record(t, stage, w):
+    def record(t, w):
         steps.append(t)
         risks.append(excess_risk(inst, w))
-        stage_of.append(stage)
         if record_iterates:
             iterates.append(w.copy())
 
     on_step = None
     if record_every is not None:
-        def on_step(t, ell, W):
+        def on_step(t, W):
             if t % record_every == 0:
-                record(t, ell, W[0])
+                record(t, W[0])
 
     W, V = _lockstep(inst, cfg, [seed], population, on_step)
     n_used = cfg.stages * cfg.stage_len
     if not steps or steps[-1] != n_used:
-        record(n_used, cfg.stages, W[0])
+        record(n_used, W[0])
     return Trajectory(
         final_w=W[0],
         final_v=V[0],
         steps=np.array(steps, dtype=int),
         risks=np.array(risks),
-        stage_of_step=np.array(stage_of, dtype=int),
         stage_boundaries=tuple(range(0, n_used + 1, cfg.stage_len)),
         n_used=n_used,
         iterates=np.array(iterates) if record_iterates else None,
@@ -392,7 +388,7 @@ def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     return np.array([excess_risk(inst, w) for w in W])
 
 
-def effective_dimension(cfg: ASGDConfig, lam, n: int | None = None) -> int:
+def effective_dimension(cfg: ASGDConfig, lam) -> int:
     """k* = max{k : lambda_k > 32 ln n / ((gamma+delta) K)} for a
     non-increasing spectrum (0 if empty). Cross-checked against the
     equivalent threshold 16(1-c) ln n / ((q - c delta) K); the two coincide
@@ -400,9 +396,7 @@ def effective_dimension(cfg: ASGDConfig, lam, n: int | None = None) -> int:
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if np.any(np.diff(lam) > 0):
         raise ValueError("lambda must be sorted non-increasing")
-    if n is None:
-        n = cfg.n
-    ln_n = math.log(n)
+    ln_n = math.log(cfg.n)
     K = cfg.stage_len
     thresh_main = 32.0 * ln_n / ((cfg.gamma0 + cfg.delta0) * K)
     thresh_alt = 16.0 * (1.0 - cfg.c) * ln_n / ((cfg.q - cfg.c * cfg.delta0) * K)
@@ -435,21 +429,6 @@ class RiskBound:
     stages: int
     admissible: bool
 
-    def to_json(self) -> dict:
-        return {
-            "k_star": self.k_star,
-            "effective_variance": self.effective_variance,
-            "effective_bias": self.effective_bias,
-            "total": self.total,
-            "variance_head": self.variance_head,
-            "variance_tail": self.variance_tail,
-            "bias_head": self.bias_head,
-            "bias_tail": self.bias_tail,
-            "K": self.K,
-            "stages": self.stages,
-            "admissible": self.admissible,
-        }
-
 
 def _masked_whitened_norm(U, T_tilde, m_inv_sqrt, keep) -> float:
     """Spectral norm of the whitened block of T obtained by zeroing the
@@ -479,7 +458,7 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
     T_tilde = U.T @ inst.T @ U
     t_diag = np.maximum(np.diag(T_tilde), 0.0)
     K = cfg.stage_len
-    k_star = effective_dimension(cfg, lam, n)
+    k_star = effective_dimension(cfg, lam)
     head = np.arange(lam.size) < k_star
     noise_scale = inst.sigma2 + 2.0 * inst.c_finite
     variance_head = noise_scale * float(

@@ -23,35 +23,17 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lowerbound import LowerBoundCertificate
 from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source
 from .psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt, spectral_norm
 
 __all__ = [
-    "Preconditioner",
     "RiskEstimate",
     "ObjectiveValue",
     "default_noise_coeff",
-    "make_preconditioner",
     "estimate",
     "eval_upper_objective",
     "mc_risk",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Preconditioner:
-    """A preconditioner matrix with its certified objective value and, from
-    ``solve_general``, the dual ``certificate`` its ``gap`` is measured to."""
-
-    A: np.ndarray
-    objective_value: float
-    bias_term: float
-    variance_term: float
-    bias_coeff: float
-    noise_coeff: float
-    gap: float = None
-    certificate: LowerBoundCertificate = None
 
 
 @dataclass(frozen=True)
@@ -97,29 +79,12 @@ def eval_upper_objective(
     return ObjectiveValue(objective=bias + var, bias_term=bias, variance_term=var)
 
 
-def make_preconditioner(
-    triple: SpectralTriple, A, bias_coeff: float, noise_coeff: float
-) -> Preconditioner:
-    """Validate and package A together with its objective value."""
-    val = eval_upper_objective(triple, A, noise_coeff, bias_coeff)
-    return Preconditioner(
-        A=np.asarray(A, dtype=float),
-        objective_value=val.objective,
-        bias_term=val.bias_term,
-        variance_term=val.variance_term,
-        bias_coeff=bias_coeff,
-        noise_coeff=noise_coeff,
-    )
-
-
 def estimate(inst: ProblemInstance, A, samples: Samples) -> np.ndarray:
     """Apply the preconditioned estimator to a batch of samples.
 
     One pass accumulates the moment vector (1/n) sum_i x_i y_i, then a single
     solve against S and the whitening sandwich produce the estimate.
     """
-    if isinstance(A, Preconditioner):
-        A = A.A
     A = np.asarray(A, dtype=float)
     n = len(samples)
     moment = samples.X.T @ samples.y / n
@@ -141,8 +106,6 @@ def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a standard error")
-    if isinstance(A, Preconditioner):
-        A = A.A
     A = np.asarray(A, dtype=float)
     s_sqrt = psd_sqrt(inst.S)
     m_sqrt = psd_sqrt(inst.M)

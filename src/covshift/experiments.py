@@ -341,7 +341,6 @@ class RateSweepReport:
     fit_deflated: RateFit
     fit_lower: RateFit
     predicted_exponent: float
-    log_factor_exponent: float
     ok: bool
 
 
@@ -401,7 +400,6 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
         fit_deflated=fit_deflated,
         fit_lower=fit_lower,
         predicted_exponent=predicted,
-        log_factor_exponent=log_exp,
         ok=fit_deflated.gap <= tol,
     )
 

@@ -27,14 +27,12 @@ __all__ = [
     "LowerBoundCertificate",
     "CosSquaredPrior",
     "DegeneratePrior",
-    "InfiniteInformation",
     "MaxIterationsError",
     "eval_lower_objective",
     "maximize_F",
     "prior_information_matrix",
     "sample_prior",
     "prior_from_certificate",
-    "fisher_information_gaussian",
 ]
 
 DEFAULT_RADIUS = 1.0 / math.pi**2
@@ -54,10 +52,6 @@ MIN_PRIOR_WIDTH = 1e-8
 
 class DegeneratePrior(ValueError):
     """Prior has a zero-width coordinate; its information diverges."""
-
-
-class InfiniteInformation(ValueError):
-    """Noiseless observations carry infinite Fisher information."""
 
 
 class MaxIterationsError(RuntimeError):
@@ -84,22 +78,20 @@ class LowerBoundCertificate:
     F: np.ndarray
     value: float
     iterations: int
-    grad_norm: float
     gap: float
     stop_reason: str
 
     @classmethod
     def zero_floor(cls, d: int) -> "LowerBoundCertificate":
         """The exact floor F = 0, value 0 of a program with nothing to bound."""
-        return cls(F=np.zeros((d, d)), value=0.0, iterations=0, grad_norm=0.0,
-                   gap=0.0, stop_reason="converged")
+        return cls(F=np.zeros((d, d)), value=0.0, iterations=0, gap=0.0,
+                   stop_reason="converged")
 
     def to_json(self) -> dict:
         return {
             "F": self.F.tolist(),
             "value": self.value,
             "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
             "gap": self.gap,
             "stop_reason": self.stop_reason,
         }
@@ -175,8 +167,7 @@ def maximize_F(
     L = max(1.0, float(np.linalg.norm(Tp)))
     stall = 0
     gap = math.inf
-    grad = np.zeros_like(F)
-    gap_at = None  # the iterate gap and grad were measured at
+    gap_at = None  # the iterate gap was measured at
     it = 0
     for it in range(1, max_iter + 1):
         grad = gradient(F)
@@ -225,18 +216,16 @@ def maximize_F(
         momentum = True
         L *= 0.7  # probe a longer step next round; backtracking re-grows it
     if gap_at is not F:  # the last stall or the last budgeted step moved F
-        grad = gradient(F)
-        gap = linear_gap(F, grad)
+        gap = linear_gap(F, gradient(F))
     value = eval_lower_objective(triple, F, sigma2, n)
-    grad_norm = float(np.linalg.norm(project_psd_nuclear_ball(F + grad, radius) - F))
     if gap <= GAP_TOL * max(1.0, abs(value)):
         reason = "converged"
     elif stall >= 3:
         reason = "stalled"
     else:
         reason = "budget"
-    cert = LowerBoundCertificate(F=F, value=value, iterations=it, grad_norm=grad_norm,
-                                 gap=gap, stop_reason=reason)
+    cert = LowerBoundCertificate(F=F, value=value, iterations=it, gap=gap,
+                                 stop_reason=reason)
     if reason == "budget":
         raise MaxIterationsError(
             f"optimality gap {gap:.3e} after {max_iter} iterations",
@@ -362,10 +351,3 @@ def prior_from_certificate(F, M) -> CosSquaredPrior:
     g = np.minimum(g, 1.0)
     g[g < MIN_PRIOR_WIDTH] = 0.0
     return CosSquaredPrior(U=dec.eigenvectors, g=g, M=M)
-
-
-def fisher_information_gaussian(S, sigma2: float, n: int) -> np.ndarray:
-    """Fisher information of n Gaussian-design regression samples: (n/sigma2) S."""
-    if sigma2 <= 0:
-        raise InfiniteInformation("sigma2 must be positive")
-    return (n / sigma2) * sym(S)

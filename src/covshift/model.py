@@ -10,7 +10,7 @@ problem is naturally stated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,8 @@ SAMPLE_TILE = 256
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Immutable problem description. Arrays are never mutated after init."""
+    """Immutable problem description. Arrays are never mutated after init.
+    ``c_finite`` = |S'|, the finite-initial-risk constant, is derived."""
 
     S: np.ndarray
     T: np.ndarray
@@ -56,8 +57,7 @@ class ProblemInstance:
     sigma2: float
     psi: float = 3.0
     noise: str = "gaussian"
-    c_finite: float = None  # ||S'||, the finite-initial-risk constant
-    flags: tuple = ()
+    c_finite: float = field(init=False)
 
     def __post_init__(self):
         S, T, M = sym(self.S), sym(self.T), sym(self.M)
@@ -82,20 +82,13 @@ class ProblemInstance:
         if norm2 > 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
         Minv_sqrt = psd_inv_sqrt(M)
-        s_prime_norm = spectral_norm(Minv_sqrt @ S @ Minv_sqrt)
-        if self.c_finite is None:
-            object.__setattr__(self, "c_finite", s_prime_norm)
-        elif s_prime_norm > self.c_finite + 1e-10 * max(1.0, self.c_finite):
-            raise ValueError(
-                f"|S'| = {s_prime_norm} exceeds declared c_finite = {self.c_finite}"
-            )
+        object.__setattr__(self, "c_finite", spectral_norm(Minv_sqrt @ S @ Minv_sqrt))
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "w_star", w)
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "psi", float(self.psi))
-        object.__setattr__(self, "flags", tuple(self.flags))
 
     @property
     def d(self) -> int:
@@ -104,13 +97,11 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class SpectralTriple:
-    """Whitened covariances plus the factors used to build them."""
+    """Whitened covariances and the eigendecomposition of S'."""
 
     S_prime: np.ndarray
     T_prime: np.ndarray
     eig_S_prime: EigenDecomposition
-    M_sqrt: np.ndarray
-    M_inv_sqrt: np.ndarray
 
     @property
     def d(self) -> int:
@@ -183,10 +174,6 @@ def make_power_law_instance(
     curve holds a plateau, and the remaining tail is calibrated so that
     resolving up to direction k leaves Sum_{i>k} t_ii w_i^2 ~ t_kk k — the
     worst-case profile whose post-plateau decay follows the power-law rate.
-
-    Exponent combinations with r <= max(1/a - 2, -s) fall outside the region
-    where the tuned method is known to be rate-optimal; the instance is still
-    produced, with an "outside_optimal_region" flag.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
@@ -214,29 +201,18 @@ def make_power_law_instance(
         mags = m ** -0.5 * i ** (-0.5 - 0.01)
     w = rng.choice([-1.0, 1.0], size=d) * mags
     w *= rho / np.sqrt(np.sum(m * w * w))
-
-    flags = ()
-    if r <= max(1 / a - 2, -s) + 1e-12:
-        flags = ("outside_optimal_region",)
     return ProblemInstance(
         S=np.diag(lam), T=T, M=np.diag(m), w_star=w,
-        sigma2=sigma2, psi=psi, noise=noise, flags=flags,
+        sigma2=sigma2, psi=psi, noise=noise,
     )
 
 
 def whiten(inst: ProblemInstance) -> SpectralTriple:
     """Whitened covariances S' = M^{-1/2} S M^{-1/2}, T' likewise."""
-    M_sqrt = psd_sqrt(inst.M)
     M_inv_sqrt = psd_inv_sqrt(inst.M)
     S_prime = sym(M_inv_sqrt @ inst.S @ M_inv_sqrt)
     T_prime = sym(M_inv_sqrt @ inst.T @ M_inv_sqrt)
-    return SpectralTriple(
-        S_prime=S_prime,
-        T_prime=T_prime,
-        eig_S_prime=eigh(S_prime),
-        M_sqrt=M_sqrt,
-        M_inv_sqrt=M_inv_sqrt,
-    )
+    return SpectralTriple(S_prime=S_prime, T_prime=T_prime, eig_S_prime=eigh(S_prime))
 
 
 def excess_risk(inst: ProblemInstance, w) -> float:
@@ -310,7 +286,9 @@ def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
 # =====================================================================
 
 def instance_to_json(inst: ProblemInstance) -> dict:
+    """The "explicit" instance description that specs and the CLI read."""
     return {
+        "type": "explicit",
         "d": inst.d,
         "S": inst.S.tolist(),
         "T": inst.T.tolist(),
@@ -318,6 +296,7 @@ def instance_to_json(inst: ProblemInstance) -> dict:
         "w_star": inst.w_star.tolist(),
         "sigma2": inst.sigma2,
         "psi": inst.psi,
+        "noise": inst.noise,
     }
 
 

@@ -22,18 +22,19 @@ in whitened coordinates. This module minimizes that bound over A:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .estimators import Preconditioner, eval_upper_objective, make_preconditioner
+from .estimators import eval_upper_objective
 from .lowerbound import LowerBoundCertificate, MaxIterationsError, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, spectral_norm, sym
 
 __all__ = [
     "PrecondProgram",
+    "Preconditioner",
     "DiagonalSolution",
     "MaxIterationsError",
     "solve_diagonal",
@@ -65,6 +66,22 @@ class PrecondProgram:
             raise ValueError("noise_coeff must be nonnegative")
         if self.epsilon_reg is not None and self.epsilon_reg < 0:
             raise ValueError("epsilon_reg must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class Preconditioner:
+    """A minimizer A of the program with its objective terms, the
+    coefficients they were evaluated at, the relative duality ``gap`` and
+    the dual ``certificate`` that gap is measured to."""
+
+    A: np.ndarray
+    objective_value: float
+    bias_term: float
+    variance_term: float
+    bias_coeff: float
+    noise_coeff: float
+    gap: float
+    certificate: LowerBoundCertificate
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +180,21 @@ def _subgradient(T_eff, A, S_chol, bias_coeff, noise_coeff):
     return g_bias + g_noise
 
 
+def _preconditioner(prog, triple, A, gap, cert) -> Preconditioner:
+    """Package A, its objective terms on ``triple`` and its certificate."""
+    val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
+    return Preconditioner(
+        A=A,
+        objective_value=val.objective,
+        bias_term=val.bias_term,
+        variance_term=val.variance_term,
+        bias_coeff=prog.bias_coeff,
+        noise_coeff=prog.noise_coeff,
+        gap=gap,
+        certificate=cert,
+    )
+
+
 def solve_general(
     prog: PrecondProgram,
     tol: float = 1e-6,
@@ -193,8 +225,7 @@ def solve_general(
     # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
         A = np.zeros((d, d)) if t_norm == 0.0 else I
-        prec = make_preconditioner(triple, A, prog.bias_coeff, prog.noise_coeff)
-        return replace(prec, gap=0.0, certificate=LowerBoundCertificate.zero_floor(d))
+        return _preconditioner(prog, triple, A, 0.0, LowerBoundCertificate.zero_floor(d))
 
     eps = prog.epsilon_reg
     if eps is None:
@@ -267,10 +298,7 @@ def solve_general(
             best_val, best_A = val, A.copy()
 
     gap = rel_gap(best_val)
-    prec = make_preconditioner(
-        triple_eff, best_A, prog.bias_coeff, prog.noise_coeff
-    )
-    prec = replace(prec, gap=float(max(gap, 0.0)), certificate=cert)
+    prec = _preconditioner(prog, triple_eff, best_A, float(max(gap, 0.0)), cert)
     if gap > tol:
         raise MaxIterationsError(
             f"duality gap {gap:.3e} above tol {tol:.1e} after {it} polish steps",

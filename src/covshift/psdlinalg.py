@@ -48,10 +48,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        U, w = self.eigenvectors, self.eigenvalues
-        return (U * w) @ U.T
-
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: first component of each eigenvector that

@@ -17,7 +17,6 @@ Monte Carlo.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +69,25 @@ def spectral_radius(c, q, delta, lam):
     return np.abs(x2)
 
 
-def lambda_dagger(c: float, q: float, delta: float) -> float:
-    """Lower regime breakpoint (1-c)^2/(sqrt(q-c*delta)+sqrt(c(q-delta)))^2."""
-    if q <= c * delta or q < delta:
+def _check_breakpoint_args(c, q, delta):
+    if np.any(q <= c * delta) or np.any(q < delta):
         raise ValueError("need q > c*delta and q >= delta")
-    return (1.0 - c) ** 2 / (math.sqrt(q - c * delta) + math.sqrt(c * (q - delta))) ** 2
 
 
-def lambda_ddagger(c: float, q: float, delta: float) -> float:
+def lambda_dagger(c, q, delta):
+    """Lower regime breakpoint (1-c)^2/(sqrt(q-c*delta)+sqrt(c(q-delta)))^2,
+    vectorized."""
+    _check_breakpoint_args(c, q, delta)
+    return (1.0 - c) ** 2 / (np.sqrt(q - c * delta) + np.sqrt(c * (q - delta))) ** 2
+
+
+def lambda_ddagger(c, q, delta):
     """Upper regime breakpoint (1-c)^2/(sqrt(q-c*delta)-sqrt(c(q-delta)))^2,
-    +inf when the two square roots coincide."""
-    if q <= c * delta or q < delta:
-        raise ValueError("need q > c*delta and q >= delta")
-    denom = math.sqrt(q - c * delta) - math.sqrt(c * (q - delta))
-    if denom == 0.0:
-        return math.inf
-    return (1.0 - c) ** 2 / denom**2
+    vectorized; +inf where the two square roots coincide (c = 1)."""
+    _check_breakpoint_args(c, q, delta)
+    denom = np.sqrt(q - c * delta) - np.sqrt(c * (q - delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, (1.0 - c) ** 2 / denom**2, np.inf)[()]
 
 
 def momentum_power(c, q, delta, lam, k: int) -> np.ndarray:

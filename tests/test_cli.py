@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 from covshift.cli import main
 from covshift.experiments import ExperimentSpec, run_rate_sweep, spec_hash, spec_to_json
+from covshift.model import PowerLawSpec, instance_to_json, make_power_law_instance
 
 
 def write_spec(path, **kw):
@@ -47,6 +48,15 @@ def test_bare_instance_is_wrapped(tmp_path):
         tmp_path / "bare.json",
         type="powerlaw", d=2, a=2.0, s=1.0, r=0.0, sigma2=0.5, seed=0,
     )
+    res = CliRunner().invoke(main, ["duality", "--spec", spec])
+    assert res.exit_code == 0, res.output
+    assert "n=   256" in res.output
+
+
+def test_duality_reads_a_written_instance(tmp_path):
+    # the output of instance_to_json is a bare "explicit" instance spec
+    inst = make_power_law_instance(PowerLawSpec(d=2, a=2.0, s=1.0, r=0.0), seed=0)
+    spec = write_spec(tmp_path / "inst.json", **instance_to_json(inst))
     res = CliRunner().invoke(main, ["duality", "--spec", spec])
     assert res.exit_code == 0, res.output
     assert "n=   256" in res.output

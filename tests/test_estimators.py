@@ -6,7 +6,6 @@ from covshift.estimators import (
     default_noise_coeff,
     estimate,
     eval_upper_objective,
-    make_preconditioner,
     mc_risk,
 )
 from covshift.model import (
@@ -18,6 +17,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
+from covshift.precond import PrecondProgram, solve_general
 from covshift.psdlinalg import psd_inv_sqrt, psd_sqrt, spectral_norm
 
 
@@ -61,15 +61,6 @@ def test_estimate_exact_on_exact_moments():
     assert np.allclose(w_hat, expected, atol=1e-10)
     # and A = I recovers w_star itself
     assert np.allclose(estimate(inst, np.eye(d), samples), inst.w_star, atol=1e-10)
-
-
-def test_estimate_accepts_preconditioner_object():
-    inst = rand_instance(4)
-    triple = whiten(inst)
-    A = 0.5 * np.eye(inst.d)
-    pre = make_preconditioner(triple, A, DEFAULT_BIAS_COEFF, 0.01)
-    samples = sample_source(inst, n=100, seed=0)
-    assert np.array_equal(estimate(inst, pre, samples), estimate(inst, A, samples))
 
 
 def test_default_noise_coeff_formula():
@@ -116,17 +107,18 @@ def test_objective_scales_with_coefficients():
 
 
 def test_make_preconditioner_records_terms():
+    # solve_general is the one producer of a Preconditioner; the terms it
+    # records are the objective evaluated at the A it returns
     inst = rand_instance(10)
     triple = whiten(inst)
-    A = 0.6 * np.eye(inst.d)
-    pre = make_preconditioner(triple, A, DEFAULT_BIAS_COEFF, 0.01)
-    ref = eval_upper_objective(triple, A, 0.01, bias_coeff=DEFAULT_BIAS_COEFF)
-    assert pre.objective_value == pytest.approx(ref.objective, rel=1e-12)
-    assert pre.bias_term == pytest.approx(ref.bias_term, rel=1e-12)
-    assert pre.variance_term == pytest.approx(ref.variance_term, rel=1e-12)
-    assert pre.bias_coeff == DEFAULT_BIAS_COEFF
-    assert pre.noise_coeff == 0.01
-    assert np.array_equal(pre.A, A)
+    prec = solve_general(PrecondProgram(triple, DEFAULT_BIAS_COEFF, 0.01))
+    ref = eval_upper_objective(triple, prec.A, 0.01, bias_coeff=DEFAULT_BIAS_COEFF)
+    assert prec.objective_value == pytest.approx(ref.objective, rel=1e-12)
+    assert prec.bias_term == pytest.approx(ref.bias_term, rel=1e-12)
+    assert prec.variance_term == pytest.approx(ref.variance_term, rel=1e-12)
+    assert prec.bias_coeff == DEFAULT_BIAS_COEFF
+    assert prec.noise_coeff == 0.01
+    assert 0 <= prec.gap <= 1e-6
 
 
 def test_mc_risk_matches_estimate_loop():

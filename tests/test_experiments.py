@@ -68,7 +68,6 @@ def test_resolve_instance_powerlaw_and_explicit():
     )
     assert np.array_equal(inst.S, ref.S) and np.array_equal(inst.w_star, ref.w_star)
     doc = instance_to_json(ref)
-    doc["type"] = "explicit"
     spec2 = ExperimentSpec(kind="duality", instance=doc, n_grid=(8,), seeds=1)
     inst2 = resolve_instance(spec2)
     assert np.array_equal(inst2.S, ref.S) and inst2.sigma2 == ref.sigma2
@@ -118,7 +117,6 @@ def test_run_duality_singular_target_uses_ladder():
     T = np.zeros((3, 3))
     T[0, 0] = 1.0
     doc["T"] = T.tolist()
-    doc["type"] = "explicit"
     spec = ExperimentSpec(kind="duality", instance=doc, n_grid=(32,), seeds=1)
     rep = run_duality(spec)
     assert rep.ladder_monotone and rep.ok

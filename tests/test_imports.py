@@ -1,17 +1,42 @@
-"""Unused-import gate: no module of the package imports a name it never uses.
+"""Import and export gates, built on the stdlib ``ast`` module.
 
-A stand-in for a linter's unused-import rule, built on the stdlib ``ast``
-module. A name counts as used when the module reads it anywhere (including
-annotations) or lists it in ``__all__``. ``__init__.py`` is exempt: its
-imports are the package's re-exports.
+Unused imports: no module of the package imports a name it never uses. A
+stand-in for a linter's unused-import rule. A name counts as used when the
+module reads it anywhere (including annotations) or lists it in ``__all__``.
+``__init__.py`` is exempt: its imports are the package's re-exports.
+
+Uncalled exports: every name in a module's ``__all__`` is read (as a name or
+an attribute) somewhere in the package outside ``__init__.py`` or in the
+benchmark's non-test modules, or is on PUBLIC_API with the reason it is kept
+without a caller.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "covshift"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "covshift"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLERS = MODULES + sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
+)
+
+PUBLIC_API = {
+    "model.instance_to_json": "writes the explicit instance format the CLI reads",
+    "estimators.estimate": "the paper's estimator w_hat(A) (ROADMAP item 3)",
+    "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 3)",
+    "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 2",
+}
+
+
+def exported(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,13 +50,23 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` for each name in a module's ``__all__`` that no caller
+    source reads as a name or an attribute."""
+    read = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, source in modules.items()
+                  for name in exported(ast.parse(source)) if name not in read)
 
 
 def test_gate_flags_an_unused_name():
@@ -42,3 +77,19 @@ def test_gate_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_gate_flags_an_uncalled_export():
+    lib = ("__all__ = ['run', 'Err', 'fit', 'spare']\n"
+           "class Err(Exception): pass\n"
+           "def run(): raise Err\n"
+           "def fit(): pass\n"
+           "def spare(): pass\n")
+    app = "import lib\nlib.fit()\nlib.run()\n"
+    assert uncalled_exports({"lib": lib}, [lib, app]) == ["lib.spare"]
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in CALLERS]
+    assert uncalled_exports(modules, callers) == sorted(PUBLIC_API)

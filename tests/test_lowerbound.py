@@ -8,11 +8,9 @@ from covshift.lowerbound import (
     GAP_TOL,
     CosSquaredPrior,
     DegeneratePrior,
-    InfiniteInformation,
     MaxIterationsError,
     _cos2_quantile,
     eval_lower_objective,
-    fisher_information_gaussian,
     maximize_F,
     prior_from_certificate,
     prior_information_matrix,
@@ -166,15 +164,6 @@ def test_maximizer_dominates_random_feasible_points(seed):
     val = eval_lower_objective(triple, F, 0.25, 32)
     assert val >= 0
     assert val <= cert.value + 1e-9 * max(1.0, cert.value)
-
-
-def test_fisher_information_gaussian():
-    rng = np.random.default_rng(5)
-    S = rand_pd(rng, 3)
-    info = fisher_information_gaussian(S, 0.5, 10)
-    assert np.allclose(info, 20 * S, atol=1e-12)
-    with pytest.raises(InfiniteInformation):
-        fisher_information_gaussian(S, 0.0, 10)
 
 
 def test_prior_validation():

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
-from covshift.psdlinalg import NotPSD, psd_sqrt
+from covshift.psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt
 
 
 def test_power_law_source_spectrum():
@@ -88,10 +91,10 @@ def rand_instance(seed, d=5, sigma2=0.3):
 def test_whiten_identities():
     inst = rand_instance(11)
     triple = whiten(inst)
-    R = triple.M_inv_sqrt
+    R = psd_inv_sqrt(inst.M)
     assert np.allclose(R @ inst.S @ R, triple.S_prime, atol=1e-10)
     assert np.allclose(R @ inst.T @ R, triple.T_prime, atol=1e-10)
-    assert np.allclose(triple.M_sqrt @ R, np.eye(inst.d), atol=1e-10)
+    assert np.allclose(psd_sqrt(inst.M) @ R, np.eye(inst.d), atol=1e-10)
     assert inst.c_finite == pytest.approx(
         np.abs(np.linalg.eigvalsh(triple.S_prime)).max(), rel=1e-10
     )
@@ -198,6 +201,15 @@ def test_instance_json_round_trip():
     assert back.psi == inst.psi
 
 
+def test_instance_json_is_the_explicit_description_and_keeps_noise():
+    inst = replace(rand_instance(17), noise="rademacher")
+    doc = instance_to_json(inst)
+    assert doc["type"] == "explicit"
+    back = instance_from_json(json.dumps(doc))
+    assert back.noise == "rademacher"
+    assert np.array_equal(sample_source(back, 8, 0).y, sample_source(inst, 8, 0).y)
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance(S=np.eye(2), T=np.eye(3), M=np.eye(2), w_star=np.zeros(2), sigma2=1.0)
@@ -211,15 +223,6 @@ def test_instance_validation():
         # w_star outside the unit M-ellipsoid
         ProblemInstance(
             S=np.eye(2), T=np.eye(2), M=np.eye(2), w_star=np.array([2.0, 0.0]), sigma2=1.0
-        )
-
-
-def test_declared_c_finite_checked():
-    inst = rand_instance(17)
-    with pytest.raises(ValueError):
-        ProblemInstance(
-            S=inst.S, T=inst.T, M=inst.M, w_star=inst.w_star, sigma2=0.1,
-            c_finite=inst.c_finite / 10,
         )
 
 

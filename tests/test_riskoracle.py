@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def test_breakpoint_validation_and_infinite_ddagger():
         lambda_dagger(0.9, 0.09, 0.1)  # q <= c*delta
     # c = 1 makes the two square roots cancel: no upper breakpoint
     assert lambda_ddagger(1.0, 0.2, 0.1) == math.inf
+
+
+def test_breakpoints_vectorize_elementwise():
+    rng = np.random.default_rng(3)
+    c = np.append(rng.uniform(0.0, 0.98, 50), 1.0)  # c = 1: no upper breakpoint
+    delta = rng.uniform(1e-4, 0.5, c.size)
+    q = delta * rng.uniform(1.01, 6.0, c.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dag, ddag = lambda_dagger(c, q, delta), lambda_ddagger(c, q, delta)
+        assert lambda_ddagger(1.0, 0.2, 0.1) == math.inf
+    for j in range(c.size):
+        args = float(c[j]), float(q[j]), float(delta[j])
+        assert (dag[j], ddag[j]) == (lambda_dagger(*args), lambda_ddagger(*args))
+    assert ddag[-1] == math.inf and np.all(np.isfinite(ddag[:-1]))
+    with pytest.raises(ValueError):
+        lambda_dagger(c, np.where(np.arange(c.size) == 7, 0.5 * delta, q), delta)
 
 
 @settings(max_examples=60, deadline=None)
