@@ -133,17 +133,6 @@ class ASGDConfig:
         scale = 4.0 ** -(ell - 1)
         return self.delta0 * scale, self.gamma0 * scale, self.q * scale
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta0": self.delta0,
-            "gamma0": self.gamma0,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "stages": self.stages,
-            "stage_len": self.stage_len,
-        }
-
 
 def admissibility_ratio(cfg: ASGDConfig) -> float:
     """n (1 - alpha(1-beta)) / (log2 n * ln n); schedules need this >= 16."""

@@ -48,7 +48,8 @@ SAMPLE_TILE = 256
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable problem description. Arrays are never mutated after init.
-    ``c_finite`` = |S'|, the finite-initial-risk constant, is derived."""
+    ``c_finite`` = |S'|, the finite-initial-risk constant, is derived, and
+    so is ``M_inv_sqrt`` = M^{-1/2}, which whiten reuses."""
 
     S: np.ndarray
     T: np.ndarray
@@ -58,6 +59,7 @@ class ProblemInstance:
     psi: float = 3.0
     noise: str = "gaussian"
     c_finite: float = field(init=False)
+    M_inv_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S, T, M = sym(self.S), sym(self.T), sym(self.M)
@@ -81,8 +83,9 @@ class ProblemInstance:
         norm2 = float(w @ M @ w)
         if norm2 > 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
-        Minv_sqrt = psd_inv_sqrt(M)
-        object.__setattr__(self, "c_finite", spectral_norm(Minv_sqrt @ S @ Minv_sqrt))
+        M_inv_sqrt = psd_inv_sqrt(M)
+        object.__setattr__(self, "M_inv_sqrt", M_inv_sqrt)
+        object.__setattr__(self, "c_finite", spectral_norm(M_inv_sqrt @ S @ M_inv_sqrt))
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "M", M)
@@ -209,7 +212,7 @@ def make_power_law_instance(
 
 def whiten(inst: ProblemInstance) -> SpectralTriple:
     """Whitened covariances S' = M^{-1/2} S M^{-1/2}, T' likewise."""
-    M_inv_sqrt = psd_inv_sqrt(inst.M)
+    M_inv_sqrt = inst.M_inv_sqrt
     S_prime = sym(M_inv_sqrt @ inst.S @ M_inv_sqrt)
     T_prime = sym(M_inv_sqrt @ inst.T @ M_inv_sqrt)
     return SpectralTriple(S_prime=S_prime, T_prime=T_prime, eig_S_prime=eigh(S_prime))

@@ -15,10 +15,11 @@ in whitened coordinates. This module minimizes that bound over A:
     min_A obj(A) = sup { <T', (F^{-1} + S'/noise_coeff)^{-1}> :
                          F PSD, trace F <= bias_coeff },
 
-  so the solver runs projected gradient ascent on the dual (reusing the
-  lower-bound machinery), recovers a primal A from the dual optimum, and
-  certifies the duality gap, with a Polyak subgradient polish to close the
-  last digits. The dual certificate is returned with the preconditioner.
+  so the solver maximizes the dual (reusing the lower-bound machinery, which
+  solves diagonal programs in closed form), recovers a primal A from the
+  dual optimum, and certifies the duality gap, with a Polyak subgradient
+  polish to close the last digits. The dual certificate is returned with the
+  preconditioner.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import eval_upper_objective
-from .lowerbound import LowerBoundCertificate, MaxIterationsError, maximize_F
+from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, spectral_norm, sym
 
@@ -108,15 +109,9 @@ def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> Diagonal
 
         g(tau) = b tau^2 + v sum_{s_i > tau} c_i (1 - tau / s_i)^2
 
-    with b = bias_coeff, v = noise_coeff and c_i = t_i / lam_i.
-
-    Between consecutive breakpoints s_i, g is a quadratic whose stationary
-    point over the top-k active set is
-
-        tau_k = v sum c_i/s_i / (b + v sum c_i/s_i^2),
-
-    and the minimizer is the first tau_k (scanning from the largest s) that
-    lies at or above the next breakpoint: one sort and two prefix sums.
+    with b = bias_coeff, v = noise_coeff and c_i = t_i / lam_i, whose
+    minimizer tau lowerbound._water_level finds with one sort and two prefix
+    sums (maximize_F's diagonal optimum uses the same tau).
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     m = np.asarray(m, dtype=float).reshape(-1)
@@ -134,18 +129,7 @@ def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> Diagonal
 
     s = np.sqrt(t / m)
     c = t / lam
-    live = s > 0
-    if noise_coeff == 0 or not live.any():
-        tau = 0.0
-    else:
-        order = np.argsort(-s[live], kind="stable")
-        s_desc, c_desc = s[live][order], c[live][order]
-        tau_k = (noise_coeff * np.cumsum(c_desc / s_desc)) / (
-            bias_coeff + noise_coeff * np.cumsum(c_desc / s_desc**2)
-        )
-        # tau_K >= 0 always holds, so the scan stops by the last interval
-        k = int(np.argmax(tau_k >= np.append(s_desc[1:], 0.0)))
-        tau = float(tau_k[k])
+    tau = _water_level(s, c, bias_coeff, noise_coeff)
 
     active = s > tau
     a = np.where(active, 1.0 - tau / np.where(active, s, 1.0), 0.0)
@@ -203,7 +187,7 @@ def solve_general(
 ) -> Preconditioner:
     """Minimize the preconditioner objective for arbitrary PD S', PSD T'.
 
-    Pipeline: dual projected-gradient ascent for a certified floor, primal
+    Pipeline: the dual solve of maximize_F for a certified floor, primal
     recovery from the dual optimum, a closed-form warm start when S' and T'
     commute, then Polyak-stepped subgradient descent until the relative
     duality gap is below ``tol``. The returned preconditioner carries that

@@ -230,11 +230,15 @@ def semi_stochastic_variance(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStoc
         n11 = inst.sigma2 * lam * delta * delta
         n12 = inst.sigma2 * lam * delta * q
         n22 = inst.sigma2 * lam * q * q
+        # per-stage coefficient products, grouped as the step's left-to-right
+        # evaluation grouped them, so hoisting them changes no bit
+        bb, cb, eb = b * b, -c * b, e * b
+        cc, ce, ee = c * c, 2.0 * c * e, e * e
         for _ in range(cfg.stage_len):
             C11, C12, C22 = (
-                b * b * C22 + n11,
-                -c * b * C12 + e * b * C22 + n12,
-                c * c * C11 - 2.0 * c * e * C12 + e * e * C22 + n22,
+                bb * C22 + n11,
+                cb * C12 + eb * C22 + n12,
+                cc * C11 - ce * C12 + ee * C22 + n22,
             )
     t_diag = np.diag(V.T @ inst.T @ V)
     per_direction = t_diag * C11

@@ -71,17 +71,6 @@ def test_stage_ladder():
         assert q == pytest.approx(cfg.q * scale, rel=1e-15)
 
 
-def test_config_json_fields():
-    cfg = ASGDConfig(n=2**6, delta0=0.1, gamma0=0.1, alpha=0.5, beta=1.0)
-    doc = cfg.to_json()
-    rebuilt = ASGDConfig(
-        n=doc["n"], delta0=doc["delta0"], gamma0=doc["gamma0"],
-        alpha=doc["alpha"], beta=doc["beta"],
-    )
-    assert rebuilt == cfg
-    assert doc["stages"] == cfg.stages and doc["stage_len"] == cfg.stage_len
-
-
 # -------------------------------------------------- parameter selection
 
 

@@ -5,8 +5,9 @@ stand-in for a linter's unused-import rule. A name counts as used when the
 module reads it anywhere (including annotations) or lists it in ``__all__``.
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 
-Uncalled exports: every name in a module's ``__all__`` is read (as a name or
-an attribute) somewhere in the package outside ``__init__.py`` or in the
+Uncalled exports: every name in a module's ``__all__``, and every public
+method or property defined in the body of a public class, is read (as a name
+or an attribute) somewhere in the package outside ``__init__.py`` or in the
 benchmark's non-test modules, or is on PUBLIC_API with the reason it is kept
 without a caller.
 """
@@ -55,9 +56,21 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def public_names(tree) -> list[str]:
+    """The names in ``__all__``, then ``Class.member`` for each public method
+    or property defined in the body of a public class."""
+    names = exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return names
+
+
 def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.name`` for each name in a module's ``__all__`` that no caller
-    source reads as a name or an attribute."""
+    """``module.name`` for each public name of a module (see public_names)
+    whose last part no caller source reads as a name or an attribute."""
     read = set()
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -66,7 +79,8 @@ def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return sorted(f"{module}.{name}" for module, source in modules.items()
-                  for name in exported(ast.parse(source)) if name not in read)
+                  for name in public_names(ast.parse(source))
+                  if name.rsplit(".", 1)[-1] not in read)
 
 
 def test_gate_flags_an_unused_name():
@@ -87,6 +101,21 @@ def test_gate_flags_an_uncalled_export():
            "def spare(): pass\n")
     app = "import lib\nlib.fit()\nlib.run()\n"
     assert uncalled_exports({"lib": lib}, [lib, app]) == ["lib.spare"]
+
+
+def test_gate_flags_an_uncalled_method():
+    lib = ("__all__ = ['Box']\n"
+           "class Box:\n"
+           "    def __len__(self): return 0\n"
+           "    def _helper(self): return 1\n"
+           "    @property\n"
+           "    def size(self): return self._helper()\n"
+           "    def grow(self): pass\n"
+           "    def spare(self): pass\n"
+           "class _Hidden:\n"
+           "    def spare(self): pass\n")
+    app = "import lib\nbox = lib.Box()\nbox.grow()\nprint(box.size)\n"
+    assert uncalled_exports({"lib": lib}, [lib, app]) == ["lib.Box.spare"]
 
 
 def test_every_export_has_a_caller_or_a_reason():

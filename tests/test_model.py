@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covshift import model, psdlinalg
 from covshift.model import (
     SAMPLE_TILE,
     _source_factor,
@@ -17,7 +18,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
-from covshift.psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt
+from covshift.psdlinalg import NotPSD, eigh, psd_inv_sqrt, psd_sqrt, sym
 
 
 def test_power_law_source_spectrum():
@@ -102,6 +103,28 @@ def test_whiten_identities():
     w, U = triple.eig_S_prime.eigenvalues, triple.eig_S_prime.eigenvectors
     assert np.all(np.diff(w) <= 0)
     assert np.allclose(U @ np.diag(w) @ U.T, triple.S_prime, atol=1e-10)
+
+
+def test_whiten_reuses_the_instance_root(monkeypatch):
+    inst = rand_instance(11)
+    calls = []
+
+    def counting_eigh(X):
+        calls.append(X)
+        return eigh(X)
+
+    monkeypatch.setattr(model, "eigh", counting_eigh)
+    monkeypatch.setattr(psdlinalg, "eigh", counting_eigh)
+    triple = whiten(inst)
+    assert len(calls) == 1  # S' only: M^{-1/2} comes from the instance
+    monkeypatch.undo()
+    R = psd_inv_sqrt(inst.M)
+    S_prime = sym(R @ inst.S @ R)
+    assert np.array_equal(triple.S_prime, S_prime)
+    assert np.array_equal(triple.T_prime, sym(R @ inst.T @ R))
+    dec = eigh(S_prime)
+    assert np.array_equal(triple.eig_S_prime.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(triple.eig_S_prime.eigenvectors, dec.eigenvectors)
 
 
 def test_whiten_identity_M_is_noop():

@@ -202,6 +202,21 @@ def test_general_agrees_with_diagonal_when_commuting():
     assert prec.objective_value == pytest.approx(diag.value, rel=1e-5)
 
 
+def test_general_on_a_diagonal_program_meets_water_filling():
+    # primal and dual KKT match: the exact dual optimum maps to the
+    # water-filling preconditioner, so no polish step is needed
+    lam = np.array([2.0, 1.0, 0.4, 0.1, 0.02])
+    t = np.array([0.05, 0.9, 0.3, 0.3, 1e-3])
+    v = 0.05
+    triple = make_triple(np.diag(lam), np.diag(t))
+    prec = solve_general(PrecondProgram(triple, B, v))
+    assert prec.certificate.iterations == 1
+    diag = solve_diagonal(lam, np.ones(5), t, B, v)
+    A = recover_A_from_F(triple, prec.certificate.F, v)
+    assert np.allclose(A, np.diag(diag.a), rtol=0.0, atol=1e-12)
+    assert prec.objective_value == pytest.approx(diag.value, rel=1e-12)
+
+
 def assert_zero_floor(cert, d):
     assert np.array_equal(cert.F, np.zeros((d, d)))
     assert (cert.value, cert.iterations) == (0.0, 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covshift.asgd import ASGDConfig, choose_parameters, choose_rate_parameters, run
-from covshift.model import PowerLawSpec, make_power_law_instance
+from covshift.model import PowerLawSpec, ProblemInstance, make_power_law_instance
 from covshift.psdlinalg import eigh
 from covshift.riskoracle import (
     DivergentStationaryState,
@@ -228,6 +228,42 @@ def test_semi_stochastic_variance_scales_with_noise():
     v2 = semi_stochastic_variance(inst2, cfg)
     # the sigma^2-driven part is linear in the noise level
     assert v2.total == pytest.approx(2 * v1.total, rel=1e-10)
+
+
+def variance_step_by_step(inst, cfg):
+    """semi_stochastic_variance's per-direction C11 with every coefficient
+    product formed inside the step, as the recursion reads."""
+    dec = eigh(inst.S)
+    lam, c = dec.eigenvalues, cfg.c
+    C11 = np.zeros_like(lam)
+    C12 = np.zeros_like(lam)
+    C22 = np.zeros_like(lam)
+    for ell in range(1, cfg.stages + 1):
+        delta, _, q = cfg.stage_steps(ell)
+        b, e = 1.0 - delta * lam, 1.0 + c - q * lam
+        n11 = inst.sigma2 * lam * delta * delta
+        n12 = inst.sigma2 * lam * delta * q
+        n22 = inst.sigma2 * lam * q * q
+        for _ in range(cfg.stage_len):
+            C11, C12, C22 = (
+                b * b * C22 + n11,
+                -c * b * C12 + e * b * C22 + n12,
+                c * c * C11 - 2.0 * c * e * C12 + e * e * C22 + n22,
+            )
+    return np.diag(dec.eigenvectors.T @ inst.T @ dec.eigenvectors) * C11
+
+
+def test_semi_stochastic_variance_is_the_step_by_step_recursion():
+    base = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=3)
+    Q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(20, 20)))
+    inst = ProblemInstance(
+        S=Q @ base.S @ Q.T, T=Q @ base.T @ Q.T, M=Q @ base.M @ Q.T,
+        w_star=Q @ base.w_star, sigma2=0.7,
+    )
+    cfg = choose_parameters(inst, 2**10, require_admissible=False)
+    assert 0.0 < cfg.c < 1.0  # momentum is live
+    got = semi_stochastic_variance(inst, cfg)
+    assert np.array_equal(got.per_direction, variance_step_by_step(inst, cfg))
 
 
 @pytest.mark.xfail(
