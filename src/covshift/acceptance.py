@@ -31,6 +31,7 @@ from .model import (
     whiten,
 )
 from .precond import PrecondProgram, solve_diagonal, solve_general
+from .psdlinalg import psd_sqrt
 from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
@@ -457,7 +458,7 @@ def criterion_10():
                 limit=200,
             )
             fishers.append(val)
-        m_sqrt = _psd_sqrt(Md)
+        m_sqrt = psd_sqrt(Md)
         quad_info = m_sqrt @ (Ud * np.array(fishers)) @ Ud.T @ m_sqrt
         rel = np.abs(quad_info - closed).max() / np.abs(closed).max()
         worst = max(worst, float(rel))
@@ -466,11 +467,6 @@ def criterion_10():
         f"support max |w|_M^2 = {max_norm:.9f} over 1e6 draws; "
         f"quadrature vs closed form worst rel {worst:.3e} (tol 1e-6)"
     )
-
-
-def _psd_sqrt(X):
-    vals, vecs = np.linalg.eigh(X)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 CRITERIA = (

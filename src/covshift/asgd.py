@@ -32,14 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    SAMPLE_TILE,
-    ProblemInstance,
-    _source_factor,
-    excess_risk,
-    sample_source,
-)
-from .psdlinalg import eigh, psd_inv_sqrt, spectral_norm, sym
+from .model import SAMPLE_TILE, ProblemInstance, excess_risk, sample_source
+from .psdlinalg import spectral_norm, sym
 
 __all__ = [
     "ASGDConfig",
@@ -177,6 +171,8 @@ def choose_parameters(
     """
     if n < 16:
         raise ValueError("need n >= 16")
+    # not inst.eig_S: on dense S its eigenvalues differ from eigvalsh's in the
+    # last bits, and delta' and gamma' are sums of them
     lam = np.sort(np.linalg.eigvalsh(inst.S))[::-1]
     d = lam.size
     if kappa_tilde is None:
@@ -252,13 +248,13 @@ def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     of rows at a time, which reproduces a whole draw bit for bit, so the
     sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats: X laid out
     (seeds, tile, d) so each step reads contiguous rows, y as (seeds, tile),
-    and no second buffer. When S is exactly diagonal (checked once per call)
-    the draws scale the normals element by element, so filling a tile makes
-    no threaded BLAS product; the per-seed draws then run on a thread pool
-    of up to one worker per CPU in the affinity mask, each worker drawing a
-    fixed block of at least POOL_MIN_SEEDS seeds in seed order. Every
-    generator is thus advanced by one thread at a time, exactly as in the
-    inline loop that fills the tile for fewer seeds or dense S.
+    and no second buffer. When ``inst.source_factor`` is a vector (S exactly
+    diagonal) the draws scale the normals element by element, so filling a
+    tile makes no threaded BLAS product; the per-seed draws then run on a
+    thread pool of up to one worker per CPU in the affinity mask, each
+    worker drawing a fixed block of at least POOL_MIN_SEEDS seeds in seed
+    order. Every generator is thus advanced by one thread at a time, exactly
+    as in the inline loop that fills the tile for fewer seeds or dense S.
 
     Under plain SGD (gamma0 == delta0) the v-iterate equals w bit for bit
     by induction (V - W is +0, so u = w and both updates subtract the same
@@ -269,18 +265,17 @@ def _lockstep(inst, cfg, seeds, population=False, on_step=None):
     V = np.zeros((rows, d))
     workers = 1
     if not population:
-        factor = _source_factor(inst.S)
         gens = [np.random.default_rng(seed) for seed in seeds]
         block = min(SAMPLE_TILE, cfg.n)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
-        if factor.ndim == 1:
+        if inst.source_factor.ndim == 1:
             workers = max(1, min(_cores(), rows // POOL_MIN_SEEDS))
         parts = np.array_split(np.arange(rows), workers)
 
         def fill(part, m):
             for j in part:
-                samples = sample_source(inst, m, gens[j], s_sqrt=factor)
+                samples = sample_source(inst, m, gens[j])
                 X[j, :m], Y[j, :m] = samples.X, samples.y
 
     alpha, beta, vanilla = cfg.alpha, cfg.beta, cfg.vanilla_sgd
@@ -367,10 +362,12 @@ def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     seeds are grouped into calls and however many CPUs the process may use.
     The one lockstep kernel runs all seeds as rows of (len(seeds), d) arrays
     to amortize the per-step Python cost; its sample buffer holds
-    SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. On exactly
-    diagonal S, with at least 2 * POOL_MIN_SEEDS seeds and more than one
-    CPU in the affinity mask, the seeds' draws for each tile run on a
-    thread pool that lives for this call.
+    SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. The draws scale
+    normals by the instance's ``source_factor``, so a call makes no
+    eigendecomposition. When that factor is a vector (S exactly diagonal),
+    with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU in the
+    affinity mask, the seeds' draws for each tile run on a thread pool that
+    lives for this call.
     """
     W, _ = _lockstep(inst, cfg, list(seeds))
     # per-row excess_risk so the reduction order (hence every bit) matches run()
@@ -419,12 +416,13 @@ class RiskBound:
     admissible: bool
 
 
-def _masked_whitened_norm(U, T_tilde, m_inv_sqrt, keep) -> float:
+def _masked_whitened_norm(inst: ProblemInstance, keep) -> float:
     """Spectral norm of the whitened block of T obtained by zeroing the
     rows/columns outside ``keep`` in S's eigenbasis."""
     if not keep.any():
         return 0.0
-    Tb = T_tilde * np.outer(keep, keep)
+    U, m_inv_sqrt = inst.eig_S.eigenvectors, inst.M_inv_sqrt
+    Tb = inst.T_tilde * np.outer(keep, keep)
     back = U @ Tb @ U.T
     return spectral_norm(sym(m_inv_sqrt @ back @ m_inv_sqrt))
 
@@ -442,10 +440,8 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
     n = cfg.n
     if n < 16:
         raise ValueError("bound needs n >= 16")
-    dec = eigh(inst.S)
-    lam, U = dec.eigenvalues, dec.eigenvectors
-    T_tilde = U.T @ inst.T @ U
-    t_diag = np.maximum(np.diag(T_tilde), 0.0)
+    lam = inst.eig_S.eigenvalues
+    t_diag = np.maximum(np.diag(inst.T_tilde), 0.0)
     K = cfg.stage_len
     k_star = effective_dimension(cfg, lam)
     head = np.arange(lam.size) < k_star
@@ -456,12 +452,9 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
     variance_tail = noise_scale * (128.0 / 15.0) * K * (
         cfg.gamma0 + cfg.delta0
     ) ** 2 * float(np.sum(lam[~head] * t_diag[~head]))
-    m_inv_sqrt = psd_inv_sqrt(inst.M)
     log2_n = math.log2(n)
-    bias_head = _masked_whitened_norm(U, T_tilde, m_inv_sqrt, head) / (
-        8.0 * n**2 * log2_n**4
-    )
-    bias_tail = 4.0 * _masked_whitened_norm(U, T_tilde, m_inv_sqrt, ~head)
+    bias_head = _masked_whitened_norm(inst, head) / (8.0 * n**2 * log2_n**4)
+    bias_tail = 4.0 * _masked_whitened_norm(inst, ~head)
     variance = variance_head + variance_tail
     bias = bias_head + bias_tail
     return RiskBound(

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source
-from .psdlinalg import NotPSD, psd_inv_sqrt, psd_sqrt, spectral_norm
+from .psdlinalg import NotPSD, psd_sqrt, spectral_norm
 
 __all__ = [
     "RiskEstimate",
@@ -92,9 +92,7 @@ def estimate(inst: ProblemInstance, A, samples: Samples) -> np.ndarray:
         z = np.linalg.solve(inst.S, moment)
     except np.linalg.LinAlgError as e:
         raise NotPSD(f"S is singular: {e}") from e
-    m_sqrt = psd_sqrt(inst.M)
-    m_inv_sqrt = psd_inv_sqrt(inst.M)
-    return m_inv_sqrt @ (A @ (m_sqrt @ z))
+    return inst.M_inv_sqrt @ (A @ (psd_sqrt(inst.M) @ z))
 
 
 def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
@@ -107,13 +105,10 @@ def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a standard error")
     A = np.asarray(A, dtype=float)
-    s_sqrt = psd_sqrt(inst.S)
-    m_sqrt = psd_sqrt(inst.M)
-    m_inv_sqrt = psd_inv_sqrt(inst.M)
-    B = m_inv_sqrt @ A @ m_sqrt  # fold the whitening sandwich once
+    B = inst.M_inv_sqrt @ A @ psd_sqrt(inst.M)  # fold the whitening sandwich once
     risks = np.empty(len(seeds))
     for k, seed in enumerate(seeds):
-        smp = sample_source(inst, n, seed, s_sqrt=s_sqrt)
+        smp = sample_source(inst, n, seed)
         moment = smp.X.T @ smp.y / n
         w = B @ np.linalg.solve(inst.S, moment)
         risks[k] = excess_risk(inst, w)

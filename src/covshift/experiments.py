@@ -32,7 +32,6 @@ from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
 from .precond import PrecondProgram, solve_general
-from .psdlinalg import spectral_norm
 from .riskoracle import semi_stochastic_bias, semi_stochastic_variance
 
 __all__ = [
@@ -235,8 +234,9 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
         raise ValueError("duality studies are desk-scale: d <= 64")
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
-    t_norm = spectral_norm(triple.T_prime)
-    singular = float(np.linalg.eigvalsh(triple.T_prime).min()) < 1e-10 * t_norm
+    t_eigs = np.linalg.eigvalsh(triple.T_prime)  # T' is symmetric
+    t_norm = float(np.max(np.abs(t_eigs)))
+    singular = float(t_eigs.min()) < 1e-10 * t_norm
     h = spec_hash(spec)
     rows = []
     worst = 0.0

@@ -5,7 +5,8 @@ constraint metric M (admissible ground truths live in the ellipsoid
 w' M w <= 1), the ground truth w*, the noise second moment sigma2 and the
 fourth-moment constant psi. Whitening by M^{-1/2} produces the matrices
 S' = M^{-1/2} S M^{-1/2} and T' = M^{-1/2} T M^{-1/2} in which the minimax
-problem is naturally stated.
+problem is naturally stated. Each instance decomposes S once, at
+construction, and keeps what the package reads of S's eigenbasis.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .psdlinalg import (
     NotPSD,
     eigh,
     psd_inv_sqrt,
-    psd_sqrt,
     spectral_norm,
     sym,
 )
@@ -48,8 +48,12 @@ SAMPLE_TILE = 256
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable problem description. Arrays are never mutated after init.
-    ``c_finite`` = |S'|, the finite-initial-risk constant, is derived, and
-    so is ``M_inv_sqrt`` = M^{-1/2}, which whiten reuses."""
+    Derived: ``c_finite`` = |S'|, the finite-initial-risk constant;
+    ``M_inv_sqrt`` = M^{-1/2}; ``eig_S`` = eigh(S), S = V diag(lam) V';
+    ``T_tilde`` = V' T V; and ``source_factor``, the root V diag(sqrt(lam)) V'
+    of S, or its diagonal as a vector when S and the root are exactly
+    diagonal (any nonzero off-diagonal entry, however small, keeps the
+    matrix)."""
 
     S: np.ndarray
     T: np.ndarray
@@ -60,6 +64,9 @@ class ProblemInstance:
     noise: str = "gaussian"
     c_finite: float = field(init=False)
     M_inv_sqrt: np.ndarray = field(init=False, repr=False)
+    eig_S: EigenDecomposition = field(init=False, repr=False)
+    T_tilde: np.ndarray = field(init=False, repr=False)
+    source_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S, T, M = sym(self.S), sym(self.T), sym(self.M)
@@ -73,19 +80,26 @@ class ProblemInstance:
             raise ValueError("psi must be >= 1")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        for name, X, strict in (("S", S, True), ("M", M, True), ("T", T, False)):
-            wmin = float(np.linalg.eigvalsh(X).min())
-            lim = 1e-12 * max(1.0, spectral_norm(X))
-            if strict and wmin <= 0:
-                raise NotPSD(f"{name} must be positive definite (min eig {wmin:.3e})")
-            if not strict and wmin < -lim:
-                raise NotPSD(f"{name} must be PSD (min eig {wmin:.3e})")
+        eig_S = eigh(S)
+        for name, eigs in (("S", eig_S.eigenvalues), ("M", np.linalg.eigvalsh(M))):
+            if eigs.min() <= 0:
+                raise NotPSD(f"{name} must be positive definite (min eig {eigs.min():.3e})")
+        eigs = np.linalg.eigvalsh(T)
+        if eigs.min() < -1e-12 * max(1.0, np.abs(eigs).max()):
+            raise NotPSD(f"T must be PSD (min eig {eigs.min():.3e})")
         norm2 = float(w @ M @ w)
         if norm2 > 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
         M_inv_sqrt = psd_inv_sqrt(M)
+        V = eig_S.eigenvectors
+        # psd_sqrt(S) from eig_S: S is positive definite, so nothing is clamped
+        root = sym((V * np.sqrt(eig_S.eigenvalues)) @ V.T)
+        diagonal = _is_diagonal(S) and _is_diagonal(root)
         object.__setattr__(self, "M_inv_sqrt", M_inv_sqrt)
         object.__setattr__(self, "c_finite", spectral_norm(M_inv_sqrt @ S @ M_inv_sqrt))
+        object.__setattr__(self, "eig_S", eig_S)
+        object.__setattr__(self, "T_tilde", V.T @ T @ V)
+        object.__setattr__(self, "source_factor", np.diag(root) if diagonal else root)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "M", M)
@@ -100,11 +114,10 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class SpectralTriple:
-    """Whitened covariances and the eigendecomposition of S'."""
+    """Whitened covariances S' and T'."""
 
     S_prime: np.ndarray
     T_prime: np.ndarray
-    eig_S_prime: EigenDecomposition
 
     @property
     def d(self) -> int:
@@ -211,11 +224,12 @@ def make_power_law_instance(
 
 
 def whiten(inst: ProblemInstance) -> SpectralTriple:
-    """Whitened covariances S' = M^{-1/2} S M^{-1/2}, T' likewise."""
+    """Whitened covariances S' = M^{-1/2} S M^{-1/2}, T' likewise, with the
+    instance's M^{-1/2}; no eigendecomposition is made."""
     M_inv_sqrt = inst.M_inv_sqrt
     S_prime = sym(M_inv_sqrt @ inst.S @ M_inv_sqrt)
     T_prime = sym(M_inv_sqrt @ inst.T @ M_inv_sqrt)
-    return SpectralTriple(S_prime=S_prime, T_prime=T_prime, eig_S_prime=eigh(S_prime))
+    return SpectralTriple(S_prime=S_prime, T_prime=T_prime)
 
 
 def excess_risk(inst: ProblemInstance, w) -> float:
@@ -233,16 +247,7 @@ def _is_diagonal(A: np.ndarray) -> bool:
     return not np.any(A[~np.eye(A.shape[0], dtype=bool)])
 
 
-def _source_factor(S: np.ndarray) -> np.ndarray:
-    """The factor sample_source scales standard normals by: psd_sqrt(S), or
-    its diagonal as a vector when S and that root are exactly diagonal."""
-    root = psd_sqrt(S)
-    if _is_diagonal(S) and _is_diagonal(root):
-        return np.diag(root)
-    return root
-
-
-def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
+def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
     """Draw n i.i.d. source samples x ~ N(0, S), y = x'w* + eps.
 
     ``seed`` is an int or a ``np.random.Generator``, which is advanced in
@@ -253,25 +258,23 @@ def sample_source(inst: ProblemInstance, n: int, seed, s_sqrt=None) -> Samples:
     reproduces one whole draw bit for bit. eps is N(0, sigma2) for gaussian
     noise and sigma * sign(z) for rademacher.
 
-    ``s_sqrt`` is the symmetric root of S, or its diagonal as a vector; by
-    default the vector when S is exactly diagonal (any nonzero off-diagonal
-    entry, however small, keeps the matrix). With the vector, X = Z * s_sqrt
-    element by element: each entry of the tile product Z @ s_sqrt.T has one
-    nonzero term, so the bits are the same and no BLAS product is made.
+    X is the tile product Z @ root.T with ``inst.source_factor``, or
+    Z * factor element by element when the factor is a vector (S exactly
+    diagonal): each entry of the tile product then has one nonzero term, so
+    the bits are the same and no BLAS product is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s_sqrt is None:
-        s_sqrt = _source_factor(inst.S)
+    factor = inst.source_factor
     d = inst.d
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, d + 1))
-    if s_sqrt.ndim == 1:
-        X = Z[:, :d] * s_sqrt
+    if factor.ndim == 1:
+        X = Z[:, :d] * factor
     else:
         X = np.empty((n, d))
         for a in range(0, n, SAMPLE_TILE):
-            X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T
+            X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ factor.T
     y = np.empty(n)
     for a in range(0, n, SAMPLE_TILE):
         y[a : a + SAMPLE_TILE] = X[a : a + SAMPLE_TILE] @ inst.w_star

@@ -31,7 +31,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .estimators import eval_upper_objective
 from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
 from .model import SpectralTriple
-from .psdlinalg import eigh, spectral_norm, sym
+from .psdlinalg import eigh, sym
 
 __all__ = [
     "PrecondProgram",
@@ -204,7 +204,8 @@ def solve_general(
     d = triple.d
     I = np.eye(d)
     T_prime = triple.T_prime
-    t_norm = spectral_norm(T_prime)
+    t_eigs = np.linalg.eigvalsh(sym(T_prime))  # |T'| and the singularity test
+    t_norm = float(np.max(np.abs(t_eigs)))
 
     # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
@@ -213,8 +214,7 @@ def solve_general(
 
     eps = prog.epsilon_reg
     if eps is None:
-        min_eig = float(np.linalg.eigvalsh(T_prime).min())
-        eps = 1e-8 * t_norm if min_eig < 1e-10 * t_norm else 0.0
+        eps = 1e-8 * t_norm if float(t_eigs.min()) < 1e-10 * t_norm else 0.0
     triple_eff = triple.ridged(eps)
     T_eff = triple_eff.T_prime
 
@@ -244,8 +244,8 @@ def solve_general(
     if comm <= 1e-10 * max(scale, 1.0):
         # simultaneously diagonalizable: rotate to S' eigenbasis, already
         # whitened there (m = 1), and reuse the exact water-filling solution
-        U = triple_eff.eig_S_prime.eigenvectors
-        lam_w = triple_eff.eig_S_prime.eigenvalues
+        dec = eigh(Sp)
+        U, lam_w = dec.eigenvectors, dec.eigenvalues
         t_diag = np.maximum(np.einsum("ij,jk,ki->i", U.T, T_eff, U), 0.0)
         diag = solve_diagonal(
             lam_w, np.ones(d), t_diag, prog.bias_coeff, prog.noise_coeff

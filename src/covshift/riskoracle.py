@@ -23,7 +23,6 @@ import numpy as np
 
 from .asgd import ASGDConfig, effective_dimension
 from .model import ProblemInstance
-from .psdlinalg import eigh
 
 __all__ = [
     "StationaryPair",
@@ -195,8 +194,7 @@ def semi_stochastic_bias(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStochast
     (-w*_i, -w*_i) in S's eigenbasis and is multiplied by the stage matrix
     A(lambda_i) once per step. Matches a full-gradient run of the algorithm
     to rounding error."""
-    dec = eigh(inst.S)
-    lam, V = dec.eigenvalues, dec.eigenvectors
+    lam, V = inst.eig_S.eigenvalues, inst.eig_S.eigenvectors
     w0 = -(V.T @ inst.w_star)
     h1 = w0.copy()  # w - w* components
     h2 = w0.copy()  # u - w* components
@@ -205,9 +203,8 @@ def semi_stochastic_bias(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStochast
         _, _, b, e = _stage_mats(cfg, lam, ell)
         for _ in range(cfg.stage_len):
             h1, h2 = b * h2, -c * h1 + e * h2
-    T_tilde = V.T @ inst.T @ V
-    per_direction = np.diag(T_tilde) * h1**2
-    total = float(h1 @ T_tilde @ h1)
+    per_direction = np.diag(inst.T_tilde) * h1**2
+    total = float(h1 @ inst.T_tilde @ h1)
     return SemiStochastic(per_direction=per_direction, total=total)
 
 
@@ -219,8 +216,7 @@ def semi_stochastic_variance(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStoc
     if inst.sigma2 == 0:
         z = np.zeros(inst.d)
         return SemiStochastic(per_direction=z, total=0.0)
-    dec = eigh(inst.S)
-    lam, V = dec.eigenvalues, dec.eigenvectors
+    lam = inst.eig_S.eigenvalues
     c = cfg.c
     C11 = np.zeros_like(lam)
     C12 = np.zeros_like(lam)
@@ -240,8 +236,7 @@ def semi_stochastic_variance(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStoc
                 cb * C12 + eb * C22 + n12,
                 cc * C11 - ce * C12 + ee * C22 + n22,
             )
-    t_diag = np.diag(V.T @ inst.T @ V)
-    per_direction = t_diag * C11
+    per_direction = np.diag(inst.T_tilde) * C11
     return SemiStochastic(per_direction=per_direction, total=float(per_direction.sum()))
 
 
@@ -251,9 +246,8 @@ def semi_stochastic_variance_bound(inst: ProblemInstance, cfg: ASGDConfig) -> fl
         sigma2 [ sum_{i<=k*} t_ii/(2 K lambda_i)
                  + (128/15) K ((q - c delta)/(1-c))^2 sum_{i>k*} lambda_i t_ii ].
     """
-    dec = eigh(inst.S)
-    lam, V = dec.eigenvalues, dec.eigenvectors
-    t_diag = np.maximum(np.diag(V.T @ inst.T @ V), 0.0)
+    lam = inst.eig_S.eigenvalues
+    t_diag = np.maximum(np.diag(inst.T_tilde), 0.0)
     K = cfg.stage_len
     k_star = effective_dimension(cfg, lam)
     head = np.arange(lam.size) < k_star

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import covshift
 from covshift.experiments import (
     ExperimentSpec,
     resolve_instance,
@@ -265,3 +271,34 @@ def test_run_emergence_small_plateau():
     assert rep.drop_ratio < 1.0
     for row in rep.rows:
         assert row["spec_hash"] == spec_hash(spec)
+
+
+# ------------------------------------------------------- reproducibility
+
+SWEEP_ROWS = """
+from covshift.experiments import ExperimentSpec, run_rate_sweep
+spec = ExperimentSpec(
+    kind="rate_sweep",
+    instance={"type": "powerlaw", "d": 100, "a": 2.0, "s": 1.0, "r": 0.0,
+              "sigma2": 1.0, "seed": 0},
+    n_grid=(2**8, 2**9, 2**10, 2**11),
+    seeds=40,
+)
+print(repr(run_rate_sweep(spec).rows))
+"""
+
+
+def test_power_law_sweep_is_the_same_under_one_and_two_blas_threads():
+    # results are bit for bit for one BLAS thread count; on diagonal S no
+    # product depends on that count, so a power-law study agrees across counts
+    src = str(Path(covshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", SWEEP_ROWS], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        rows.append(out.stdout)
+    assert "mc_mean" in rows[0]
+    assert rows[0] == rows[1]

@@ -10,6 +10,10 @@ method or property defined in the body of a public class, is read (as a name
 or an attribute) somewhere in the package outside ``__init__.py`` or in the
 benchmark's non-test modules, or is on PUBLIC_API with the reason it is kept
 without a caller.
+
+One eigensolver: no module of the package but ``psdlinalg`` calls
+``np.linalg.eigh``, so every eigendecomposition goes through
+``psdlinalg.eigh`` and its reconstruction check.
 """
 import ast
 from pathlib import Path
@@ -25,9 +29,9 @@ CALLERS = MODULES + sorted(
 
 PUBLIC_API = {
     "model.instance_to_json": "writes the explicit instance format the CLI reads",
-    "estimators.estimate": "the paper's estimator w_hat(A) (ROADMAP item 3)",
-    "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 3)",
-    "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 2",
+    "estimators.estimate": "the paper's estimator w_hat(A) (ROADMAP item 6)",
+    "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 6)",
+    "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 3",
 }
 
 
@@ -83,6 +87,17 @@ def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
                   if name.rsplit(".", 1)[-1] not in read)
 
 
+def eigh_calls(source: str) -> list[int]:
+    """Line of each call of an ``eigh`` reached through a ``linalg`` module
+    (``np.linalg.eigh``, ``numpy.linalg.eigh``)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "eigh" and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+    )
+
+
 def test_gate_flags_an_unused_name():
     src = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(src) == ["pi (line 2)"]
@@ -122,3 +137,18 @@ def test_every_export_has_a_caller_or_a_reason():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert uncalled_exports(modules, callers) == sorted(PUBLIC_API)
+
+
+def test_gate_flags_an_eigh_call():
+    src = ("import numpy as np\n"
+           "from .psdlinalg import eigh\n"
+           "w, U = np.linalg.eigh(X)\n"
+           "dec = eigh(X)\n"
+           "w = np.linalg.eigvalsh(X)\n")
+    assert eigh_calls(src) == [3]
+
+
+def test_only_psdlinalg_calls_eigh():
+    calls = {p.stem: eigh_calls(p.read_text()) for p in PACKAGE.glob("*.py")
+             if p.name != "psdlinalg.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -17,7 +17,7 @@ from covshift.lowerbound import (
     sample_prior,
 )
 from covshift.model import ProblemInstance, SpectralTriple, whiten
-from covshift.psdlinalg import eigh, project_psd_nuclear_ball, sym
+from covshift.psdlinalg import project_psd_nuclear_ball, sym
 
 RADIUS = 1.0 / math.pi**2
 
@@ -165,7 +165,7 @@ def test_maximizer_dominates_random_feasible_points(seed):
 
 
 def triple_of(Sp, Tp):
-    return SpectralTriple(S_prime=Sp, T_prime=Tp, eig_S_prime=eigh(Sp))
+    return SpectralTriple(S_prime=Sp, T_prime=Tp)
 
 
 def diagonal_program(rng, d):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covshift import model, psdlinalg
+from covshift import asgd, riskoracle
 from covshift.model import (
     SAMPLE_TILE,
-    _source_factor,
     PowerLawSpec,
     ProblemInstance,
     excess_risk,
@@ -99,32 +98,63 @@ def test_whiten_identities():
     assert inst.c_finite == pytest.approx(
         np.abs(np.linalg.eigvalsh(triple.S_prime)).max(), rel=1e-10
     )
-    # eigendecomposition of S' is carried along, descending
-    w, U = triple.eig_S_prime.eigenvalues, triple.eig_S_prime.eigenvectors
-    assert np.all(np.diff(w) <= 0)
-    assert np.allclose(U @ np.diag(w) @ U.T, triple.S_prime, atol=1e-10)
+
+
+def counted_eighs(monkeypatch):
+    """Every matrix np.linalg.eigh is called on from now on, in call order."""
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(X):
+        calls.append(np.array(X))
+        return real_eigh(X)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
 
 
 def test_whiten_reuses_the_instance_root(monkeypatch):
     inst = rand_instance(11)
-    calls = []
-
-    def counting_eigh(X):
-        calls.append(X)
-        return eigh(X)
-
-    monkeypatch.setattr(model, "eigh", counting_eigh)
-    monkeypatch.setattr(psdlinalg, "eigh", counting_eigh)
+    calls = counted_eighs(monkeypatch)
     triple = whiten(inst)
-    assert len(calls) == 1  # S' only: M^{-1/2} comes from the instance
+    assert calls == []  # M^{-1/2} comes from the instance, and S' is not decomposed
     monkeypatch.undo()
     R = psd_inv_sqrt(inst.M)
-    S_prime = sym(R @ inst.S @ R)
-    assert np.array_equal(triple.S_prime, S_prime)
+    assert np.array_equal(triple.S_prime, sym(R @ inst.S @ R))
     assert np.array_equal(triple.T_prime, sym(R @ inst.T @ R))
-    dec = eigh(S_prime)
-    assert np.array_equal(triple.eig_S_prime.eigenvalues, dec.eigenvalues)
-    assert np.array_equal(triple.eig_S_prime.eigenvectors, dec.eigenvectors)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
+def test_instance_keeps_the_eigenbasis_of_S(dense):
+    if dense:
+        inst = rand_instance(18, d=20)
+    else:
+        inst = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=0)
+    dec = eigh(inst.S)
+    V = dec.eigenvectors
+    assert np.array_equal(inst.eig_S.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(inst.eig_S.eigenvectors, V)
+    assert np.array_equal(inst.T_tilde, V.T @ inst.T @ V)
+    root = psd_sqrt(inst.S)
+    factor = root if dense else np.diag(root)
+    assert inst.source_factor.ndim == factor.ndim
+    assert np.array_equal(inst.source_factor, factor)
+
+
+def test_bound_check_point_makes_no_eigendecomposition(monkeypatch):
+    # a bound_check grid point reads S's eigenbasis from the instance: the
+    # one eigh of S is made at construction, and none after it
+    calls = counted_eighs(monkeypatch)
+    inst = rand_instance(19, d=20)
+    at_construction = calls[:]
+    del calls[:]
+    cfg = asgd.choose_parameters(inst, 256, require_admissible=False)
+    asgd.run_batch(inst, cfg, [0, 1])
+    asgd.risk_bound(inst, cfg)
+    riskoracle.semi_stochastic_bias(inst, cfg)
+    riskoracle.semi_stochastic_variance(inst, cfg)
+    assert len(calls) == 0
+    assert sum(np.array_equal(X, inst.S) for X in at_construction) == 1
 
 
 def test_whiten_identity_M_is_noop():
@@ -179,23 +209,29 @@ def test_sample_source_diagonal_path_matches_tiled_product(n):
     d = 100
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
     s_sqrt = psd_sqrt(inst.S)
-    factor = _source_factor(inst.S)
+    factor = inst.source_factor
     assert factor.ndim == 1 and np.array_equal(factor, np.diag(s_sqrt))
     Z = np.random.default_rng(3).standard_normal((n, d + 1))
     X = np.concatenate([
         Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T for a in range(0, n, SAMPLE_TILE)
     ])
+    y = np.concatenate([
+        X[a : a + SAMPLE_TILE] @ inst.w_star for a in range(0, n, SAMPLE_TILE)
+    ]) + np.sqrt(inst.sigma2) * Z[:, d]
     got = sample_source(inst, n, seed=3)
-    assert np.array_equal(got.X, X)
-    dense = sample_source(inst, n, seed=3, s_sqrt=s_sqrt)
-    assert np.array_equal(got.X, dense.X) and np.array_equal(got.y, dense.y)
+    assert np.array_equal(got.X, X) and np.array_equal(got.y, y)
 
 
 def test_source_factor_diagonal_check_is_exact():
+    def factor(S):
+        return ProblemInstance(
+            S=S, T=np.eye(3), M=np.eye(3), w_star=np.zeros(3), sigma2=1.0
+        ).source_factor
+
     S = np.diag([1.0, 0.25, 0.5])
-    assert _source_factor(S).ndim == 1
+    assert factor(S).ndim == 1
     S[0, 1] = S[1, 0] = 1e-300  # below any tolerance, still off-diagonal
-    assert _source_factor(S).ndim == 2
+    assert factor(S).ndim == 2
 
 
 def test_sample_source_moments():
