@@ -13,6 +13,9 @@ constraint ellipsoid) is
 
 with noise_coeff = (2 sigma2 + 2 psi |S'|)/n for the moment-based guarantee
 and sigma2/n for the information-theoretic matching variant.
+
+scipy.linalg is imported inside eval_upper_objective, its one user, so that
+``import covshift`` loads numpy alone.
 """
 from __future__ import annotations
 
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source
-from .psdlinalg import NotPSD, psd_sqrt, spectral_norm
+from .psdlinalg import NotPSD, spectral_norm
 
 __all__ = [
     "RiskEstimate",
@@ -65,6 +67,8 @@ def eval_upper_objective(
     triple: SpectralTriple, A, noise_coeff: float, bias_coeff: float = 1.0
 ) -> ObjectiveValue:
     """Evaluate the risk surrogate at A; returns the two terms separately."""
+    from scipy.linalg import cho_factor, cho_solve
+
     A = np.asarray(A, dtype=float)
     d = triple.d
     I = np.eye(d)
@@ -92,7 +96,7 @@ def estimate(inst: ProblemInstance, A, samples: Samples) -> np.ndarray:
         z = np.linalg.solve(inst.S, moment)
     except np.linalg.LinAlgError as e:
         raise NotPSD(f"S is singular: {e}") from e
-    return inst.M_inv_sqrt @ (A @ (psd_sqrt(inst.M) @ z))
+    return inst.M_inv_sqrt @ (A @ (inst.M_sqrt @ z))
 
 
 def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
@@ -105,7 +109,7 @@ def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a standard error")
     A = np.asarray(A, dtype=float)
-    B = inst.M_inv_sqrt @ A @ psd_sqrt(inst.M)  # fold the whitening sandwich once
+    B = inst.M_inv_sqrt @ A @ inst.M_sqrt  # fold the whitening sandwich once
     risks = np.empty(len(seeds))
     for k, seed in enumerate(seeds):
         smp = sample_source(inst, n, seed)

@@ -19,7 +19,7 @@ from .psdlinalg import (
     EigenDecomposition,
     NotPSD,
     eigh,
-    psd_inv_sqrt,
+    psd_roots,
     spectral_norm,
     sym,
 )
@@ -49,7 +49,8 @@ SAMPLE_TILE = 256
 class ProblemInstance:
     """Immutable problem description. Arrays are never mutated after init.
     Derived: ``c_finite`` = |S'|, the finite-initial-risk constant;
-    ``M_inv_sqrt`` = M^{-1/2}; ``eig_S`` = eigh(S), S = V diag(lam) V';
+    ``M_sqrt`` = M^{1/2} and ``M_inv_sqrt`` = M^{-1/2}, from one
+    eigendecomposition of M; ``eig_S`` = eigh(S), S = V diag(lam) V';
     ``T_tilde`` = V' T V; and ``source_factor``, the root V diag(sqrt(lam)) V'
     of S, or its diagonal as a vector when S and the root are exactly
     diagonal (any nonzero off-diagonal entry, however small, keeps the
@@ -63,6 +64,7 @@ class ProblemInstance:
     psi: float = 3.0
     noise: str = "gaussian"
     c_finite: float = field(init=False)
+    M_sqrt: np.ndarray = field(init=False, repr=False)
     M_inv_sqrt: np.ndarray = field(init=False, repr=False)
     eig_S: EigenDecomposition = field(init=False, repr=False)
     T_tilde: np.ndarray = field(init=False, repr=False)
@@ -90,11 +92,12 @@ class ProblemInstance:
         norm2 = float(w @ M @ w)
         if norm2 > 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
-        M_inv_sqrt = psd_inv_sqrt(M)
+        M_sqrt, M_inv_sqrt = psd_roots(M)
         V = eig_S.eigenvectors
         # psd_sqrt(S) from eig_S: S is positive definite, so nothing is clamped
         root = sym((V * np.sqrt(eig_S.eigenvalues)) @ V.T)
         diagonal = _is_diagonal(S) and _is_diagonal(root)
+        object.__setattr__(self, "M_sqrt", M_sqrt)
         object.__setattr__(self, "M_inv_sqrt", M_inv_sqrt)
         object.__setattr__(self, "c_finite", spectral_norm(M_inv_sqrt @ S @ M_inv_sqrt))
         object.__setattr__(self, "eig_S", eig_S)

@@ -20,13 +20,15 @@ in whitened coordinates. This module minimizes that bound over A:
   dual optimum, and certifies the duality gap, with a Polyak subgradient
   polish to close the last digits. The dual certificate is returned with the
   preconditioner.
+
+scipy.linalg (the Cholesky factor of S') is imported inside the functions
+that use it, so that ``import covshift`` loads numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import eval_upper_objective
 from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
@@ -153,6 +155,8 @@ def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarra
 
 
 def _subgradient(T_eff, A, S_chol, bias_coeff, noise_coeff):
+    from scipy.linalg import cho_solve
+
     d = A.shape[0]
     R = np.eye(d) - A
     B = sym(R.T @ T_eff @ R)
@@ -261,6 +265,8 @@ def solve_general(
         return (val - lower) / max(lower, 1e-300)
 
     # -------- Polyak subgradient polish toward the certified floor --------
+    from scipy.linalg import cho_factor
+
     S_chol = cho_factor(Sp)
     A = best_A.copy()
     val = best_val

@@ -22,6 +22,7 @@ __all__ = [
     "eigh",
     "psd_sqrt",
     "psd_inv_sqrt",
+    "psd_roots",
     "spectral_norm",
     "project_psd_nuclear_ball",
 ]
@@ -122,13 +123,19 @@ def psd_sqrt(X) -> np.ndarray:
 def psd_inv_sqrt(X) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix; raises
     NotPSD unless every eigenvalue exceeds 1e-10 * max(1, |X|_max)."""
+    return psd_roots(X)[1]
+
+
+def psd_roots(X) -> tuple[np.ndarray, np.ndarray]:
+    """(psd_sqrt(X), psd_inv_sqrt(X)) of a positive definite matrix, bit for
+    bit, from one eigendecomposition; raises NotPSD as psd_inv_sqrt does."""
     dec = eigh(X)
     w = dec.eigenvalues
     t = _clamp_tol(np.asarray(X, float))
     if w.size == 0 or w.min() <= t:
         raise NotPSD(f"matrix not positive definite (min eigenvalue {w.min(initial=0.0):.6e})")
-    U = dec.eigenvectors
-    return sym((U / np.sqrt(w)) @ U.T)
+    U, r = dec.eigenvectors, np.sqrt(w)
+    return sym((U * r) @ U.T), sym((U / r) @ U.T)
 
 
 def spectral_norm(X) -> float:

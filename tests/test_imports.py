@@ -14,11 +14,20 @@ without a caller.
 One eigensolver: no module of the package but ``psdlinalg`` calls
 ``np.linalg.eigh``, so every eigendecomposition goes through
 ``psdlinalg.eigh`` and its reconstruction check.
+
+scipy on first use: no module of the package imports scipy outside a
+function, so ``import covshift`` loads numpy alone, and ``scipy.linalg``
+loads only when a preconditioner program needs its Cholesky factor.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from covshift.experiments import ExperimentSpec, run_duality
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "covshift"
@@ -98,6 +107,29 @@ def eigh_calls(source: str) -> list[int]:
     )
 
 
+def module_scope_scipy_imports(source: str) -> list[int]:
+    """Line of each ``import scipy...`` or ``from scipy... import`` that runs
+    when the module is imported, that is, outside every function body."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
 def test_gate_flags_an_unused_name():
     src = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(src) == ["pi (line 2)"]
@@ -152,3 +184,60 @@ def test_only_psdlinalg_calls_eigh():
     calls = {p.stem: eigh_calls(p.read_text()) for p in PACKAGE.glob("*.py")
              if p.name != "psdlinalg.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_gate_flags_a_module_scope_scipy_import():
+    src = ("import numpy as np\n"
+           "from scipy.linalg import cho_factor\n"
+           "try:\n"
+           "    import scipy.integrate as si\n"
+           "except ImportError:\n"
+           "    si = None\n"
+           "class Solver:\n"
+           "    import scipy\n"
+           "    def solve(self):\n"
+           "        from scipy.linalg import cho_solve\n"
+           "        import scipy.special\n"
+           "def quad():\n"
+           "    from scipy.integrate import quad\n"
+           "from .scipy import helper\n")
+    assert module_scope_scipy_imports(src) == [2, 4, 8]
+
+
+def test_no_module_imports_scipy_at_module_scope():
+    calls = {p.stem: module_scope_scipy_imports(p.read_text())
+             for p in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+POWER_LAW = {"type": "powerlaw", "d": 10, "a": 2.0, "s": 1.0, "r": 0.0,
+             "sigma2": 0.5, "seed": 0}
+
+SCIPY_ON_FIRST_USE = f"""
+import sys
+from covshift.experiments import ExperimentSpec, run_bound_check, run_duality, run_rate_sweep
+instance = {POWER_LAW!r}
+run_rate_sweep(ExperimentSpec(kind="rate_sweep", instance=instance,
+                              n_grid=(16, 32, 64, 128), seeds=2))
+run_bound_check(ExperimentSpec(kind="bound_check", instance=instance, n_grid=(64,), seeds=2))
+print("scipy.linalg" in sys.modules)
+rows = run_duality(ExperimentSpec(kind="duality", instance=dict(instance, d=3),
+                                  n_grid=(16, 64), seeds=1)).rows
+print("scipy.linalg" in sys.modules)
+print(repr(rows))
+"""
+
+
+def test_scipy_linalg_loads_on_the_first_preconditioner_solve():
+    # a fresh interpreter: this one may have loaded scipy.linalg in other tests
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=300)
+    after_sweep_and_bound, after_duality, rows = out.stdout.splitlines()
+    assert after_sweep_and_bound == "False"
+    assert after_duality == "True"
+    spec = ExperimentSpec(kind="duality", instance=dict(POWER_LAW, d=3),
+                          n_grid=(16, 64), seeds=1)
+    assert rows == repr(run_duality(spec).rows)

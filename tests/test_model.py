@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covshift import asgd, riskoracle
+from covshift.estimators import estimate, mc_risk
 from covshift.model import (
     SAMPLE_TILE,
     PowerLawSpec,
@@ -139,6 +140,26 @@ def test_instance_keeps_the_eigenbasis_of_S(dense):
     factor = root if dense else np.diag(root)
     assert inst.source_factor.ndim == factor.ndim
     assert np.array_equal(inst.source_factor, factor)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["identity_M", "dense_M"])
+def test_instance_keeps_both_roots_of_M(dense):
+    if dense:
+        inst = rand_instance(18, d=20)
+    else:
+        inst = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=0)
+    assert np.array_equal(inst.M_sqrt, psd_sqrt(inst.M))
+    assert np.array_equal(inst.M_inv_sqrt, psd_inv_sqrt(inst.M))
+
+
+def test_estimators_read_the_roots_of_M_from_the_instance(monkeypatch):
+    inst = rand_instance(20, d=12)
+    A = 0.5 * np.eye(inst.d)
+    samples = sample_source(inst, 64, 0)
+    calls = counted_eighs(monkeypatch)
+    estimate(inst, A, samples)
+    mc_risk(inst, A, 64, [0, 1])
+    assert len(calls) == 0
 
 
 def test_bound_check_point_makes_no_eigendecomposition(monkeypatch):
