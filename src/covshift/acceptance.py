@@ -49,8 +49,8 @@ CAPS_SECONDS = {
     4: 10.0,
     5: 60.0,
     6: 600.0,
-    7: 60.0,
-    8: 600.0,
+    7: 30.0,
+    8: 60.0,
     9: 120.0,
     10: 15.0,
 }

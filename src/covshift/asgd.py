@@ -13,10 +13,12 @@ starting from w = v = 0. With gamma = delta the v-iterate coincides with w
 bit-for-bit and the method collapses to plain SGD on the same ladder, so the
 kernel then steps w alone.
 
-``run`` and ``run_batch`` share one lockstep kernel. On exactly diagonal S
-it draws the seeds' samples element by element and, given enough seeds,
-on a thread pool sized by the process's CPU affinity mask; every path gives
-the same bits (see ``_lockstep``).
+``run``, ``run_batch`` and ``run_grid`` share one lockstep kernel. It steps
+several schedules on one set of seeds and draws each seed's samples once,
+for the largest n, so a study's n-grid costs the draws of its largest n. On
+exactly diagonal S it draws the seeds' samples element by element and,
+given enough seeds, on a thread pool sized by the process's CPU affinity
+mask; every path gives the same bits (see ``_lockstep``).
 
 Also here: the schedule chooser (with its admissibility requirement), the
 effective dimension k*, and the closed-form excess-risk bound for the
@@ -24,6 +26,7 @@ schedule.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +47,7 @@ __all__ = [
     "choose_rate_parameters",
     "run",
     "run_batch",
+    "run_grid",
     "effective_dimension",
     "risk_bound",
     "admissibility_ratio",
@@ -240,35 +244,61 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _lockstep(inst, cfg, seeds, population=False, on_step=None):
-    """Advance one trajectory per seed in lockstep; returns (W, V), row j
-    for seeds[j]. ``on_step(t, W)`` runs after step t (1-based).
+def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
+    """Advance one trajectory per (config, seed) pair in lockstep; returns
+    (W, V) of shape (len(cfgs), len(seeds), d), row [k, j] for cfgs[k] and
+    seeds[j]. ``on_step(t, W)`` runs after step t (1-based); ``run`` uses it
+    with one config, whose W then has shape (len(seeds), d).
 
-    Each seed draws its n samples from its own PCG64 stream one SAMPLE_TILE
-    of rows at a time, which reproduces a whole draw bit for bit, so the
-    sample buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats: X laid out
+    The configs share the seeds' sample streams. Each seed draws the
+    max(cfg.n) samples of the largest config from its own PCG64 stream, one
+    tile of min(SAMPLE_TILE, max(cfg.n)) rows at a time, which reproduces a
+    whole draw bit for bit; a config with fewer samples reads a prefix of
+    that stream. Where a live config's own draw would end in a shorter tile
+    than the shared one, it draws that tile again, in its own shape, from a
+    copy of each generator: BLAS can round a row of a shorter product
+    differently. The shared buffer holds one tile for each seed, X laid out
     (seeds, tile, d) so each step reads contiguous rows, y as (seeds, tile),
-    and no second buffer. When ``inst.source_factor`` is a vector (S exactly
-    diagonal) the draws scale the normals element by element, so filling a
-    tile makes no threaded BLAS product; the per-seed draws then run on a
-    thread pool of up to one worker per CPU in the affinity mask, each
-    worker drawing a fixed block of at least POOL_MIN_SEEDS seeds in seed
-    order. Every generator is thus advanced by one thread at a time, exactly
-    as in the inline loop that fills the tile for fewer seeds or dense S.
+    and no second buffer. When
+    ``inst.source_factor`` is a vector (S exactly diagonal) the draws scale
+    the normals element by element, so filling a tile makes no threaded BLAS
+    product; the per-seed draws then run on a thread pool of up to one
+    worker per CPU in the affinity mask, each worker drawing a fixed block
+    of at least POOL_MIN_SEEDS seeds in seed order. Every generator is thus
+    advanced by one thread at a time, exactly as in the inline loop that
+    fills the tile for fewer seeds or dense S.
 
-    Under plain SGD (gamma0 == delta0) the v-iterate equals w bit for bit
-    by induction (V - W is +0, so u = w and both updates subtract the same
-    step), so only W is stepped and it is returned as V too.
+    Each config steps while t is below its stages * stage_len, on its own
+    4^-(l-1) ladder. The configs are ordered by that length, longest first,
+    so the live ones are a leading slice of a (live, seeds, d) array and
+    their step constants are (live, 1, 1) arrays: a broadcast product rounds
+    each element as the scalar product does, so every row gets the bits of
+    its config run alone. Once one config is left it steps a (seeds, d)
+    array with scalar constants, as a one-config call does throughout. The
+    constants and the sample rows' source change only at stage and tile
+    boundaries, between runs of steps.
+
+    Under plain SGD (gamma0 == delta0 for every config) the v-iterate equals
+    w bit for bit by induction (V - W is +0, so u = w and both updates
+    subtract the same step), so only W is stepped and it is returned as V
+    too.
     """
-    rows, d = len(seeds), inst.d
-    W = np.zeros((rows, d))
-    V = np.zeros((rows, d))
-    workers = 1
+    rows, d, K = len(seeds), inst.d, len(cfgs)
+    used = [cfg.stages * cfg.stage_len for cfg in cfgs]
+    order = sorted(range(K), key=lambda k: -used[k])
+    vanilla = all(cfg.vanilla_sgd for cfg in cfgs)
+    W = np.zeros((K, rows, d) if K > 1 else (rows, d))
+    V = W if vanilla else np.zeros_like(W)
+    W_out = np.empty((K, rows, d))
+    V_out = W_out if vanilla else np.empty((K, rows, d))
+    workers, block = 1, max(used)
     if not population:
+        n_max = max(cfg.n for cfg in cfgs)
         gens = [np.random.default_rng(seed) for seed in seeds]
-        block = min(SAMPLE_TILE, cfg.n)
+        block = min(SAMPLE_TILE, n_max)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
+        XY = X, Y
         if inst.source_factor.ndim == 1:
             workers = max(1, min(_cores(), rows // POOL_MIN_SEEDS))
         parts = np.array_split(np.arange(rows), workers)
@@ -278,34 +308,73 @@ def _lockstep(inst, cfg, seeds, population=False, on_step=None):
                 samples = sample_source(inst, m, gens[j])
                 X[j, :m], Y[j, :m] = samples.X, samples.y
 
-    alpha, beta, vanilla = cfg.alpha, cfg.beta, cfg.vanilla_sgd
-    t = 0
+        def own_tile(m):
+            Xk, Yk = np.empty((rows, m, d)), np.empty((rows, m))
+            for j, gen in enumerate(gens):
+                samples = sample_source(inst, m, copy.deepcopy(gen))
+                Xk[j], Yk[j] = samples.X, samples.y
+            return Xk, Yk
+
+    live, t = K, 0
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for ell in range(1, cfg.stages + 1):
-            delta, gamma, _ = cfg.stage_steps(ell)
-            for _ in range(cfg.stage_len):
-                U = W if vanilla else W + (1.0 - alpha) * (V - W)
+        while live:
+            live_cfgs = [cfgs[k] for k in order[:live]]
+            if not population:
+                if t % block == 0:
+                    m = min(block, n_max - t)
+                    tile = {}
+                    for k in order[:live]:  # its own draw's tile: min(block, n_k) rows
+                        m_k = min(block, cfgs[k].n, cfgs[k].n - t)
+                        tile[k] = own_tile(m_k) if m_k < m else XY
+                    if pool is None:
+                        fill(range(rows), m)
+                    else:  # read every result, so a worker's error raises here
+                        list(pool.map(fill, parts, [m] * workers))
+                sources = [tile[k] for k in order[:live]]
+                shared = all(s is sources[0] for s in sources)
+                Xs, Ys = sources[0]
+            consts = [
+                (*cfg.stage_steps(t // cfg.stage_len + 1)[:2], 1.0 - cfg.alpha, cfg.beta)
+                for cfg in live_cfgs
+            ]
+            if live == 1:
+                delta, gamma, keep, beta = consts[0]
+            else:
+                delta, gamma, keep, beta = np.array(consts).T[:, :, None, None]
+            stop = min((t // cfg.stage_len + 1) * cfg.stage_len for cfg in live_cfgs)
+            stop = min(stop, (t // block + 1) * block)
+            for t in range(t, stop):
+                U = W if vanilla else W + keep * (V - W)
                 if population:
                     g = (inst.S @ (U - inst.w_star).T).T
                 else:
                     i = t % block
-                    if i == 0:
-                        m = min(block, cfg.n - t)
-                        if pool is None:
-                            fill(range(rows), m)
-                        else:  # read every result, so a worker's error raises here
-                            list(pool.map(fill, parts, [m] * workers))
-                    x = X[:, i]
+                    if shared:
+                        x, y = Xs[:, i], Ys[:, i]
+                    else:  # (live, seeds, d) rows, each from its config's tile
+                        x = np.stack([s[0][:, i] for s in sources])
+                        y = np.stack([s[1][:, i] for s in sources])
                     # one dot product per row: the same bits as x @ u on each row
-                    dots = np.matmul(x[:, None, :], U[:, :, None])[:, 0, 0]
-                    g = (dots - Y[:, i])[:, None] * x
-                W = U - delta * g
+                    dots = np.matmul(x[..., None, :], U[..., None])[..., 0, 0]
+                    g = (dots - y)[..., None] * x
                 if not vanilla:
                     V = (V + beta * (U - V)) - gamma * g
-                t += 1
+                g *= delta  # in place: the bits of delta * g
+                W = U - g
                 if on_step is not None:
-                    on_step(t, W)
-    return W, W if vanilla else V
+                    on_step(t + 1, W)
+            t = stop
+            while live and used[order[live - 1]] == t:
+                live -= 1
+                k = order[live]
+                W_out[k] = W[live] if W.ndim == 3 else W
+                if not vanilla:
+                    V_out[k] = V[live] if V.ndim == 3 else V
+            if live == 1 and W.ndim == 3:
+                W, V = W[0], V[0]
+            elif live > 1:
+                W, V = W[:live], V[:live]
+    return W_out, V_out
 
 
 def run(
@@ -341,13 +410,13 @@ def run(
             if t % record_every == 0:
                 record(t, W[0])
 
-    W, V = _lockstep(inst, cfg, [seed], population, on_step)
+    W, V = _lockstep(inst, [cfg], [seed], population, on_step)
     n_used = cfg.stages * cfg.stage_len
     if not steps or steps[-1] != n_used:
-        record(n_used, W[0])
+        record(n_used, W[0, 0])
     return Trajectory(
-        final_w=W[0],
-        final_v=V[0],
+        final_w=W[0, 0],
+        final_v=V[0, 0],
         steps=np.array(steps, dtype=int),
         risks=np.array(risks),
         stage_boundaries=tuple(range(0, n_used + 1, cfg.stage_len)),
@@ -356,22 +425,39 @@ def run(
     )
 
 
+def run_grid(inst: ProblemInstance, cfgs, seeds) -> np.ndarray:
+    """Final excess risks of several schedules on one set of seeds: a
+    (len(cfgs), len(seeds)) array whose row k equals
+    ``run_batch(inst, cfgs[k], seeds)`` bit for bit. The schedules share
+    each seed's sample stream, so a seed's samples are drawn once, for the
+    largest n, and a schedule with a smaller n reads a prefix of them (a
+    last tile that its own draw would cut shorter is drawn again in that
+    shape; see ``_lockstep``)."""
+    return _final_risks(inst, list(cfgs), list(seeds))
+
+
 def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     """Final excess risk for each seed: element i equals
     ``run(inst, cfg, seed=seeds[i]).risks[-1]`` bit for bit, however the
-    seeds are grouped into calls and however many CPUs the process may use.
-    The one lockstep kernel runs all seeds as rows of (len(seeds), d) arrays
-    to amortize the per-step Python cost; its sample buffer holds
-    SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. The draws scale
-    normals by the instance's ``source_factor``, so a call makes no
-    eigendecomposition. When that factor is a vector (S exactly diagonal),
-    with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU in the
-    affinity mask, the seeds' draws for each tile run on a thread pool that
-    lives for this call.
+    seeds are grouped into calls and however many CPUs the process may use;
+    it is the one-config case of ``run_grid``. The one lockstep kernel runs all seeds as rows of
+    (len(seeds), d) arrays to amortize the per-step Python cost; its sample
+    buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. The
+    draws scale normals by the instance's ``source_factor``, so a call makes
+    no eigendecomposition. When that factor is a vector (S exactly
+    diagonal), with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU
+    in the affinity mask, the seeds' draws for each tile run on a thread
+    pool that lives for this call.
     """
-    W, _ = _lockstep(inst, cfg, list(seeds))
+    return _final_risks(inst, [cfg], list(seeds))[0]
+
+
+def _final_risks(inst, cfgs, seeds) -> np.ndarray:
+    # run_batch and run_grid share this body rather than call each other, so
+    # a tracer that wraps the public names times each call once
+    W, _ = _lockstep(inst, cfgs, seeds)
     # per-row excess_risk so the reduction order (hence every bit) matches run()
-    return np.array([excess_risk(inst, w) for w in W])
+    return np.array([[excess_risk(inst, w) for w in Wk] for Wk in W])
 
 
 def effective_dimension(cfg: ASGDConfig, lam) -> int:

@@ -14,8 +14,10 @@ constraint ellipsoid) is
 with noise_coeff = (2 sigma2 + 2 psi |S'|)/n for the moment-based guarantee
 and sigma2/n for the information-theoretic matching variant.
 
-scipy.linalg is imported inside eval_upper_objective, its one user, so that
-``import covshift`` loads numpy alone.
+scipy.linalg is imported inside the functions that factor S' and solve with
+the factor, so that ``import covshift`` loads numpy alone. A solver that
+evaluates the surrogate many times on one program factors S' once
+(``_cholesky``) and evaluates through ``_upper_objective``.
 """
 from __future__ import annotations
 
@@ -67,18 +69,28 @@ def eval_upper_objective(
     triple: SpectralTriple, A, noise_coeff: float, bias_coeff: float = 1.0
 ) -> ObjectiveValue:
     """Evaluate the risk surrogate at A; returns the two terms separately."""
-    from scipy.linalg import cho_factor, cho_solve
+    return _upper_objective(triple, A, _cholesky(triple.S_prime), noise_coeff, bias_coeff)
 
-    A = np.asarray(A, dtype=float)
-    d = triple.d
-    I = np.eye(d)
-    R = I - A
-    bias = bias_coeff * spectral_norm(R.T @ triple.T_prime @ R)
+
+def _cholesky(S_prime):
+    """Cholesky factor of S' for ``_upper_objective``; raises NotPSD when S'
+    is not positive definite."""
+    from scipy.linalg import cho_factor
+
     try:
-        cf = cho_factor(triple.S_prime)
+        return cho_factor(S_prime)
     except np.linalg.LinAlgError as e:
         raise NotPSD(f"S' is not positive definite: {e}") from e
-    quad = float(np.sum(triple.T_prime * (A @ cho_solve(cf, A.T))))
+
+
+def _upper_objective(triple, A, S_chol, noise_coeff, bias_coeff) -> ObjectiveValue:
+    """The risk surrogate at A, with ``S_chol`` = _cholesky(triple.S_prime)."""
+    from scipy.linalg import cho_solve
+
+    A = np.asarray(A, dtype=float)
+    R = np.eye(triple.d) - A
+    bias = bias_coeff * spectral_norm(R.T @ triple.T_prime @ R)
+    quad = float(np.sum(triple.T_prime * (A @ cho_solve(S_chol, A.T))))
     var = noise_coeff * quad
     return ObjectiveValue(objective=bias + var, bias_term=bias, variance_term=var)
 

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .asgd import choose_parameters, choose_rate_parameters, risk_bound, run_batch
+from .asgd import (
+    choose_parameters,
+    choose_rate_parameters,
+    risk_bound,
+    run_batch,
+    run_grid,
+)
 from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
@@ -349,6 +355,8 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     compare with the predicted exponent -(r+s)a/(sa+1); the deflated fit
     divides out the (ln n)^(3((1+r)a-1)/a) factor that rides on the rate.
     The certified lower-bound value is fitted on the same grid for scale.
+    The whole grid runs in one ``run_grid`` call, on one sample stream per
+    seed; each grid point's risks are the bits of its own ``run_batch``.
     """
     inst = resolve_instance(spec)
     desc = spec.instance
@@ -366,11 +374,15 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     h = spec_hash(spec)
     rows = []
     means, lowers = [], []
-    for n in spec.n_grid:
-        cfg = choose_rate_parameters(
+    cfgs = [
+        choose_rate_parameters(
             inst, n, a=a, s=s, r=r, nu=nu, n_ref=spec.n_grid[0], base=base
         )
-        mc = _mc_summary(run_batch(inst, cfg, _seed_range(spec)))
+        for n in spec.n_grid
+    ]
+    risks = run_grid(inst, cfgs, _seed_range(spec))
+    for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
+        mc = _mc_summary(mc_risks)
         try:
             lower = maximize_F(triple, inst.sigma2, n, max_iter=2000).value
         except MaxIterationsError as err:
@@ -452,6 +464,8 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
       within one octave of d0^(a+1);
     * sanity: the curve is nonincreasing up to Monte-Carlo noise (each
       isotonic-fit residual within 2 stderr).
+
+    As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call.
     """
     inst = resolve_instance(spec)
     desc = spec.instance
@@ -470,11 +484,13 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
     h = spec_hash(spec)
     rows = []
     means, stderrs = [], []
-    for n in spec.n_grid:
-        cfg = choose_rate_parameters(
-            inst, n, n_ref=n_ref, base=base, exponent=exponent
-        )
-        mc = _mc_summary(run_batch(inst, cfg, _seed_range(spec)))
+    cfgs = [
+        choose_rate_parameters(inst, n, n_ref=n_ref, base=base, exponent=exponent)
+        for n in spec.n_grid
+    ]
+    risks = run_grid(inst, cfgs, _seed_range(spec))
+    for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
+        mc = _mc_summary(mc_risks)
         means.append(mc["mc_mean"])
         stderrs.append(mc["mc_stderr"])
         rows.append(

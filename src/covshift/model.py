@@ -5,8 +5,9 @@ constraint metric M (admissible ground truths live in the ellipsoid
 w' M w <= 1), the ground truth w*, the noise second moment sigma2 and the
 fourth-moment constant psi. Whitening by M^{-1/2} produces the matrices
 S' = M^{-1/2} S M^{-1/2} and T' = M^{-1/2} T M^{-1/2} in which the minimax
-problem is naturally stated. Each instance decomposes S once, at
-construction, and keeps what the package reads of S's eigenbasis.
+problem is naturally stated. Each instance decomposes S and M once each, at
+construction, and keeps what the package reads of S's eigenbasis and M's
+roots.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import numpy as np
 from .psdlinalg import (
     EigenDecomposition,
     NotPSD,
+    _roots,
     eigh,
-    psd_roots,
     spectral_norm,
     sym,
 )
@@ -49,12 +50,12 @@ SAMPLE_TILE = 256
 class ProblemInstance:
     """Immutable problem description. Arrays are never mutated after init.
     Derived: ``c_finite`` = |S'|, the finite-initial-risk constant;
-    ``M_sqrt`` = M^{1/2} and ``M_inv_sqrt`` = M^{-1/2}, from one
-    eigendecomposition of M; ``eig_S`` = eigh(S), S = V diag(lam) V';
-    ``T_tilde`` = V' T V; and ``source_factor``, the root V diag(sqrt(lam)) V'
-    of S, or its diagonal as a vector when S and the root are exactly
-    diagonal (any nonzero off-diagonal entry, however small, keeps the
-    matrix)."""
+    ``M_sqrt`` = M^{1/2} and ``M_inv_sqrt`` = M^{-1/2}, from the one
+    eigendecomposition of M that also checks M positive definite;
+    ``eig_S`` = eigh(S), S = V diag(lam) V'; ``T_tilde`` = V' T V; and
+    ``source_factor``, the root V diag(sqrt(lam)) V' of S, or its diagonal
+    as a vector when S and the root are exactly diagonal (any nonzero
+    off-diagonal entry, however small, keeps the matrix)."""
 
     S: np.ndarray
     T: np.ndarray
@@ -82,8 +83,8 @@ class ProblemInstance:
             raise ValueError("psi must be >= 1")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        eig_S = eigh(S)
-        for name, eigs in (("S", eig_S.eigenvalues), ("M", np.linalg.eigvalsh(M))):
+        eig_S, eig_M = eigh(S), eigh(M)
+        for name, eigs in (("S", eig_S.eigenvalues), ("M", eig_M.eigenvalues)):
             if eigs.min() <= 0:
                 raise NotPSD(f"{name} must be positive definite (min eig {eigs.min():.3e})")
         eigs = np.linalg.eigvalsh(T)
@@ -92,7 +93,7 @@ class ProblemInstance:
         norm2 = float(w @ M @ w)
         if norm2 > 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
-        M_sqrt, M_inv_sqrt = psd_roots(M)
+        M_sqrt, M_inv_sqrt = _roots(M, eig_M)
         V = eig_S.eigenvectors
         # psd_sqrt(S) from eig_S: S is positive definite, so nothing is clamped
         root = sym((V * np.sqrt(eig_S.eigenvalues)) @ V.T)

@@ -21,8 +21,10 @@ in whitened coordinates. This module minimizes that bound over A:
   polish to close the last digits. The dual certificate is returned with the
   preconditioner.
 
-scipy.linalg (the Cholesky factor of S') is imported inside the functions
-that use it, so that ``import covshift`` loads numpy alone.
+S' is fixed for a whole solve, so ``solve_general`` factors it once and
+scores every candidate, polish step and the returned preconditioner with that
+factor. scipy.linalg is imported inside the functions that use it, so that
+``import covshift`` loads numpy alone.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import eval_upper_objective
+from .estimators import _cholesky, _upper_objective, eval_upper_objective
 from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, sym
@@ -168,9 +170,8 @@ def _subgradient(T_eff, A, S_chol, bias_coeff, noise_coeff):
     return g_bias + g_noise
 
 
-def _preconditioner(prog, triple, A, gap, cert) -> Preconditioner:
-    """Package A, its objective terms on ``triple`` and its certificate."""
-    val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
+def _preconditioner(prog, A, val, gap, cert) -> Preconditioner:
+    """Package A, its ObjectiveValue ``val`` and its certificate."""
     return Preconditioner(
         A=A,
         objective_value=val.objective,
@@ -214,7 +215,8 @@ def solve_general(
     # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
         A = np.zeros((d, d)) if t_norm == 0.0 else I
-        return _preconditioner(prog, triple, A, 0.0, LowerBoundCertificate.zero_floor(d))
+        val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
+        return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
 
     eps = prog.epsilon_reg
     if eps is None:
@@ -234,15 +236,16 @@ def solve_general(
     except MaxIterationsError as err:  # keep the best floor we got
         cert = err.best
     lower = cert.value
+    Sp = triple_eff.S_prime
+    S_chol = _cholesky(Sp)  # S' is fixed for the whole solve: factor it once
 
     def objective(A):
-        return eval_upper_objective(
-            triple_eff, A, prog.noise_coeff, bias_coeff=prog.bias_coeff
+        return _upper_objective(
+            triple_eff, A, S_chol, prog.noise_coeff, prog.bias_coeff
         )
 
     # -------- primal candidates --------
     candidates = [recover_A_from_F(triple_eff, cert.F, prog.noise_coeff)]
-    Sp = triple_eff.S_prime
     comm = np.linalg.norm(Sp @ T_eff - T_eff @ Sp)
     scale = np.linalg.norm(Sp) * np.linalg.norm(T_eff)
     if comm <= 1e-10 * max(scale, 1.0):
@@ -265,9 +268,6 @@ def solve_general(
         return (val - lower) / max(lower, 1e-300)
 
     # -------- Polyak subgradient polish toward the certified floor --------
-    from scipy.linalg import cho_factor
-
-    S_chol = cho_factor(Sp)
     A = best_A.copy()
     val = best_val
     it = 0
@@ -288,7 +288,7 @@ def solve_general(
             best_val, best_A = val, A.copy()
 
     gap = rel_gap(best_val)
-    prec = _preconditioner(prog, triple_eff, best_A, float(max(gap, 0.0)), cert)
+    prec = _preconditioner(prog, best_A, objective(best_A), float(max(gap, 0.0)), cert)
     if gap > tol:
         raise MaxIterationsError(
             f"duality gap {gap:.3e} above tol {tol:.1e} after {it} polish steps",

@@ -129,7 +129,11 @@ def psd_inv_sqrt(X) -> np.ndarray:
 def psd_roots(X) -> tuple[np.ndarray, np.ndarray]:
     """(psd_sqrt(X), psd_inv_sqrt(X)) of a positive definite matrix, bit for
     bit, from one eigendecomposition; raises NotPSD as psd_inv_sqrt does."""
-    dec = eigh(X)
+    return _roots(X, eigh(X))
+
+
+def _roots(X, dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """psd_roots(X) from its eigendecomposition ``dec`` = eigh(X)."""
     w = dec.eigenvalues
     t = _clamp_tol(np.asarray(X, float))
     if w.size == 0 or w.min() <= t:

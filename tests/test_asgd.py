@@ -15,8 +15,10 @@ from covshift.asgd import (
     risk_bound,
     run,
     run_batch,
+    run_grid,
 )
 from covshift.model import (
+    SAMPLE_TILE,
     PowerLawSpec,
     ProblemInstance,
     make_power_law_instance,
@@ -324,6 +326,102 @@ def test_parallel_tile_fill_changes_no_bit(monkeypatch):
     singles = np.array([run(inst, cfg, seed=s).risks[-1] for s in seeds])
     assert np.array_equal(results[1], results[4])
     assert np.array_equal(results[4], singles)
+
+
+# grids off and below SAMPLE_TILE, unsorted, with a repeated n, and one config
+GRIDS = [
+    (64, 100, 300, 769),
+    (53, 69, 300, 769),
+    (16, 61, 259, 517),
+    (300, 1101),
+    (40, 50),
+    (769, 64, 300, 100),
+    (300, 64, 300),
+    (517,),
+]
+
+
+def grid_configs(inst, grid, schedule):
+    if schedule == "sgd":
+        return [choose_rate_parameters(inst, n, n_ref=min(grid)) for n in grid]
+    if schedule == "momentum":
+        return [choose_parameters(inst, n, require_admissible=False) for n in grid]
+    # mixed: plain SGD and momentum schedules in one call
+    return [
+        choose_rate_parameters(inst, n, n_ref=min(grid)) if k % 2
+        else choose_parameters(inst, n, require_admissible=False)
+        for k, n in enumerate(grid)
+    ]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("schedule", ["sgd", "momentum"])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
+def test_run_grid_rows_are_run_batch_bits(dense, schedule, grid):
+    # each schedule reads a prefix of the seeds' shared streams; its rows
+    # must be the bits of run_batch for that schedule alone (dense S at
+    # d=100 gives a row of a shorter tile product other bits, so a config
+    # whose own last tile is shorter draws that tile again)
+    inst = rotated(100) if dense else power_law(d=100)
+    cfgs = grid_configs(inst, grid, schedule)
+    seeds = [3, 1, 4]
+    got = run_grid(inst, cfgs, seeds)
+    assert got.shape == (len(cfgs), len(seeds))
+    for row, cfg in zip(got, cfgs):
+        assert np.array_equal(row, run_batch(inst, cfg, seeds))
+
+
+def test_run_grid_mixes_plain_and_momentum_schedules():
+    inst = rotated(30)
+    cfgs = grid_configs(inst, (64, 100, 300, 769), "mixed")
+    assert {cfg.vanilla_sgd for cfg in cfgs} == {True, False}
+    got = run_grid(inst, cfgs, range(4))
+    for row, cfg in zip(got, cfgs):
+        assert np.array_equal(row, run_batch(inst, cfg, range(4)))
+
+
+def test_run_grid_pooled_fill_changes_no_bit(monkeypatch):
+    # diagonal S with 40 seeds: the shared tiles are drawn on a 2-worker
+    # pool at 4 cores and inline at 1; neither may change a bit
+    inst = power_law(d=20)
+    cfgs = grid_configs(inst, (100, 300, 600), "momentum")
+    seeds = list(range(40))
+    submits = []
+
+    class RecordingPool(asgd.ThreadPoolExecutor):
+        def submit(self, fn, part, *args):
+            submits.append(len(part))
+            return super().submit(fn, part, *args)
+
+    monkeypatch.setattr(asgd, "ThreadPoolExecutor", RecordingPool)
+    results = {}
+    for cores in (1, 4):
+        monkeypatch.setattr(asgd.os, "sched_getaffinity",
+                            lambda pid, k=cores: set(range(k)), raising=False)
+        results[cores] = run_grid(inst, cfgs, seeds)
+    # 3 shared tiles (256, 256, 88 rows), each split into two 20-seed blocks
+    assert submits == [20] * 6
+    assert np.array_equal(results[1], results[4])
+    for row, cfg in zip(results[4], cfgs):
+        assert np.array_equal(row, run_batch(inst, cfg, seeds))
+
+
+def test_run_grid_draws_the_largest_n_once_per_seed(monkeypatch):
+    # n = 2^8..2^11: every schedule's tiles are whole, so each seed draws
+    # max n rows in all; one run_batch per n would draw sum n = 3840
+    drawn = []
+
+    def counting(inst, n, seed):
+        drawn.append(n)
+        return sample_source(inst, n, seed)
+
+    inst = power_law(d=100)
+    cfgs = [choose_rate_parameters(inst, 2**k) for k in range(8, 12)]
+    seeds = [0, 1]
+    monkeypatch.setattr(asgd, "sample_source", counting)
+    run_grid(inst, cfgs, seeds)
+    assert sum(drawn) == 2**11 * len(seeds)
+    assert drawn == [SAMPLE_TILE] * (2**11 // SAMPLE_TILE * len(seeds))
 
 
 @settings(max_examples=25, deadline=None)

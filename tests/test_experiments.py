@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import covshift
+from covshift import asgd, experiments
 from covshift.experiments import (
     ExperimentSpec,
     resolve_instance,
@@ -213,6 +214,40 @@ def test_run_rate_sweep_structure():
     # deterministic: same spec, same rows
     again = run_rate_sweep(spec)
     assert again.rows == rep.rows
+
+
+@pytest.mark.parametrize("kind", ["rate_sweep", "emergence"])
+def test_study_runs_its_grid_in_one_call_with_run_batch_bits(monkeypatch, kind):
+    # one run_grid call per study; each grid point's Monte-Carlo summary is
+    # the one its own run_batch gives (n = 8 and 16 read a prefix of a
+    # longer tile, so their own shorter tiles are drawn again)
+    if kind == "rate_sweep":
+        spec = ExperimentSpec(kind=kind, instance=powerlaw_desc(d=30),
+                              n_grid=(2**6, 2**7, 2**8, 2**9), seeds=5)
+        run = run_rate_sweep
+    else:
+        spec = ExperimentSpec(
+            kind=kind,
+            instance=powerlaw_desc(d=16, d0=2, sigma2=0.01, w_profile="tail"),
+            n_grid=(8, 16, 300), seeds=5, params={"step_base": 0.5},
+        )
+        run = run_emergence
+    calls, cfgs = [], []
+
+    def recording(inst, grid_cfgs, seeds):
+        calls.append(len(grid_cfgs))
+        cfgs.extend(grid_cfgs)
+        return asgd.run_grid(inst, grid_cfgs, seeds)
+
+    monkeypatch.setattr(experiments, "run_grid", recording)
+    rows = run(spec).rows
+    assert calls == [len(spec.n_grid)]
+    inst = resolve_instance(spec)
+    for row, cfg in zip(rows, cfgs):
+        risks = asgd.run_batch(inst, cfg, range(spec.seeds))
+        assert (row["n"], row["mc_mean"], row["mc_median"]) == (
+            cfg.n, float(risks.mean()), float(np.median(risks))
+        )
 
 
 def test_run_rate_sweep_needs_three_octaves():

@@ -18,7 +18,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
-from covshift.psdlinalg import NotPSD, eigh, psd_inv_sqrt, psd_sqrt, sym
+from covshift.psdlinalg import NotPSD, eigh, psd_inv_sqrt, psd_roots, psd_sqrt, sym
 
 
 def test_power_law_source_spectrum():
@@ -150,6 +150,26 @@ def test_instance_keeps_both_roots_of_M(dense):
         inst = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=0)
     assert np.array_equal(inst.M_sqrt, psd_sqrt(inst.M))
     assert np.array_equal(inst.M_inv_sqrt, psd_inv_sqrt(inst.M))
+
+
+def test_construction_decomposes_M_once(monkeypatch):
+    # the positive-definiteness check reads the eigh that gives both roots;
+    # an eigvalsh of M for the check alone would be a second decomposition
+    base = rand_instance(21, d=12)
+    calls = counted_eighs(monkeypatch)
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(X):
+        calls.append(np.array(X))
+        return real_eigvalsh(X)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    inst = ProblemInstance(S=base.S, T=base.T, M=base.M, w_star=base.w_star,
+                           sigma2=base.sigma2)
+    assert sum(np.array_equal(X, inst.M) for X in calls) == 1
+    M_sqrt, M_inv_sqrt = psd_roots(inst.M)
+    assert np.array_equal(inst.M_sqrt, M_sqrt)
+    assert np.array_equal(inst.M_inv_sqrt, M_inv_sqrt)
 
 
 def test_estimators_read_the_roots_of_M_from_the_instance(monkeypatch):
@@ -298,6 +318,10 @@ def test_instance_validation():
     with pytest.raises(NotPSD):
         ProblemInstance(
             S=np.diag([1.0, -1.0]), T=np.eye(2), M=np.eye(2), w_star=np.zeros(2), sigma2=1.0
+        )
+    with pytest.raises(NotPSD, match="M must be positive definite"):
+        ProblemInstance(
+            S=np.eye(2), T=np.eye(2), M=np.diag([1.0, -0.5]), w_star=np.zeros(2), sigma2=1.0
         )
     with pytest.raises(ValueError):
         # w_star outside the unit M-ellipsoid

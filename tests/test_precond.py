@@ -14,7 +14,7 @@ from covshift.precond import (
     solve_diagonal,
     solve_general,
 )
-from covshift.psdlinalg import spectral_norm
+from covshift.psdlinalg import NotPSD, spectral_norm
 
 B = 1.0 / math.pi**2
 
@@ -270,6 +270,45 @@ def test_general_returns_its_dual_certificate(rank):
         ref.objective, ref.bias_term, ref.variance_term
     )
     assert (prec.bias_coeff, prec.noise_coeff) == (B, 0.02)
+
+
+@pytest.mark.parametrize("kind", ["dense", "commuting", "degenerate"])
+def test_general_factors_S_prime_once(monkeypatch, kind):
+    # S' is fixed for a solve: every candidate, polish step and the returned
+    # terms use one Cholesky factor, and its terms are eval_upper_objective's
+    import scipy.linalg
+
+    rng = np.random.default_rng(77)
+    d = 6
+    S = rand_pd(rng, d)
+    if kind == "commuting":
+        lam, U = np.linalg.eigvalsh(S), np.linalg.qr(rng.normal(size=(d, d)))[0]
+        S, T = (U * lam) @ U.T, (U * lam[::-1]) @ U.T
+    else:
+        T = rand_pd(rng, d, 0.7)
+    triple = make_triple(S, T)
+    noise = 0.0 if kind == "degenerate" else 0.02
+    factors = []
+    real_cho_factor = scipy.linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        factors.append(np.array(a))
+        return real_cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    prec = solve_general(PrecondProgram(triple, bias_coeff=B, noise_coeff=noise), tol=1e-5)
+    assert len(factors) == 1 and np.array_equal(factors[0], triple.S_prime)
+    ref = eval_upper_objective(triple, prec.A, noise, bias_coeff=B)
+    assert (prec.objective_value, prec.bias_term, prec.variance_term) == (
+        ref.objective, ref.bias_term, ref.variance_term
+    )
+
+
+def test_indefinite_S_prime_raises_not_psd():
+    triple = make_triple(np.eye(3), np.eye(3))
+    bad = type(triple)(S_prime=np.diag([1.0, -1.0, 1.0]), T_prime=triple.T_prime)
+    with pytest.raises(NotPSD, match="S' is not positive definite"):
+        eval_upper_objective(bad, np.eye(3), 0.1)
 
 
 def test_general_handles_singular_target():
