@@ -50,7 +50,7 @@ CAPS_SECONDS = {
     5: 60.0,
     6: 600.0,
     7: 30.0,
-    8: 60.0,
+    8: 30.0,
     9: 120.0,
     10: 15.0,
 }

@@ -26,7 +26,6 @@ schedule.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -254,12 +253,9 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     max(cfg.n) samples of the largest config from its own PCG64 stream, one
     tile of min(SAMPLE_TILE, max(cfg.n)) rows at a time, which reproduces a
     whole draw bit for bit; a config with fewer samples reads a prefix of
-    that stream. Where a live config's own draw would end in a shorter tile
-    than the shared one, it draws that tile again, in its own shape, from a
-    copy of each generator: BLAS can round a row of a shorter product
-    differently. The shared buffer holds one tile for each seed, X laid out
-    (seeds, tile, d) so each step reads contiguous rows, y as (seeds, tile),
-    and no second buffer. When
+    that stream, which ``sample_source`` makes the bits of its own draw. The
+    buffer holds one tile for each seed, X laid out (seeds, tile, d) so each
+    step reads contiguous rows, and y as (seeds, tile). When
     ``inst.source_factor`` is a vector (S exactly diagonal) the draws scale
     the normals element by element, so filling a tile makes no threaded BLAS
     product; the per-seed draws then run on a thread pool of up to one
@@ -275,8 +271,8 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     each element as the scalar product does, so every row gets the bits of
     its config run alone. Once one config is left it steps a (seeds, d)
     array with scalar constants, as a one-config call does throughout. The
-    constants and the sample rows' source change only at stage and tile
-    boundaries, between runs of steps.
+    constants change only at stage boundaries and the sample tile only at
+    tile boundaries, between runs of steps.
 
     Under plain SGD (gamma0 == delta0 for every config) the v-iterate equals
     w bit for bit by induction (V - W is +0, so u = w and both updates
@@ -298,7 +294,6 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
         block = min(SAMPLE_TILE, n_max)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
-        XY = X, Y
         if inst.source_factor.ndim == 1:
             workers = max(1, min(_cores(), rows // POOL_MIN_SEEDS))
         parts = np.array_split(np.arange(rows), workers)
@@ -308,31 +303,16 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
                 samples = sample_source(inst, m, gens[j])
                 X[j, :m], Y[j, :m] = samples.X, samples.y
 
-        def own_tile(m):
-            Xk, Yk = np.empty((rows, m, d)), np.empty((rows, m))
-            for j, gen in enumerate(gens):
-                samples = sample_source(inst, m, copy.deepcopy(gen))
-                Xk[j], Yk[j] = samples.X, samples.y
-            return Xk, Yk
-
     live, t = K, 0
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         while live:
             live_cfgs = [cfgs[k] for k in order[:live]]
-            if not population:
-                if t % block == 0:
-                    m = min(block, n_max - t)
-                    tile = {}
-                    for k in order[:live]:  # its own draw's tile: min(block, n_k) rows
-                        m_k = min(block, cfgs[k].n, cfgs[k].n - t)
-                        tile[k] = own_tile(m_k) if m_k < m else XY
-                    if pool is None:
-                        fill(range(rows), m)
-                    else:  # read every result, so a worker's error raises here
-                        list(pool.map(fill, parts, [m] * workers))
-                sources = [tile[k] for k in order[:live]]
-                shared = all(s is sources[0] for s in sources)
-                Xs, Ys = sources[0]
+            if not population and t % block == 0:
+                m = min(block, n_max - t)
+                if pool is None:
+                    fill(range(rows), m)
+                else:  # read every result, so a worker's error raises here
+                    list(pool.map(fill, parts, [m] * workers))
             consts = [
                 (*cfg.stage_steps(t // cfg.stage_len + 1)[:2], 1.0 - cfg.alpha, cfg.beta)
                 for cfg in live_cfgs
@@ -348,12 +328,7 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
                 if population:
                     g = (inst.S @ (U - inst.w_star).T).T
                 else:
-                    i = t % block
-                    if shared:
-                        x, y = Xs[:, i], Ys[:, i]
-                    else:  # (live, seeds, d) rows, each from its config's tile
-                        x = np.stack([s[0][:, i] for s in sources])
-                        y = np.stack([s[1][:, i] for s in sources])
+                    x, y = X[:, t % block], Y[:, t % block]
                     # one dot product per row: the same bits as x @ u on each row
                     dots = np.matmul(x[..., None, :], U[..., None])[..., 0, 0]
                     g = (dots - y)[..., None] * x
@@ -430,9 +405,7 @@ def run_grid(inst: ProblemInstance, cfgs, seeds) -> np.ndarray:
     (len(cfgs), len(seeds)) array whose row k equals
     ``run_batch(inst, cfgs[k], seeds)`` bit for bit. The schedules share
     each seed's sample stream, so a seed's samples are drawn once, for the
-    largest n, and a schedule with a smaller n reads a prefix of them (a
-    last tile that its own draw would cut shorter is drawn again in that
-    shape; see ``_lockstep``)."""
+    largest n, and a schedule with a smaller n reads a prefix of them."""
     return _final_risks(inst, list(cfgs), list(seeds))
 
 

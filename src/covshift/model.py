@@ -41,8 +41,8 @@ __all__ = [
 NOISE_KINDS = ("gaussian", "rademacher")
 
 # Rows per matrix product in sample_source: BLAS picks kernels and splits
-# rows between workers by shape, so only products of one fixed shape give a
-# row the same bits wherever a draw is cut (at multiples of this).
+# rows between workers by shape, so every product has this one shape (the
+# last tile zero-padded) and a row gets the same bits wherever a draw ends.
 SAMPLE_TILE = 256
 
 
@@ -257,8 +257,10 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
     ``seed`` is an int or a ``np.random.Generator``, which is advanced in
     place. Each sample consumes exactly d+1 standard normals from the PCG64
     stream (column d is the noise channel), and rows are transformed in
-    SAMPLE_TILE-row products, so drawing one stream in consecutive blocks
-    whose lengths are multiples of SAMPLE_TILE (the last may be shorter)
+    full SAMPLE_TILE-row products, the last tile zero-padded. A row's bits
+    thus depend only on its normals: the first m rows of an n-row draw are
+    the m-row draw, and drawing one stream in consecutive blocks whose
+    lengths are multiples of SAMPLE_TILE (the last may be shorter)
     reproduces one whole draw bit for bit. eps is N(0, sigma2) for gaussian
     noise and sigma * sign(z) for rademacher.
 
@@ -272,23 +274,25 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
     factor = inst.source_factor
     d = inst.d
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, d + 1))
+    Z = np.empty((-(-n // SAMPLE_TILE) * SAMPLE_TILE, d + 1))
+    rng.standard_normal(out=Z[:n])
+    Z[n:] = 0.0
     if factor.ndim == 1:
         X = Z[:, :d] * factor
     else:
-        X = np.empty((n, d))
-        for a in range(0, n, SAMPLE_TILE):
+        X = np.empty((len(Z), d))
+    y = np.empty(len(Z))
+    for a in range(0, len(Z), SAMPLE_TILE):
+        if factor.ndim == 2:
             X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ factor.T
-    y = np.empty(n)
-    for a in range(0, n, SAMPLE_TILE):
         y[a : a + SAMPLE_TILE] = X[a : a + SAMPLE_TILE] @ inst.w_star
     sigma = np.sqrt(inst.sigma2)
     if inst.noise == "gaussian":
-        eps = sigma * Z[:, d]
+        eps = sigma * Z[:n, d]
     else:  # rademacher
-        z = Z[:, d]
+        z = Z[:n, d]
         eps = sigma * np.where(z >= 0, 1.0, -1.0)
-    return Samples(X=X, y=y + eps)
+    return Samples(X=X[:n], y=y[:n] + eps)
 
 
 # =====================================================================

@@ -359,9 +359,8 @@ def grid_configs(inst, grid, schedule):
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
 def test_run_grid_rows_are_run_batch_bits(dense, schedule, grid):
     # each schedule reads a prefix of the seeds' shared streams; its rows
-    # must be the bits of run_batch for that schedule alone (dense S at
-    # d=100 gives a row of a shorter tile product other bits, so a config
-    # whose own last tile is shorter draws that tile again)
+    # must be the bits of run_batch for that schedule alone, also where its
+    # own draw ends in a shorter tile than the shared one
     inst = rotated(100) if dense else power_law(d=100)
     cfgs = grid_configs(inst, grid, schedule)
     seeds = [3, 1, 4]
@@ -407,8 +406,9 @@ def test_run_grid_pooled_fill_changes_no_bit(monkeypatch):
 
 
 def test_run_grid_draws_the_largest_n_once_per_seed(monkeypatch):
-    # n = 2^8..2^11: every schedule's tiles are whole, so each seed draws
-    # max n rows in all; one run_batch per n would draw sum n = 3840
+    # each seed draws max n rows, in whole tiles: on n = 2^8..2^11 and on
+    # criterion 8's grid 2^3..2^13, whose n below SAMPLE_TILE read a prefix
+    # of the first tile; one run_batch per n would draw sum n rows
     drawn = []
 
     def counting(inst, n, seed):
@@ -416,12 +416,14 @@ def test_run_grid_draws_the_largest_n_once_per_seed(monkeypatch):
         return sample_source(inst, n, seed)
 
     inst = power_law(d=100)
-    cfgs = [choose_rate_parameters(inst, 2**k) for k in range(8, 12)]
     seeds = [0, 1]
     monkeypatch.setattr(asgd, "sample_source", counting)
-    run_grid(inst, cfgs, seeds)
-    assert sum(drawn) == 2**11 * len(seeds)
-    assert drawn == [SAMPLE_TILE] * (2**11 // SAMPLE_TILE * len(seeds))
+    for exponents in (range(8, 12), range(3, 14)):
+        drawn.clear()
+        run_grid(inst, [choose_rate_parameters(inst, 2**k) for k in exponents], seeds)
+        n_max = 2 ** max(exponents)
+        assert sum(drawn) == n_max * len(seeds)
+        assert drawn == [SAMPLE_TILE] * (n_max // SAMPLE_TILE * len(seeds))
 
 
 @settings(max_examples=25, deadline=None)

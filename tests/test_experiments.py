@@ -220,7 +220,7 @@ def test_run_rate_sweep_structure():
 def test_study_runs_its_grid_in_one_call_with_run_batch_bits(monkeypatch, kind):
     # one run_grid call per study; each grid point's Monte-Carlo summary is
     # the one its own run_batch gives (n = 8 and 16 read a prefix of a
-    # longer tile, so their own shorter tiles are drawn again)
+    # longer tile)
     if kind == "rate_sweep":
         spec = ExperimentSpec(kind=kind, instance=powerlaw_desc(d=30),
                               n_grid=(2**6, 2**7, 2**8, 2**9), seeds=5)

@@ -246,21 +246,41 @@ def test_sample_source_block_replay_reproduces_stream(dense, n):
 @pytest.mark.parametrize("n", [100, 769])
 def test_sample_source_diagonal_path_matches_tiled_product(n):
     # diagonal S scales the normals element by element: the bits of the
-    # tiled Z @ s_sqrt.T that dense S uses
+    # full-tile Z @ s_sqrt.T, last tile zero-padded, that dense S uses
     d = 100
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
     s_sqrt = psd_sqrt(inst.S)
     factor = inst.source_factor
     assert factor.ndim == 1 and np.array_equal(factor, np.diag(s_sqrt))
-    Z = np.random.default_rng(3).standard_normal((n, d + 1))
+    padded = -(-n // SAMPLE_TILE) * SAMPLE_TILE
+    Z = np.zeros((padded, d + 1))
+    Z[:n] = np.random.default_rng(3).standard_normal((n, d + 1))
     X = np.concatenate([
-        Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T for a in range(0, n, SAMPLE_TILE)
+        Z[a : a + SAMPLE_TILE, :d] @ s_sqrt.T for a in range(0, padded, SAMPLE_TILE)
     ])
     y = np.concatenate([
-        X[a : a + SAMPLE_TILE] @ inst.w_star for a in range(0, n, SAMPLE_TILE)
-    ]) + np.sqrt(inst.sigma2) * Z[:, d]
+        X[a : a + SAMPLE_TILE] @ inst.w_star for a in range(0, padded, SAMPLE_TILE)
+    ])[:n] + np.sqrt(inst.sigma2) * Z[:n, d]
     got = sample_source(inst, n, seed=3)
-    assert np.array_equal(got.X, X) and np.array_equal(got.y, y)
+    assert np.array_equal(got.X, X[:n]) and np.array_equal(got.y, y)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal_S", "dense_S"])
+def test_sample_source_prefix_is_the_shorter_draw(dense):
+    # every product is a full zero-padded tile, so a row's bits do not
+    # depend on where the draw ends: an m-row draw is the first m rows of
+    # an n-row draw from the same seed
+    d, n = 100, 1101
+    if dense:
+        inst = rand_instance(17, d=d)
+    else:
+        inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
+    assert inst.source_factor.ndim == (2 if dense else 1)
+    whole = sample_source(inst, n, seed=3)
+    for m in (1, 53, 100, 255, 256, 257, 769, 1100):
+        part = sample_source(inst, m, seed=3)
+        assert np.array_equal(part.X, whole.X[:m]), m
+        assert np.array_equal(part.y, whole.y[:m]), m
 
 
 def test_source_factor_diagonal_check_is_exact():
