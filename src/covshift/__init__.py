@@ -87,8 +87,7 @@ from .psdlinalg import (
     NotPSD,
     eigh,
     project_psd_nuclear_ball,
-    psd_inv_sqrt,
-    psd_sqrt,
+    psd_roots,
     spectral_norm,
     sym,
 )

@@ -31,7 +31,7 @@ from .model import (
     whiten,
 )
 from .precond import PrecondProgram, solve_diagonal, solve_general
-from .psdlinalg import psd_sqrt
+from .psdlinalg import psd_roots
 from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
@@ -458,7 +458,7 @@ def criterion_10():
                 limit=200,
             )
             fishers.append(val)
-        m_sqrt = psd_sqrt(Md)
+        m_sqrt = psd_roots(Md)[0]
         quad_info = m_sqrt @ (Ud * np.array(fishers)) @ Ud.T @ m_sqrt
         rel = np.abs(quad_info - closed).max() / np.abs(closed).max()
         worst = max(worst, float(rel))

@@ -236,8 +236,6 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     maximize_F(triple.ridged(eps), sigma2, n).
     """
     inst = resolve_instance(spec)
-    if inst.d > 64:
-        raise ValueError("duality studies are desk-scale: d <= 64")
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
     t_eigs = np.linalg.eigvalsh(triple.T_prime)  # T' is symmetric

@@ -8,10 +8,10 @@ with trace at most 1/pi^2,
 
 is an achievable risk floor, realized by a product prior of cos^2 densities
 on a box inscribed in the ellipsoid. This module evaluates the objective in
-a form robust to singular F, maximizes it (in closed form by water-filling
-when S' and T' are exactly diagonal, else by an accelerated proximal ascent)
-with a linear-gap stopping certificate, and implements the matching prior
-family (sampler + information matrix).
+one form, a linear solve that is defined for singular F too, maximizes it
+(in closed form by water-filling when S' and T' are exactly diagonal, else
+by an accelerated proximal ascent) with a linear-gap stopping certificate,
+and implements the matching prior family (sampler + information matrix).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SpectralTriple, _is_diagonal
-from .psdlinalg import eigh, project_psd_nuclear_ball, psd_inv_sqrt, psd_sqrt, sym
+from .psdlinalg import eigh, project_psd_nuclear_ball, psd_roots, sym
 
 __all__ = [
     "DEFAULT_RADIUS",
@@ -92,18 +92,23 @@ class LowerBoundCertificate:
 def eval_lower_objective(triple: SpectralTriple, F, sigma2: float, n: int) -> float:
     """Risk-floor objective at F, computed as <T', G> with
 
-        G = F^{1/2} (I + (n/sigma2) F^{1/2} S' F^{1/2})^{-1} F^{1/2},
+        G = (I + F S' / nu)^{-1} F,   nu = sigma2 / n,
 
-    which extends continuously to singular F (and equals the resolvent form
-    (F^{-1} + n S'/sigma2)^{-1} whenever F is invertible).
+    which equals the resolvent form (F^{-1} + S'/nu)^{-1} whenever F is
+    invertible and is defined for every PSD F, singular ones included
+    (I + F S'/nu has the eigenvalues of I + F^{1/2} S' F^{1/2}/nu). It is
+    also defined at the slightly indefinite points FISTA extrapolates to.
     """
     if sigma2 == 0:
         return 0.0
-    R = psd_sqrt(F)
-    d = R.shape[0]
-    C = np.eye(d) + (n / sigma2) * (R @ triple.S_prime @ R)
-    G = R @ np.linalg.solve(sym(C), R)
-    return float(np.sum(triple.T_prime * sym(G)))
+    F = np.asarray(F, dtype=float)
+    return _floor_value(triple.T_prime, triple.S_prime, F, sigma2 / n, np.eye(len(F)))
+
+
+def _floor_value(Tp, Sp, F, nu: float, I) -> float:
+    """eval_lower_objective's formula on its parts, I = eye(d); FISTA's
+    evaluations call it with maximize_F's own nu and I."""
+    return float(np.sum(Tp * np.linalg.solve(I + F @ Sp / nu, F)))
 
 
 def _water_level(s, c, bias_coeff: float, noise_coeff: float) -> float:
@@ -203,12 +208,6 @@ def maximize_F(
     I = np.eye(d)
     Sp, Tp = triple.S_prime, triple.T_prime
 
-    def smooth_value(F):
-        # analytic continuation of <T', (F^{-1} + S'/nu)^{-1}>; agrees with
-        # the robust evaluation on the PSD cone but tolerates the slightly
-        # indefinite extrapolation points produced by the momentum step
-        return float(np.sum(Tp * np.linalg.solve(I + F @ Sp / nu, F)))
-
     def gradient(F):
         H = np.linalg.solve(I + Sp @ F / nu, I)
         return sym(H @ Tp @ H.T)
@@ -227,7 +226,7 @@ def maximize_F(
                                              gap=gap, stop_reason="converged")
 
     F = (radius / d) * I
-    val = smooth_value(F)
+    val = _floor_value(Tp, Sp, F, nu, I)
     F_prev = F
     t_mom = 1.0
     momentum = False
@@ -245,7 +244,7 @@ def maximize_F(
             beta = (t_mom - 1.0) / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2)))
             Y = F + beta * (F - F_prev)
             try:
-                gY, fY = gradient(Y), smooth_value(Y)
+                gY, fY = gradient(Y), _floor_value(Tp, Sp, Y, nu, I)
             except np.linalg.LinAlgError:
                 momentum, t_mom, Y, gY, fY = False, 1.0, F, grad, val
         else:
@@ -254,7 +253,7 @@ def maximize_F(
         for _ in range(120):
             F_cand = project_psd_nuclear_ball(Y + gY / L, radius)
             diff = F_cand - Y
-            val_cand = smooth_value(F_cand)
+            val_cand = _floor_value(Tp, Sp, F_cand, nu, I)
             majorized = (
                 fY
                 + float(np.sum(gY * diff))
@@ -284,14 +283,13 @@ def maximize_F(
         L *= 0.7  # probe a longer step next round; backtracking re-grows it
     if gap_at is not F:  # the last stall or the last budgeted step moved F
         gap = linear_gap(F, gradient(F))
-    value = eval_lower_objective(triple, F, sigma2, n)
-    if gap <= GAP_TOL * max(1.0, abs(value)):
+    if gap <= GAP_TOL * max(1.0, abs(val)):  # val is the objective at F
         reason = "converged"
     elif stall >= 3:
         reason = "stalled"
     else:
         reason = "budget"
-    cert = LowerBoundCertificate(F=F, value=value, iterations=it, gap=gap,
+    cert = LowerBoundCertificate(F=F, value=val, iterations=it, gap=gap,
                                  stop_reason=reason)
     if reason == "budget":
         raise MaxIterationsError(
@@ -342,7 +340,7 @@ def prior_information_matrix(prior: CosSquaredPrior) -> np.ndarray:
     """Closed-form prior information: pi^2 M^{1/2} U diag(1/g_i^2) U' M^{1/2}."""
     if np.any(prior.g == 0):
         raise DegeneratePrior("prior has a zero-width coordinate")
-    m_sqrt = psd_sqrt(prior.M)
+    m_sqrt = psd_roots(prior.M)[0]
     core = (prior.U / prior.g**2) @ prior.U.T
     return math.pi**2 * sym(m_sqrt @ core @ m_sqrt)
 
@@ -405,7 +403,7 @@ def sample_prior(prior: CosSquaredPrior, n: int, seed: int) -> np.ndarray:
     z = np.zeros((n, prior.d))
     if live.any():
         z[:, live] = _cos2_quantile(rng.random((n, live.sum())), g[live])
-    m_inv_sqrt = psd_inv_sqrt(prior.M)
+    m_inv_sqrt = psd_roots(prior.M)[1]
     return z @ prior.U.T @ m_inv_sqrt.T
 
 

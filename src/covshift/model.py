@@ -95,7 +95,7 @@ class ProblemInstance:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
         M_sqrt, M_inv_sqrt = _roots(M, eig_M)
         V = eig_S.eigenvectors
-        # psd_sqrt(S) from eig_S: S is positive definite, so nothing is clamped
+        # S^{1/2} from eig_S, as psd_roots(S)[0] computes it
         root = sym((V * np.sqrt(eig_S.eigenvalues)) @ V.T)
         diagonal = _is_diagonal(S) and _is_diagonal(root)
         object.__setattr__(self, "M_sqrt", M_sqrt)

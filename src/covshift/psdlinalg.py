@@ -1,12 +1,11 @@
 """Dense symmetric / PSD matrix primitives shared by the whole package.
 
 Everything here is a pure function on small dense matrices (design envelope
-d <= ~2000, double precision). Decompositions from ``eigh`` are made
-deterministic by a sign convention on eigenvectors, so downstream solvers
-and tests are reproducible bit-for-bit. The nuclear-ball projection, which
-the dual solver calls every iteration, returns U f(w) U' and so does not
-depend on those signs: it skips the convention but keeps the
-reconstruction check.
+d <= ~2000, double precision). ``eigh`` is the package's one
+eigendecomposition: it sorts the eigenvalues and checks the reconstruction,
+and keeps the eigenvector signs LAPACK returns. Every spectral function
+here returns U f(w) U', in which a negated column of U cancels exactly, so
+the roots and the nuclear-ball projection do not depend on those signs.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ __all__ = [
     "EigenDecomposition",
     "sym",
     "eigh",
-    "psd_sqrt",
-    "psd_inv_sqrt",
     "psd_roots",
     "spectral_norm",
     "project_psd_nuclear_ball",
@@ -50,26 +47,13 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: first component of each eigenvector that
-    is clearly nonzero (the largest one if none is) is made positive."""
-    if not U.size:
-        return U.copy()
-    big = np.abs(U) > 1e-12
-    k = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(U).argmax(axis=0))
-    flip = U[k, np.arange(U.shape[1])] < 0
-    return np.where(flip, -U, U)
+def eigh(X) -> EigenDecomposition:
+    """Symmetric eigendecomposition of sym(X): eigenvalues sorted
+    non-increasing (stable, so ties keep LAPACK's order), eigenvectors with
+    the signs LAPACK returned.
 
-
-def _eigh_unsigned(X) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (non-increasing) and eigenvectors of sym(X), with the
-    eigenvector signs LAPACK returned.
-
-    Enough for any spectral function U f(w) U': negating a column of U
-    negates both factors of each of its terms, which leaves the product
-    bit for bit unchanged. Raises EigenSolverError (carrying the residual)
-    if LAPACK fails to converge or the reconstruction misses the 1e-9
-    relative tolerance.
+    Raises EigenSolverError (carrying the residual) if LAPACK fails to
+    converge or the reconstruction misses the 1e-9 relative tolerance.
     """
     Xs = sym(X)
     try:
@@ -84,58 +68,21 @@ def _eigh_unsigned(X) -> tuple[np.ndarray, np.ndarray]:
         raise EigenSolverError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
-    return w, U
-
-
-def eigh(X) -> EigenDecomposition:
-    """Symmetric eigendecomposition, eigenvalues sorted non-increasing,
-    eigenvectors under the deterministic sign convention of _fix_signs.
-
-    Raises EigenSolverError (carrying the residual) if LAPACK fails to
-    converge or the reconstruction misses the 1e-9 relative tolerance.
-    """
-    w, U = _eigh_unsigned(X)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=_fix_signs(U))
-
-
-def _clamp_tol(X: np.ndarray) -> float:
-    scale = float(np.max(np.abs(X))) if X.size else 0.0
-    return 1e-10 * max(1.0, scale)
-
-
-def psd_sqrt(X) -> np.ndarray:
-    """Symmetric PSD square root.
-
-    Eigenvalues within tol = 1e-10 * max(1, |X|_max) below zero are clamped
-    to 0 (floating point produces those routinely); anything below -tol
-    raises NotPSD.
-    """
-    dec = eigh(X)
-    w = dec.eigenvalues
-    t = _clamp_tol(np.asarray(X, float))
-    if w.min(initial=0.0) < -t:
-        raise NotPSD(f"eigenvalue {w.min():.6e} below -{t:.2e}")
-    w = np.maximum(w, 0.0)
-    U = dec.eigenvectors
-    return sym((U * np.sqrt(w)) @ U.T)
-
-
-def psd_inv_sqrt(X) -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix; raises
-    NotPSD unless every eigenvalue exceeds 1e-10 * max(1, |X|_max)."""
-    return psd_roots(X)[1]
+    return EigenDecomposition(eigenvalues=w, eigenvectors=U)
 
 
 def psd_roots(X) -> tuple[np.ndarray, np.ndarray]:
-    """(psd_sqrt(X), psd_inv_sqrt(X)) of a positive definite matrix, bit for
-    bit, from one eigendecomposition; raises NotPSD as psd_inv_sqrt does."""
+    """(X^{1/2}, X^{-1/2}) of a positive definite matrix from one
+    eigendecomposition; raises NotPSD unless every eigenvalue exceeds
+    1e-10 * max(1, |X|_max)."""
     return _roots(X, eigh(X))
 
 
 def _roots(X, dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """psd_roots(X) from its eigendecomposition ``dec`` = eigh(X)."""
     w = dec.eigenvalues
-    t = _clamp_tol(np.asarray(X, float))
+    X = np.asarray(X, float)
+    t = 1e-10 * max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
     if w.size == 0 or w.min() <= t:
         raise NotPSD(f"matrix not positive definite (min eigenvalue {w.min(initial=0.0):.6e})")
     U, r = dec.eigenvectors, np.sqrt(w)
@@ -171,6 +118,7 @@ def project_psd_nuclear_ball(X, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    w, U = _eigh_unsigned(X)
+    dec = eigh(X)
+    w, U = dec.eigenvalues, dec.eigenvectors
     v = _simplex_cap_project(np.maximum(w, 0.0), float(radius))
     return sym((U * v) @ U.T)

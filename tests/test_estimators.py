@@ -18,7 +18,7 @@ from covshift.model import (
     whiten,
 )
 from covshift.precond import PrecondProgram, solve_general
-from covshift.psdlinalg import psd_inv_sqrt, psd_sqrt, spectral_norm
+from covshift.psdlinalg import psd_roots, spectral_norm
 
 
 def rand_instance(seed, d=4, sigma2=0.2):
@@ -50,14 +50,15 @@ def test_estimate_exact_on_exact_moments():
     # sandwich applied to w_star with no sampling error at all
     inst = rand_instance(1, sigma2=0.0)
     d = inst.d
-    R = psd_sqrt(inst.S)
+    R = psd_roots(inst.S)[0]
     X = np.sqrt(d) * R  # n = d rows, X^T X / n = S
     y = X @ inst.w_star
     samples = Samples(X=X, y=y)
     rng = np.random.default_rng(2)
     A = rng.standard_normal((d, d))
     w_hat = estimate(inst, A, samples)
-    expected = psd_inv_sqrt(inst.M) @ A @ psd_sqrt(inst.M) @ inst.w_star
+    m_sqrt, m_inv_sqrt = psd_roots(inst.M)
+    expected = m_inv_sqrt @ A @ m_sqrt @ inst.w_star
     assert np.allclose(w_hat, expected, atol=1e-10)
     # and A = I recovers w_star itself
     assert np.allclose(estimate(inst, np.eye(d), samples), inst.w_star, atol=1e-10)

@@ -133,12 +133,27 @@ def test_run_duality_singular_target_uses_ladder():
     assert all(a >= b * (1 - 1e-9) for a, b in zip(uppers, uppers[1:]))
 
 
-def test_run_duality_rejects_large_dimension():
-    spec = ExperimentSpec(
-        kind="duality", instance=powerlaw_desc(d=65), n_grid=(16,), seeds=1
-    )
-    with pytest.raises(ValueError):
-        run_duality(spec)
+def test_run_duality_certifies_a_dense_d100_instance():
+    # the dimension of the SGD studies: S, T and M have the geometric
+    # spectrum 2 ... 0.1 in independent random eigenbases
+    d = 100
+    rng = np.random.default_rng(0)
+    spectrum = np.geomspace(2.0, 0.1, d)
+
+    def rotated():
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (Q * spectrum) @ Q.T
+
+    S, T, M = rotated(), rotated(), rotated()
+    doc = {"type": "explicit", "d": d, "S": S.tolist(), "T": T.tolist(),
+           "M": M.tolist(), "w_star": [0.0] * d, "sigma2": 1.0, "psi": 3.0}
+    rep = run_duality(ExperimentSpec(kind="duality", instance=doc,
+                                     n_grid=(64, 1024), seeds=1))
+    assert rep.ok and rep.worst_gap <= 1e-4
+    assert [row["n"] for row in rep.rows] == [64, 1024]
+    for row in rep.rows:
+        assert row["epsilon"] == 0.0
+        assert row["upper_value"] >= row["lower_value"] > 0
 
 
 # ------------------------------------------------------------- bound check

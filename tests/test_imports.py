@@ -11,9 +11,9 @@ or an attribute) somewhere in the package outside ``__init__.py`` or in the
 benchmark's non-test modules, or is on PUBLIC_API with the reason it is kept
 without a caller.
 
-One eigensolver: no module of the package but ``psdlinalg`` calls
-``np.linalg.eigh``, so every eigendecomposition goes through
-``psdlinalg.eigh`` and its reconstruction check.
+One eigensolver: the package calls ``np.linalg.eigh`` exactly once, inside
+``psdlinalg.eigh``, so every eigendecomposition goes through that function
+and its reconstruction check, and no second variant of it can come back.
 
 scipy on first use: no module of the package imports scipy outside a
 function, so ``import covshift`` loads numpy alone, and ``scipy.linalg``
@@ -96,15 +96,26 @@ def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
                   if name.rsplit(".", 1)[-1] not in read)
 
 
-def eigh_calls(source: str) -> list[int]:
-    """Line of each call of an ``eigh`` reached through a ``linalg`` module
-    (``np.linalg.eigh``, ``numpy.linalg.eigh``)."""
-    return sorted(
-        node.lineno for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "eigh" and isinstance(node.func.value, ast.Attribute)
-        and node.func.value.attr == "linalg"
-    )
+def eigh_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each call of an ``eigh`` reached through
+    a ``linalg`` module (``np.linalg.eigh``, ``numpy.linalg.eigh``); the
+    function is its dotted path, or "<module>" outside every function."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "eigh" and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg"):
+                calls.append((child.lineno, scope or "<module>"))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(calls)
 
 
 def module_scope_scipy_imports(source: str) -> list[int]:
@@ -176,14 +187,21 @@ def test_gate_flags_an_eigh_call():
            "from .psdlinalg import eigh\n"
            "w, U = np.linalg.eigh(X)\n"
            "dec = eigh(X)\n"
-           "w = np.linalg.eigvalsh(X)\n")
-    assert eigh_calls(src) == [3]
+           "w = np.linalg.eigvalsh(X)\n"
+           "def eigh(X):\n"
+           "    return np.linalg.eigh(X)\n"
+           "class Twin:\n"
+           "    def unsigned(self, X):\n"
+           "        return f(numpy.linalg.eigh(X))\n")
+    assert eigh_calls(src) == [(3, "<module>"), (7, "eigh"), (10, "Twin.unsigned")]
 
 
 def test_only_psdlinalg_calls_eigh():
-    calls = {p.stem: eigh_calls(p.read_text()) for p in PACKAGE.glob("*.py")
-             if p.name != "psdlinalg.py"}
-    assert {name: lines for name, lines in calls.items() if lines} == {}
+    calls = {p.stem: [scope for _, scope in eigh_calls(p.read_text())]
+             for p in PACKAGE.glob("*.py")}
+    assert {name: scopes for name, scopes in calls.items() if scopes} == {
+        "psdlinalg": ["eigh"]
+    }
 
 
 def test_gate_flags_a_module_scope_scipy_import():

@@ -17,7 +17,7 @@ from covshift.lowerbound import (
     sample_prior,
 )
 from covshift.model import ProblemInstance, SpectralTriple, whiten
-from covshift.psdlinalg import project_psd_nuclear_ball, sym
+from covshift.psdlinalg import eigh, project_psd_nuclear_ball, sym
 
 RADIUS = 1.0 / math.pi**2
 
@@ -164,6 +164,31 @@ def test_maximizer_dominates_random_feasible_points(seed):
     assert val <= cert.value + 1e-9 * max(1.0, cert.value)
 
 
+def square_root_form(triple, F, sigma2, n):
+    """The floor as <T', R (I + (n/sigma2) R S' R)^{-1} R> with R = F^{1/2},
+    eigenvalues of F clamped at zero: an independent evaluation."""
+    dec = eigh(F)
+    U = dec.eigenvectors
+    R = sym((U * np.sqrt(np.maximum(dec.eigenvalues, 0.0))) @ U.T)
+    C = np.eye(F.shape[0]) + (n / sigma2) * (R @ triple.S_prime @ R)
+    G = R @ np.linalg.solve(sym(C), R)
+    return float(np.sum(triple.T_prime * sym(G)))
+
+
+@pytest.mark.parametrize("d", [1, 6, 20])
+def test_lower_objective_matches_the_square_root_form(d):
+    # full-rank, low-rank and zero F: the solve form needs no root of F
+    rng = np.random.default_rng(40 + d)
+    for sigma2, n in [(0.25, 32), (1.0, 1024), (2.0, 3)]:
+        triple = make_triple(rand_pd(rng, d), rand_pd(rng, d, 0.7), sigma2)
+        B = rng.normal(size=(d, max(1, d // 3)))
+        for F in (RADIUS * rand_pd(rng, d) / d, RADIUS * B @ B.T / np.trace(B @ B.T),
+                  np.zeros((d, d))):
+            got = eval_lower_objective(triple, F, sigma2, n)
+            ref = square_root_form(triple, F, sigma2, n)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def triple_of(Sp, Tp):
     return SpectralTriple(S_prime=Sp, T_prime=Tp)
 
@@ -295,9 +320,9 @@ def test_sample_prior_support_and_point_mass():
     assert norms.max() <= 1 + 1e-9
     # collapsed coordinate is zero in the prior's own basis (up to the
     # rounding of the reconstruction round-trip through M^{1/2})
-    from covshift.psdlinalg import psd_sqrt
+    from covshift.psdlinalg import psd_roots
 
-    Z = W @ psd_sqrt(M) @ Q
+    Z = W @ psd_roots(M)[0] @ Q
     assert np.abs(Z[:, 2]).max() <= 1e-12
     assert np.abs(Z[:, 0]).max() <= g[0] + 1e-9
     assert np.abs(Z[:, 1]).max() <= g[1] + 1e-9

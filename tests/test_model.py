@@ -18,7 +18,7 @@ from covshift.model import (
     sample_source,
     whiten,
 )
-from covshift.psdlinalg import NotPSD, eigh, psd_inv_sqrt, psd_roots, psd_sqrt, sym
+from covshift.psdlinalg import NotPSD, eigh, psd_roots, sym
 
 
 def test_power_law_source_spectrum():
@@ -92,10 +92,10 @@ def rand_instance(seed, d=5, sigma2=0.3):
 def test_whiten_identities():
     inst = rand_instance(11)
     triple = whiten(inst)
-    R = psd_inv_sqrt(inst.M)
+    m_sqrt, R = psd_roots(inst.M)
     assert np.allclose(R @ inst.S @ R, triple.S_prime, atol=1e-10)
     assert np.allclose(R @ inst.T @ R, triple.T_prime, atol=1e-10)
-    assert np.allclose(psd_sqrt(inst.M) @ R, np.eye(inst.d), atol=1e-10)
+    assert np.allclose(m_sqrt @ R, np.eye(inst.d), atol=1e-10)
     assert inst.c_finite == pytest.approx(
         np.abs(np.linalg.eigvalsh(triple.S_prime)).max(), rel=1e-10
     )
@@ -120,7 +120,7 @@ def test_whiten_reuses_the_instance_root(monkeypatch):
     triple = whiten(inst)
     assert calls == []  # M^{-1/2} comes from the instance, and S' is not decomposed
     monkeypatch.undo()
-    R = psd_inv_sqrt(inst.M)
+    R = psd_roots(inst.M)[1]
     assert np.array_equal(triple.S_prime, sym(R @ inst.S @ R))
     assert np.array_equal(triple.T_prime, sym(R @ inst.T @ R))
 
@@ -136,7 +136,7 @@ def test_instance_keeps_the_eigenbasis_of_S(dense):
     assert np.array_equal(inst.eig_S.eigenvalues, dec.eigenvalues)
     assert np.array_equal(inst.eig_S.eigenvectors, V)
     assert np.array_equal(inst.T_tilde, V.T @ inst.T @ V)
-    root = psd_sqrt(inst.S)
+    root = psd_roots(inst.S)[0]
     factor = root if dense else np.diag(root)
     assert inst.source_factor.ndim == factor.ndim
     assert np.array_equal(inst.source_factor, factor)
@@ -148,8 +148,9 @@ def test_instance_keeps_both_roots_of_M(dense):
         inst = rand_instance(18, d=20)
     else:
         inst = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=0)
-    assert np.array_equal(inst.M_sqrt, psd_sqrt(inst.M))
-    assert np.array_equal(inst.M_inv_sqrt, psd_inv_sqrt(inst.M))
+    m_sqrt, m_inv_sqrt = psd_roots(inst.M)
+    assert np.array_equal(inst.M_sqrt, m_sqrt)
+    assert np.array_equal(inst.M_inv_sqrt, m_inv_sqrt)
 
 
 def test_construction_decomposes_M_once(monkeypatch):
@@ -249,7 +250,7 @@ def test_sample_source_diagonal_path_matches_tiled_product(n):
     # full-tile Z @ s_sqrt.T, last tile zero-padded, that dense S uses
     d = 100
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=0)
-    s_sqrt = psd_sqrt(inst.S)
+    s_sqrt = psd_roots(inst.S)[0]
     factor = inst.source_factor
     assert factor.ndim == 1 and np.array_equal(factor, np.diag(s_sqrt))
     padded = -(-n // SAMPLE_TILE) * SAMPLE_TILE

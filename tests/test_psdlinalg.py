@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covshift.asgd import choose_parameters, risk_bound
+from covshift.lowerbound import maximize_F, prior_from_certificate, sample_prior
+from covshift.model import ProblemInstance, whiten
 from covshift.psdlinalg import (
     EigenSolverError,
     NotPSD,
-    _eigh_unsigned,
-    _fix_signs,
     _simplex_cap_project,
     eigh,
     project_psd_nuclear_ball,
-    psd_inv_sqrt,
-    psd_sqrt,
+    psd_roots,
     spectral_norm,
     sym,
 )
+from covshift.riskoracle import semi_stochastic_bias
 
 
 def rand_sym(rng, d, scale=1.0):
@@ -47,37 +48,6 @@ def test_eigh_descending_and_reconstructs():
     assert np.allclose(U.T @ U, np.eye(8), atol=1e-12)
 
 
-def fix_signs_loop(U):
-    """Reference sign convention, one column at a time: flip the column if
-    its first entry with |u| > 1e-12 (its largest, if none is) is negative."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            U[:, j] = -col
-    return U
-
-
-@pytest.mark.parametrize("d", [1, 2, 7, 30])
-def test_fix_signs_matches_per_column_loop(d):
-    rng = np.random.default_rng(d)
-    for _ in range(25):
-        U = rng.standard_normal((d, d))
-        U[: d // 2, ::2] *= 1e-14  # leading entries below the threshold
-        U[0, ::3] = -0.0  # signed zeros must keep their sign bit
-        U[:, -1] = 1e-13 * rng.standard_normal(d)  # an all-tiny column
-        if d > 2:
-            U[:, 1] = 0.0
-            U[:, 2] = 0.0
-            U[0, 2] = -0.0  # an all-zero column led by -0.0 is not flipped
-        got, ref = _fix_signs(U), fix_signs_loop(U)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
-    assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
-
-
 def spectral_test_matrices(rng, d):
     """(name, matrix) pairs: random symmetric, PSD, low-rank PSD, and PD
     with every eigenvalue repeated (ties exercise the stable sort)."""
@@ -93,31 +63,77 @@ def spectral_test_matrices(rng, d):
     ]
 
 
+def flip_eigenvector_signs(monkeypatch):
+    """From now on np.linalg.eigh negates every other eigenvector (columns
+    0, 2, 4, ... in LAPACK's ascending order): an equally valid answer."""
+    real_eigh = np.linalg.eigh
+
+    def flipped_eigh(X):
+        w, U = real_eigh(X)
+        U = U.copy()
+        U[:, ::2] *= -1.0
+        return w, U
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 30])
-def test_spectral_functions_ignore_eigenvector_signs(d):
-    # each function equals U f(w) U' built from the sign-fixed eigh, bit
-    # for bit; the projection decomposes without the sign convention
+def test_spectral_functions_ignore_eigenvector_signs(d, monkeypatch):
+    # each function returns U f(w) U', where a negated column of U cancels
+    # bit for bit
     rng = np.random.default_rng(100 + d)
-    flipped = 0
+    cases = []
     for name, X in spectral_test_matrices(rng, d):
         dec = eigh(X)
-        w, U = dec.eigenvalues, dec.eigenvectors
-        flipped += int(np.any(U != _eigh_unsigned(X)[1]))
-        radius = 0.5 * float(np.abs(w).sum())
-        ref = sym((U * _simplex_cap_project(np.maximum(w, 0.0), radius)) @ U.T)
-        assert np.array_equal(project_psd_nuclear_ball(X, radius), ref)
-        if name != "symmetric":
-            ref = sym((U * np.sqrt(np.maximum(w, 0.0))) @ U.T)
-            assert np.array_equal(psd_sqrt(X), ref)
-        if name in ("psd", "tied"):
-            assert np.array_equal(psd_inv_sqrt(X), sym((U / np.sqrt(w)) @ U.T))
-    if d > 1:
-        assert flipped  # the sign convention changed some eigenvectors
+        radius = 0.5 * float(np.abs(dec.eigenvalues).sum())
+        roots = psd_roots(X) if name in ("psd", "tied") else None
+        cases.append((X, dec, radius, project_psd_nuclear_ball(X, radius), roots))
+    flip_eigenvector_signs(monkeypatch)
+    for X, dec, radius, projection, roots in cases:
+        flipped = eigh(X)
+        assert np.array_equal(flipped.eigenvalues, dec.eigenvalues)
+        assert not np.array_equal(flipped.eigenvectors, dec.eigenvectors)
+        assert np.array_equal(project_psd_nuclear_ball(X, radius), projection)
+        if roots is not None:
+            for got, ref in zip(psd_roots(X), roots):
+                assert np.array_equal(got, ref)
+
+
+def test_instance_outputs_ignore_eigenvector_signs(monkeypatch):
+    # dense S, T, M: the instance's roots and risk terms are U f(w) U' forms
+    # and come out bit for bit; the certificate's prior only reflects
+    # coordinates, so its draws keep their M-norms
+    d, rng = 12, np.random.default_rng(31)
+    S, T, M = (rand_pd(rng, d) for _ in range(3))
+    w = rng.standard_normal(d)
+    w /= 1.25 * np.sqrt(w @ M @ w)
+
+    def outputs():
+        inst = ProblemInstance(S=S, T=T, M=M, w_star=w, sigma2=0.5)
+        cfg = choose_parameters(inst, 2**10, require_admissible=False)
+        cert = maximize_F(whiten(inst), inst.sigma2, 2**10)
+        W = sample_prior(prior_from_certificate(cert.F, inst.M), 500, seed=4)
+        return inst, {
+            "source_factor": inst.source_factor,
+            "M_sqrt": inst.M_sqrt,
+            "M_inv_sqrt": inst.M_inv_sqrt,
+            "bias": semi_stochastic_bias(inst, cfg).total,
+            "bound": risk_bound(inst, cfg).total,
+            "F": cert.F,
+        }, np.einsum("nd,de,ne->n", W, M, W)
+
+    inst, ref, ref_norms = outputs()
+    flip_eigenvector_signs(monkeypatch)
+    flipped, got, norms = outputs()
+    assert not np.array_equal(flipped.eig_S.eigenvectors, inst.eig_S.eigenvectors)
+    for key, value in ref.items():
+        assert np.array_equal(got[key], value), key
+    assert np.allclose(norms, ref_norms, rtol=0.0, atol=1e-14)
 
 
 def test_spectral_functions_keep_reconstruction_check(monkeypatch):
     # a decomposition that misses the 1e-9 reconstruction tolerance is
-    # rejected on the sign-free path too
+    # rejected by every function built on eigh
     real_eigh = np.linalg.eigh
 
     def perturbed_eigh(X):
@@ -126,7 +142,7 @@ def test_spectral_functions_keep_reconstruction_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
     X = rand_pd(np.random.default_rng(9), 5)
-    for fn in (lambda A: project_psd_nuclear_ball(A, 1.0), psd_sqrt, psd_inv_sqrt, eigh):
+    for fn in (lambda A: project_psd_nuclear_ball(A, 1.0), psd_roots, eigh):
         with pytest.raises(EigenSolverError, match="residual"):
             fn(X)
 
@@ -134,26 +150,26 @@ def test_spectral_functions_keep_reconstruction_check(monkeypatch):
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(2)
     X = rand_pd(rng, 6)
-    R = psd_sqrt(X)
+    R = psd_roots(X)[0]
     assert np.allclose(R @ R, X, atol=1e-10)
     assert np.allclose(R, R.T)
 
 
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        psd_roots(np.diag([1.0, -0.5]))
 
 
 def test_psd_inv_sqrt_inverts():
     rng = np.random.default_rng(3)
     X = rand_pd(rng, 5)
-    W = psd_inv_sqrt(X)
+    W = psd_roots(X)[1]
     assert np.allclose(W @ X @ W, np.eye(5), atol=1e-9)
 
 
 def test_psd_inv_sqrt_rejects_singular():
     with pytest.raises(NotPSD):
-        psd_inv_sqrt(np.diag([1.0, 0.0]))
+        psd_roots(np.diag([1.0, 0.0]))
 
 
 def test_spectral_norm_matches_eigvalsh():
