@@ -175,7 +175,7 @@ def criterion_4():
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=1)
     step = 1.0 / (inst.psi * float(np.trace(inst.S)))
     cfg = ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.7, beta=0.3)
-    traj = run(inst, cfg, seed=seed, record_every=1, record_iterates=True)
+    traj = run(inst, cfg, seed=seed, record_iterates=True)
 
     samples = sample_source(inst, n, seed)
     w = np.zeros(d)
@@ -417,8 +417,6 @@ def criterion_9():
 # ---------------------------------------------------------------- 10
 def criterion_10():
     """Prior sampler support (1e6 draws) and information-matrix quadrature."""
-    from scipy.integrate import quad
-
     rng = np.random.default_rng(1010)
     d = 5
     U = _rand_orth(rng, d)
@@ -432,6 +430,7 @@ def criterion_10():
     if max_norm > 1.0 + 1e-9:
         return False, f"support violated: max |w|_M^2 = {max_norm:.12f}"
 
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     worst = 0.0
     for dd in (1, 2):
         Ud = _rand_orth(rng, dd)
@@ -441,23 +440,19 @@ def criterion_10():
         p = CosSquaredPrior(U=Ud, g=gd, M=Md)
         closed = prior_information_matrix(p)
 
-        # coordinate Fisher information by quadrature: the z_i are
-        # independent, so the information matrix is
+        # coordinate Fisher information by 64-node Gauss-Legendre quadrature:
+        # the z_i are independent, so the information matrix is
         # M^{1/2} U diag(I_i) U' M^{1/2} with
-        # I_i = int (pi/g tan(pi z/(2g)))^2 cos^2(pi z/(2g))/g dz
+        # I_i = int_{-g}^{g} (pi/g tan(pi z/(2g)))^2 cos^2(pi z/(2g))/g dz
         fishers = []
         for gi in gd:
-            val, _ = quad(
-                lambda z, gi=gi: (
-                    (math.pi / gi * math.tan(math.pi * z / (2 * gi))) ** 2
-                    * math.cos(math.pi * z / (2 * gi)) ** 2
-                    / gi
-                ),
-                -gi,
-                gi,
-                limit=200,
+            z = gi * nodes
+            integrand = (
+                (math.pi / gi * np.tan(math.pi * z / (2 * gi))) ** 2
+                * np.cos(math.pi * z / (2 * gi)) ** 2
+                / gi
             )
-            fishers.append(val)
+            fishers.append(gi * float(weights @ integrand))
         m_sqrt = psd_roots(Md)[0]
         quad_info = m_sqrt @ (Ud * np.array(fishers)) @ Ud.T @ m_sqrt
         rel = np.abs(quad_info - closed).max() / np.abs(closed).max()

@@ -141,14 +141,10 @@ def admissibility_ratio(cfg: ASGDConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded checkpoints (global step, excess risk) plus finals."""
+    """The final w-iterate and, when recorded, every iterate: row t - 1 is
+    w after step t."""
 
     final_w: np.ndarray
-    final_v: np.ndarray
-    steps: np.ndarray
-    risks: np.ndarray
-    stage_boundaries: tuple
-    n_used: int
     iterates: np.ndarray | None = None
 
 
@@ -211,7 +207,6 @@ def choose_rate_parameters(
     inst: ProblemInstance,
     n: int,
     a: float = 2.0,
-    s: float = 1.0,
     r: float = 0.0,
     nu: int = 0,
     n_ref: int = 256,
@@ -245,9 +240,9 @@ def _cores() -> int:
 
 def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     """Advance one trajectory per (config, seed) pair in lockstep; returns
-    (W, V) of shape (len(cfgs), len(seeds), d), row [k, j] for cfgs[k] and
-    seeds[j]. ``on_step(t, W)`` runs after step t (1-based); ``run`` uses it
-    with one config, whose W then has shape (len(seeds), d).
+    the final w-iterates W of shape (len(cfgs), len(seeds), d), row [k, j]
+    for cfgs[k] and seeds[j]. ``on_step(W)`` runs after every step; ``run``
+    uses it with one config, whose W then has shape (len(seeds), d).
 
     The configs share the seeds' sample streams. Each seed draws the
     max(cfg.n) samples of the largest config from its own PCG64 stream, one
@@ -276,8 +271,7 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
 
     Under plain SGD (gamma0 == delta0 for every config) the v-iterate equals
     w bit for bit by induction (V - W is +0, so u = w and both updates
-    subtract the same step), so only W is stepped and it is returned as V
-    too.
+    subtract the same step), so only W is stepped.
     """
     rows, d, K = len(seeds), inst.d, len(cfgs)
     used = [cfg.stages * cfg.stage_len for cfg in cfgs]
@@ -286,7 +280,6 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     W = np.zeros((K, rows, d) if K > 1 else (rows, d))
     V = W if vanilla else np.zeros_like(W)
     W_out = np.empty((K, rows, d))
-    V_out = W_out if vanilla else np.empty((K, rows, d))
     workers, block = 1, max(used)
     if not population:
         n_max = max(cfg.n for cfg in cfgs)
@@ -337,19 +330,17 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
                 g *= delta  # in place: the bits of delta * g
                 W = U - g
                 if on_step is not None:
-                    on_step(t + 1, W)
+                    on_step(W)
             t = stop
             while live and used[order[live - 1]] == t:
                 live -= 1
                 k = order[live]
                 W_out[k] = W[live] if W.ndim == 3 else W
-                if not vanilla:
-                    V_out[k] = V[live] if V.ndim == 3 else V
             if live == 1 and W.ndim == 3:
                 W, V = W[0], V[0]
             elif live > 1:
                 W, V = W[:live], V[:live]
-    return W_out, V_out
+    return W_out
 
 
 def run(
@@ -357,46 +348,22 @@ def run(
     cfg: ASGDConfig,
     seed: int = 0,
     population: bool = False,
-    record_every: int | None = None,
     record_iterates: bool = False,
 ) -> Trajectory:
     """One trajectory: the one-seed case of the lockstep kernel behind
-    ``run_batch``, so its final risk equals ``run_batch``'s for the same
-    seed bit for bit. ``population=True`` replaces the sampled gradient by
-    the exact-moment gradient g = S(u - w*) (deterministic, noiseless);
-    otherwise the n samples of ``sample_source(inst, n, seed)`` are used in
-    order and the last n - stages*stage_len are left unused.
-    record_every=None records only the final point; record_every <= 0 means
-    once per stage (every stage_len steps).
+    ``run_batch``, so ``excess_risk(inst, run(...).final_w)`` equals
+    ``run_batch``'s risk for the same seed bit for bit. ``population=True``
+    replaces the sampled gradient by the exact-moment gradient
+    g = S(u - w*) (deterministic, noiseless); otherwise the n samples of
+    ``sample_source(inst, n, seed)`` are used in order and the last
+    n - stages*stage_len are left unused. ``record_iterates=True`` keeps
+    every step's w-iterate.
     """
-    if record_every is not None and record_every <= 0:
-        record_every = cfg.stage_len
-    steps, risks, iterates = [], [], []
-
-    def record(t, w):
-        steps.append(t)
-        risks.append(excess_risk(inst, w))
-        if record_iterates:
-            iterates.append(w.copy())
-
-    on_step = None
-    if record_every is not None:
-        def on_step(t, W):
-            if t % record_every == 0:
-                record(t, W[0])
-
-    W, V = _lockstep(inst, [cfg], [seed], population, on_step)
-    n_used = cfg.stages * cfg.stage_len
-    if not steps or steps[-1] != n_used:
-        record(n_used, W[0, 0])
+    iterates = []
+    on_step = (lambda W: iterates.append(W[0].copy())) if record_iterates else None
+    W = _lockstep(inst, [cfg], [seed], population, on_step)
     return Trajectory(
-        final_w=W[0, 0],
-        final_v=V[0, 0],
-        steps=np.array(steps, dtype=int),
-        risks=np.array(risks),
-        stage_boundaries=tuple(range(0, n_used + 1, cfg.stage_len)),
-        n_used=n_used,
-        iterates=np.array(iterates) if record_iterates else None,
+        final_w=W[0, 0], iterates=np.array(iterates) if record_iterates else None
     )
 
 
@@ -411,16 +378,17 @@ def run_grid(inst: ProblemInstance, cfgs, seeds) -> np.ndarray:
 
 def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     """Final excess risk for each seed: element i equals
-    ``run(inst, cfg, seed=seeds[i]).risks[-1]`` bit for bit, however the
-    seeds are grouped into calls and however many CPUs the process may use;
-    it is the one-config case of ``run_grid``. The one lockstep kernel runs all seeds as rows of
-    (len(seeds), d) arrays to amortize the per-step Python cost; its sample
-    buffer holds SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. The
-    draws scale normals by the instance's ``source_factor``, so a call makes
-    no eigendecomposition. When that factor is a vector (S exactly
-    diagonal), with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU
-    in the affinity mask, the seeds' draws for each tile run on a thread
-    pool that lives for this call.
+    ``excess_risk(inst, run(inst, cfg, seed=seeds[i]).final_w)`` bit for
+    bit, however the seeds are grouped into calls and however many CPUs the
+    process may use; it is the one-config case of ``run_grid``. The one
+    lockstep kernel runs all seeds as rows of (len(seeds), d) arrays to
+    amortize the per-step Python cost; its sample buffer holds
+    SAMPLE_TILE * len(seeds) * (d+1) floats, whatever n is. The draws scale
+    normals by the instance's ``source_factor``, so a call makes no
+    eigendecomposition. When that factor is a vector (S exactly diagonal),
+    with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU in the
+    affinity mask, the seeds' draws for each tile run on a thread pool that
+    lives for this call.
     """
     return _final_risks(inst, [cfg], list(seeds))[0]
 
@@ -428,7 +396,7 @@ def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
 def _final_risks(inst, cfgs, seeds) -> np.ndarray:
     # run_batch and run_grid share this body rather than call each other, so
     # a tracer that wraps the public names times each call once
-    W, _ = _lockstep(inst, cfgs, seeds)
+    W = _lockstep(inst, cfgs, seeds)
     # per-row excess_risk so the reduction order (hence every bit) matches run()
     return np.array([[excess_risk(inst, w) for w in Wk] for Wk in W])
 

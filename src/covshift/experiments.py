@@ -37,7 +37,7 @@ from .asgd import (
 from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
-from .precond import PrecondProgram, solve_general
+from .precond import PrecondProgram, _target_scale, solve_general
 from .riskoracle import semi_stochastic_bias, semi_stochastic_variance
 
 __all__ = [
@@ -63,8 +63,9 @@ KINDS = ("duality", "rate_sweep", "emergence", "bound_check")
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: a study kind, an instance description (power-law family
-    or explicit matrices), the sample-size grid, and the seed count. Extra
-    numeric knobs (sigma2, step_base, tol, kappa_tilde, ...) ride in params.
+    or explicit matrices; the noise level sigma2 is an instance key), the
+    sample-size grid, and the seed count. Extra numeric knobs (step_base,
+    tol, kappa_tilde, seed_base, ...) ride in params.
     """
 
     kind: str
@@ -118,17 +119,13 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
-    """Materialize the instance description: {"type": "powerlaw", ...} maps
-    to the power-law family (deterministic given its "seed" entry, default
-    0); {"type": "explicit", ...} carries the matrices verbatim."""
-    desc = dict(spec.instance)
-    kind = desc.pop("type", "powerlaw")
-    if kind == "explicit":
-        return model.instance_from_json(desc)
+def _power_law_spec(desc: dict) -> model.PowerLawSpec:
+    """The PowerLawSpec of a {"type": "powerlaw", ...} instance description
+    (the type defaults to "powerlaw"); ValueError for any other type."""
+    kind = desc.get("type", "powerlaw")
     if kind != "powerlaw":
-        raise ValueError(f"unknown instance type {kind!r}")
-    pl = model.PowerLawSpec(
+        raise ValueError(f"not a power-law instance: type {kind!r}")
+    return model.PowerLawSpec(
         d=int(desc["d"]),
         a=float(desc["a"]),
         s=float(desc.get("s", 1.0)),
@@ -136,8 +133,17 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
         nu=int(desc.get("nu", 0)),
         d0=desc.get("d0"),
     )
+
+
+def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
+    """Materialize the instance description: {"type": "powerlaw", ...} maps
+    to the power-law family (deterministic given its "seed" entry, default
+    0); {"type": "explicit", ...} carries the matrices verbatim."""
+    desc = spec.instance
+    if desc.get("type") == "explicit":
+        return model.instance_from_json(desc)
     return model.make_power_law_instance(
-        pl,
+        _power_law_spec(desc),
         seed=int(desc.get("seed", 0)),
         rho=float(desc.get("rho", 1.0)),
         sigma2=float(desc.get("sigma2", 1.0)),
@@ -238,9 +244,7 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     inst = resolve_instance(spec)
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
-    t_eigs = np.linalg.eigvalsh(triple.T_prime)  # T' is symmetric
-    t_norm = float(np.max(np.abs(t_eigs)))
-    singular = float(t_eigs.min()) < 1e-10 * t_norm
+    t_norm, singular = _target_scale(triple.T_prime)
     h = spec_hash(spec)
     rows = []
     worst = 0.0
@@ -355,13 +359,12 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     The certified lower-bound value is fitted on the same grid for scale.
     The whole grid runs in one ``run_grid`` call, on one sample stream per
     seed; each grid point's risks are the bits of its own ``run_batch``.
+    Needs a power-law instance (ValueError otherwise): the prediction reads
+    its (a, s, r, nu).
     """
+    pl = _power_law_spec(spec.instance)
+    a, s, r = pl.a, pl.s, pl.r
     inst = resolve_instance(spec)
-    desc = spec.instance
-    a = float(desc.get("a", 2.0))
-    s = float(desc.get("s", 1.0))
-    r = float(desc.get("r", 0.0))
-    nu = int(desc.get("nu", 0))
     if len(spec.n_grid) < 4 or spec.n_grid[-1] < 8 * spec.n_grid[0]:
         raise ValueError("rate sweep needs an n-grid spanning >= 3 octaves")
     predicted = -(r + s) * a / (s * a + 1.0)
@@ -374,7 +377,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     means, lowers = [], []
     cfgs = [
         choose_rate_parameters(
-            inst, n, a=a, s=s, r=r, nu=nu, n_ref=spec.n_grid[0], base=base
+            inst, n, a=a, r=r, nu=pl.nu, n_ref=spec.n_grid[0], base=base
         )
         for n in spec.n_grid
     ]
@@ -463,16 +466,14 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
     * sanity: the curve is nonincreasing up to Monte-Carlo noise (each
       isotonic-fit residual within 2 stderr).
 
-    As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call.
+    As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call. Needs
+    a power-law instance with a plateau width d0 (ValueError otherwise).
     """
-    inst = resolve_instance(spec)
-    desc = spec.instance
-    a = float(desc.get("a", 2.0))
-    r = float(desc.get("r", 0.0))
-    d0 = desc.get("d0")
-    if d0 is None:
+    pl = _power_law_spec(spec.instance)
+    if pl.d0 is None:
         raise ValueError("emergence needs a plateau width d0")
-    d0 = int(d0)
+    a, d0 = pl.a, int(pl.d0)
+    inst = resolve_instance(spec)
     n_knee = d0 ** (a + 1.0)
     base = spec.params.get("step_base")
     exponent = float(spec.params.get("step_exponent", -1.0 / (a + 1.0)))

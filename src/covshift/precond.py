@@ -20,11 +20,6 @@ in whitened coordinates. This module minimizes that bound over A:
   dual optimum, and certifies the duality gap, with a Polyak subgradient
   polish to close the last digits. The dual certificate is returned with the
   preconditioner.
-
-S' is fixed for a whole solve, so ``solve_general`` factors it once and
-scores every candidate, polish step and the returned preconditioner with that
-factor. scipy.linalg is imported inside the functions that use it, so that
-``import covshift`` loads numpy alone.
 """
 from __future__ import annotations
 
@@ -32,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _cholesky, _upper_objective, eval_upper_objective
+from .estimators import _require_pd, _upper_objective, eval_upper_objective
 from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, sym
@@ -156,9 +151,7 @@ def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarra
     return I - np.linalg.solve(Sp, inner)
 
 
-def _subgradient(T_eff, A, S_chol, bias_coeff, noise_coeff):
-    from scipy.linalg import cho_solve
-
+def _subgradient(T_eff, A, Sp, bias_coeff, noise_coeff):
     d = A.shape[0]
     R = np.eye(d) - A
     B = sym(R.T @ T_eff @ R)
@@ -166,8 +159,16 @@ def _subgradient(T_eff, A, S_chol, bias_coeff, noise_coeff):
     u = dec.eigenvectors[:, 0]
     Tu = T_eff @ (R @ u)
     g_bias = -2.0 * bias_coeff * np.outer(Tu, u)
-    g_noise = 2.0 * noise_coeff * (T_eff @ cho_solve(S_chol, A.T).T)
+    g_noise = 2.0 * noise_coeff * (T_eff @ np.linalg.solve(Sp, A.T).T)
     return g_bias + g_noise
+
+
+def _target_scale(T_prime) -> tuple[float, bool]:
+    """(|T'|_op, singular): T' counts as singular when its smallest
+    eigenvalue is below 1e-10 |T'|_op."""
+    t_eigs = np.linalg.eigvalsh(sym(T_prime))
+    t_norm = float(np.max(np.abs(t_eigs)))
+    return t_norm, float(t_eigs.min()) < 1e-10 * t_norm
 
 
 def _preconditioner(prog, A, val, gap, cert) -> Preconditioner:
@@ -208,9 +209,7 @@ def solve_general(
     triple = prog.triple
     d = triple.d
     I = np.eye(d)
-    T_prime = triple.T_prime
-    t_eigs = np.linalg.eigvalsh(sym(T_prime))  # |T'| and the singularity test
-    t_norm = float(np.max(np.abs(t_eigs)))
+    t_norm, singular = _target_scale(triple.T_prime)
 
     # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
@@ -220,7 +219,7 @@ def solve_general(
 
     eps = prog.epsilon_reg
     if eps is None:
-        eps = 1e-8 * t_norm if float(t_eigs.min()) < 1e-10 * t_norm else 0.0
+        eps = 1e-8 * t_norm if singular else 0.0
     triple_eff = triple.ridged(eps)
     T_eff = triple_eff.T_prime
 
@@ -237,12 +236,10 @@ def solve_general(
         cert = err.best
     lower = cert.value
     Sp = triple_eff.S_prime
-    S_chol = _cholesky(Sp)  # S' is fixed for the whole solve: factor it once
+    _require_pd(Sp)  # S' is fixed for the whole solve: check it once
 
     def objective(A):
-        return _upper_objective(
-            triple_eff, A, S_chol, prog.noise_coeff, prog.bias_coeff
-        )
+        return _upper_objective(triple_eff, A, prog.noise_coeff, prog.bias_coeff)
 
     # -------- primal candidates --------
     candidates = [recover_A_from_F(triple_eff, cert.F, prog.noise_coeff)]
@@ -273,7 +270,7 @@ def solve_general(
     it = 0
     while rel_gap(best_val) > tol and it < max_iter:
         it += 1
-        G = _subgradient(T_eff, A, S_chol, prog.bias_coeff, prog.noise_coeff)
+        G = _subgradient(T_eff, A, Sp, prog.bias_coeff, prog.noise_coeff)
         g2 = float(np.sum(G * G))
         if g2 == 0.0:
             break

@@ -21,6 +21,7 @@ from covshift.model import (
     SAMPLE_TILE,
     PowerLawSpec,
     ProblemInstance,
+    excess_risk,
     make_power_law_instance,
     sample_source,
 )
@@ -107,7 +108,7 @@ def test_admissible_property():
 def test_choose_rate_parameters_schedule():
     inst = power_law(d=50)
     base = 1.0 / (inst.psi * np.trace(inst.S))
-    cfg = choose_rate_parameters(inst, 2**11)  # a=2, s=1, r=0 -> exponent -1/3
+    cfg = choose_rate_parameters(inst, 2**11)  # a=2, r=0 -> exponent -1/3
     assert cfg.delta0 == cfg.gamma0
     assert cfg.delta0 == pytest.approx(base * (2**11 / 256) ** (-1 / 3), rel=1e-12)
     assert (cfg.alpha, cfg.beta) == (0.5, 1.0)
@@ -152,7 +153,7 @@ def test_risk_bound_dominates_population_run():
     cfg = choose_parameters(inst, 2**9, kappa_tilde=5, require_admissible=False)
     rb = risk_bound(inst, cfg)
     traj = run(inst, cfg, population=True)
-    assert traj.risks[-1] <= rb.total
+    assert excess_risk(inst, traj.final_w) <= rb.total
 
 
 def test_effective_dimension_monotone_in_steps():
@@ -185,8 +186,6 @@ def test_vanilla_schedule_collapses_to_sgd():
             w = w - delta * ((x @ w - samples.y[t]) * x)
             t += 1
     assert np.array_equal(traj.final_w, w)
-    assert np.array_equal(traj.final_v, w)
-    assert traj.n_used == t
 
 
 def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
@@ -196,7 +195,7 @@ def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
     step = 1.0 / (inst.psi * np.trace(inst.S))
     alpha, beta = 0.7, 0.3
     cfg = ASGDConfig(n=2**8, delta0=step, gamma0=step, alpha=alpha, beta=beta)
-    traj = run(inst, cfg, seed=9, record_every=0, record_iterates=True)
+    traj = run(inst, cfg, seed=9, record_iterates=True)
     samples = sample_source(inst, cfg.n, 9)
     w = np.zeros(5)
     v = np.zeros(5)
@@ -211,8 +210,9 @@ def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
             v = (v + beta * (u - v)) - gamma * g
             t += 1
         assert np.array_equal(v, w)
-        assert np.array_equal(traj.iterates[ell - 1], w)
-    assert np.array_equal(traj.final_w, w) and np.array_equal(traj.final_v, w)
+        assert np.array_equal(traj.iterates[ell * cfg.stage_len - 1], w)
+    assert traj.iterates.shape == (t, 5)
+    assert np.array_equal(traj.final_w, w)
 
 
 def test_run_is_deterministic_and_seed_sensitive():
@@ -230,28 +230,13 @@ def test_population_run_matches_momentum_recursion():
     # stage granularity on an easy instance
     inst = power_law(d=10, sigma2=0.0)
     cfg = choose_rate_parameters(inst, 2**9)
-    traj = run(inst, cfg, population=True, record_every=0)
-    assert len(traj.risks) == cfg.stages
-    assert traj.risks[-1] < traj.risks[0]
-    assert traj.risks[-1] < 1e-2
-
-
-def test_recording_controls():
-    inst = power_law(d=6)
-    cfg = choose_rate_parameters(inst, 2**6)
-    only_final = run(inst, cfg, seed=0)
-    assert len(only_final.steps) == 1 and only_final.steps[0] == only_final.n_used
-    every_step = run(inst, cfg, seed=0, record_every=1, record_iterates=True)
-    assert len(every_step.steps) == every_step.n_used
-    assert every_step.iterates.shape == (every_step.n_used, 6)
-    assert np.array_equal(every_step.iterates[-1], every_step.final_w)
-    per_stage = run(inst, cfg, seed=0, record_every=0)
-    assert len(per_stage.steps) == cfg.stages
-    assert np.array_equal(per_stage.steps, np.cumsum([cfg.stage_len] * cfg.stages))
-    # stage boundaries cover [0, n_used] in stage_len strides
-    assert per_stage.stage_boundaries[0] == 0
-    assert per_stage.stage_boundaries[-1] == per_stage.n_used
-    assert len(per_stage.stage_boundaries) == cfg.stages + 1
+    traj = run(inst, cfg, population=True, record_iterates=True)
+    ends = traj.iterates[cfg.stage_len - 1 :: cfg.stage_len]
+    risks = [excess_risk(inst, w) for w in ends]
+    assert len(risks) == cfg.stages
+    assert np.array_equal(ends[-1], traj.final_w)
+    assert risks[-1] < risks[0]
+    assert risks[-1] < 1e-2
 
 
 def test_run_batch_matches_single_runs():
@@ -259,7 +244,7 @@ def test_run_batch_matches_single_runs():
     cfg = choose_rate_parameters(inst, 2**7)
     seeds = list(range(12))
     batch = run_batch(inst, cfg, seeds)
-    singles = np.array([run(inst, cfg, seed=s).risks[-1] for s in seeds])
+    singles = np.array([excess_risk(inst, run(inst, cfg, seed=s).final_w) for s in seeds])
     assert np.array_equal(batch, singles)
     assert batch.shape == (12,)
 
@@ -285,7 +270,7 @@ def test_run_batch_grouping_invariant(dense):
     whole = run_batch(inst, cfg, seeds)
     parts = np.concatenate([run_batch(inst, cfg, p) for p in ([0, 1, 2], [3], [4, 5, 6])])
     assert np.array_equal(whole, parts)
-    assert run(inst, cfg, seed=4).risks[-1] == whole[4]
+    assert excess_risk(inst, run(inst, cfg, seed=4).final_w) == whole[4]
 
 
 def test_parallel_tile_fill_changes_no_bit(monkeypatch):
@@ -323,7 +308,7 @@ def test_parallel_tile_fill_changes_no_bit(monkeypatch):
     # 1 core: inline; 4 cores: min(4, 40 // 16) = 2 workers, one block of
     # 20 seeds each for every one of the 3 tiles, joined when the call ends
     assert (pools, submits, joined) == ([2], [20] * 6, [True])
-    singles = np.array([run(inst, cfg, seed=s).risks[-1] for s in seeds])
+    singles = np.array([excess_risk(inst, run(inst, cfg, seed=s).final_w) for s in seeds])
     assert np.array_equal(results[1], results[4])
     assert np.array_equal(results[4], singles)
 

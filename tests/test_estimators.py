@@ -3,6 +3,7 @@ import pytest
 
 from covshift.estimators import (
     DEFAULT_BIAS_COEFF,
+    _upper_objective,
     default_noise_coeff,
     estimate,
     eval_upper_objective,
@@ -12,13 +13,14 @@ from covshift.model import (
     PowerLawSpec,
     ProblemInstance,
     Samples,
+    SpectralTriple,
     excess_risk,
     make_power_law_instance,
     sample_source,
     whiten,
 )
 from covshift.precond import PrecondProgram, solve_general
-from covshift.psdlinalg import psd_roots, spectral_norm
+from covshift.psdlinalg import eigh, psd_roots, spectral_norm
 
 
 def rand_instance(seed, d=4, sigma2=0.2):
@@ -105,6 +107,25 @@ def test_objective_scales_with_coefficients():
     scaled = eval_upper_objective(triple, A, 0.04, bias_coeff=2.0)
     assert scaled.bias_term == pytest.approx(2 * base.bias_term, rel=1e-12)
     assert scaled.variance_term == pytest.approx(2 * base.variance_term, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("d", [6, 40])
+def test_variance_term_matches_eigendecomposition(d, kappa):
+    # <T', A S'^{-1} A'> by a linear solve against U diag(1/lam) U' from the
+    # eigendecomposition of S', to rounding times the condition number
+    rng = np.random.default_rng(d)
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    S_prime = (Q * np.geomspace(1.0, 1.0 / kappa, d)) @ Q.T
+    S_prime = (S_prime + S_prime.T) / 2
+    G = rng.standard_normal((d, d))
+    triple = SpectralTriple(S_prime=S_prime, T_prime=G @ G.T / d)
+    A = rng.standard_normal((d, d))
+    dec = eigh(S_prime)
+    U, lam = dec.eigenvectors, dec.eigenvalues
+    ref = float(np.sum(triple.T_prime * (A @ (U / lam) @ U.T @ A.T)))
+    val = _upper_objective(triple, A, 0.5, 1.0)
+    assert abs(val.variance_term - 0.5 * ref) <= 1e-13 * kappa * 0.5 * ref
 
 
 def test_make_preconditioner_records_terms():

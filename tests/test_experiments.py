@@ -276,6 +276,22 @@ def test_run_rate_sweep_needs_three_octaves():
         run_rate_sweep(spec)
 
 
+@pytest.mark.parametrize("kind", ["rate_sweep", "emergence"])
+def test_power_law_studies_refuse_an_explicit_instance(kind):
+    # the predicted exponent and the plateau width are read from a power-law
+    # description; the explicit form of (a, s, r) = (3, 0.5, 0.5), whose
+    # exponent -(r+s)a/(sa+1) is -1.2, carries neither
+    grid = (2**6, 2**7, 2**8, 2**9)
+    desc = powerlaw_desc(d=12, a=3.0, s=0.5, r=0.5)
+    power_law = ExperimentSpec(kind="rate_sweep", instance=desc, n_grid=grid, seeds=2)
+    explicit = ExperimentSpec(kind=kind, instance=instance_to_json(resolve_instance(power_law)),
+                              n_grid=grid, seeds=2)
+    with pytest.raises(ValueError, match="not a power-law instance"):
+        (run_rate_sweep if kind == "rate_sweep" else run_emergence)(explicit)
+    if kind == "rate_sweep":
+        assert run_rate_sweep(power_law).predicted_exponent == pytest.approx(-1.2)
+
+
 # --------------------------------------------------------------- emergence
 
 

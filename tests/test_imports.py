@@ -15,9 +15,11 @@ One eigensolver: the package calls ``np.linalg.eigh`` exactly once, inside
 ``psdlinalg.eigh``, so every eigendecomposition goes through that function
 and its reconstruction check, and no second variant of it can come back.
 
-scipy on first use: no module of the package imports scipy outside a
-function, so ``import covshift`` loads numpy alone, and ``scipy.linalg``
-loads only when a preconditioner program needs its Cholesky factor.
+No scipy: no module of the package imports scipy at any scope; numpy is
+its one numerical library.
+
+Read parameters: every parameter of every function or lambda in the package
+is read in that function's body, so no argument is accepted and ignored.
 """
 import ast
 import os
@@ -27,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from covshift.experiments import ExperimentSpec, run_duality
+from covshift import experiments
+from covshift.experiments import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "covshift"
@@ -118,27 +121,39 @@ def eigh_calls(source: str) -> list[tuple[int, str]]:
     return sorted(calls)
 
 
-def module_scope_scipy_imports(source: str) -> list[int]:
-    """Line of each ``import scipy...`` or ``from scipy... import`` that runs
-    when the module is imported, that is, outside every function body."""
+def scipy_imports(source: str) -> list[int]:
+    """Line of each ``import scipy...`` or ``from scipy... import``, at any
+    scope."""
     lines = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                lines.append(child.lineno)
-            visit(child)
-
-    visit(ast.parse(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
     return sorted(lines)
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter) (line N)`` for each parameter of a function or
+    lambda that its body never reads; a nested function's reads count for
+    the functions around it."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [arg.arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for part in body for name in ast.walk(part)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        function = getattr(node, "name", "<lambda>")
+        unread += [f"{function}({p}) (line {node.lineno})" for p in params if p not in read]
+    return sorted(unread)
 
 
 def test_gate_flags_an_unused_name():
@@ -204,7 +219,7 @@ def test_only_psdlinalg_calls_eigh():
     }
 
 
-def test_gate_flags_a_module_scope_scipy_import():
+def test_gate_flags_a_scipy_import():
     src = ("import numpy as np\n"
            "from scipy.linalg import cho_factor\n"
            "try:\n"
@@ -215,47 +230,69 @@ def test_gate_flags_a_module_scope_scipy_import():
            "    import scipy\n"
            "    def solve(self):\n"
            "        from scipy.linalg import cho_solve\n"
-           "        import scipy.special\n"
-           "def quad():\n"
-           "    from scipy.integrate import quad\n"
-           "from .scipy import helper\n")
-    assert module_scope_scipy_imports(src) == [2, 4, 8]
+           "        import os, scipy.special\n"
+           "from .scipy import helper\n"
+           "import scipyx\n")
+    assert scipy_imports(src) == [2, 4, 8, 10, 11]
 
 
-def test_no_module_imports_scipy_at_module_scope():
-    calls = {p.stem: module_scope_scipy_imports(p.read_text())
-             for p in PACKAGE.glob("*.py")}
-    assert {name: lines for name, lines in calls.items() if lines} == {}
+def test_no_module_imports_scipy():
+    lines = {p.stem: scipy_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in lines.items() if found} == {}
+
+
+def test_gate_flags_an_unread_parameter():
+    src = ("def f(a, b, *args, c=1, **kw):\n"
+           "    return a + c\n"
+           "class Box:\n"
+           "    def grow(self, by, /, step):\n"
+           "        def inner(x):\n"
+           "            return x * by\n"
+           "        self.size = inner(2)\n"
+           "def g(n):\n"
+           "    return sorted([3, 1], key=lambda k, rev=True: -k)\n")
+    assert unread_parameters(src) == [
+        "<lambda>(rev) (line 9)",
+        "f(args) (line 1)",
+        "f(b) (line 1)",
+        "f(kw) (line 1)",
+        "g(n) (line 8)",
+        "grow(step) (line 4)",
+    ]
+
+
+def test_every_parameter_is_read():
+    unread = {p.stem: unread_parameters(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in unread.items() if found} == {}
 
 
 POWER_LAW = {"type": "powerlaw", "d": 10, "a": 2.0, "s": 1.0, "r": 0.0,
              "sigma2": 0.5, "seed": 0}
-
-SCIPY_ON_FIRST_USE = f"""
+STUDIES = {
+    "run_rate_sweep": dict(kind="rate_sweep", instance=POWER_LAW,
+                           n_grid=(16, 32, 64, 128), seeds=2),
+    "run_bound_check": dict(kind="bound_check", instance=POWER_LAW, n_grid=(64,), seeds=2),
+    "run_duality": dict(kind="duality", instance=dict(POWER_LAW, d=3),
+                        n_grid=(16, 64), seeds=1),
+}
+STUDIES_WITHOUT_SCIPY = f"""
 import sys
-from covshift.experiments import ExperimentSpec, run_bound_check, run_duality, run_rate_sweep
-instance = {POWER_LAW!r}
-run_rate_sweep(ExperimentSpec(kind="rate_sweep", instance=instance,
-                              n_grid=(16, 32, 64, 128), seeds=2))
-run_bound_check(ExperimentSpec(kind="bound_check", instance=instance, n_grid=(64,), seeds=2))
-print("scipy.linalg" in sys.modules)
-rows = run_duality(ExperimentSpec(kind="duality", instance=dict(instance, d=3),
-                                  n_grid=(16, 64), seeds=1)).rows
-print("scipy.linalg" in sys.modules)
-print(repr(rows))
+from covshift import experiments
+for name, spec in {STUDIES!r}.items():
+    rows = getattr(experiments, name)(experiments.ExperimentSpec(**spec)).rows
+    print(repr(rows))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_scipy_linalg_loads_on_the_first_preconditioner_solve():
-    # a fresh interpreter: this one may have loaded scipy.linalg in other tests
+def test_studies_load_no_scipy():
+    # a fresh interpreter: this one may have loaded scipy in other tests
     src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE],
+    out = subprocess.run([sys.executable, "-c", STUDIES_WITHOUT_SCIPY],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=300)
-    after_sweep_and_bound, after_duality, rows = out.stdout.splitlines()
-    assert after_sweep_and_bound == "False"
-    assert after_duality == "True"
-    spec = ExperimentSpec(kind="duality", instance=dict(POWER_LAW, d=3),
-                          n_grid=(16, 64), seeds=1)
-    assert rows == repr(run_duality(spec).rows)
+    *rows, loaded = out.stdout.splitlines()
+    assert loaded == "[]"
+    assert rows == [repr(getattr(experiments, name)(ExperimentSpec(**spec)).rows)
+                    for name, spec in STUDIES.items()]

@@ -274,10 +274,8 @@ def test_general_returns_its_dual_certificate(rank):
 
 @pytest.mark.parametrize("kind", ["dense", "commuting", "degenerate"])
 def test_general_factors_S_prime_once(monkeypatch, kind):
-    # S' is fixed for a solve: every candidate, polish step and the returned
-    # terms use one Cholesky factor, and its terms are eval_upper_objective's
-    import scipy.linalg
-
+    # S' is fixed for a solve: one Cholesky factorization checks that it is
+    # positive definite, and the returned terms are eval_upper_objective's
     rng = np.random.default_rng(77)
     d = 6
     S = rand_pd(rng, d)
@@ -288,16 +286,16 @@ def test_general_factors_S_prime_once(monkeypatch, kind):
         T = rand_pd(rng, d, 0.7)
     triple = make_triple(S, T)
     noise = 0.0 if kind == "degenerate" else 0.02
-    factors = []
-    real_cho_factor = scipy.linalg.cho_factor
+    factored = []
+    real_cholesky = np.linalg.cholesky
 
     def counting(a, *args, **kwargs):
-        factors.append(np.array(a))
-        return real_cho_factor(a, *args, **kwargs)
+        factored.append(np.array(a))
+        return real_cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     prec = solve_general(PrecondProgram(triple, bias_coeff=B, noise_coeff=noise), tol=1e-5)
-    assert len(factors) == 1 and np.array_equal(factors[0], triple.S_prime)
+    assert len(factored) == 1 and np.array_equal(factored[0], triple.S_prime)
     ref = eval_upper_objective(triple, prec.A, noise, bias_coeff=B)
     assert (prec.objective_value, prec.bias_term, prec.variance_term) == (
         ref.objective, ref.bias_term, ref.variance_term
