@@ -95,11 +95,9 @@ from .riskoracle import (
     DivergentStationaryState,
     SemiStochastic,
     StationaryPair,
-    eig_pair,
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    momentum_power,
     semi_stochastic_bias,
     semi_stochastic_variance,
     semi_stochastic_variance_bound,

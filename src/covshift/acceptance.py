@@ -36,7 +36,6 @@ from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    momentum_power,
     semi_stochastic_bias,
     spectral_radius,
     stationary_U,
@@ -295,6 +294,12 @@ def _draw_params(rng, size, c_lo=0.0):
     return c, q, delta
 
 
+def _momentum_matrices(c, q, delta, lam):
+    """A(lam) = [[0, 1 - delta lam], [-c, 1 + c - q lam]] per draw, shape (N, 2, 2)."""
+    entries = [np.zeros(lam.size), 1.0 - delta * lam, -c, 1.0 + c - q * lam]
+    return np.stack(entries, axis=-1).reshape(-1, 2, 2)
+
+
 def criterion_9():
     """2x2 momentum-matrix property suite, >= 1e4 draws per property."""
     rng = np.random.default_rng(909)
@@ -341,10 +346,11 @@ def criterion_9():
     lam = rng.uniform(0.0, 1.0, N) * (1.0 + c) / q
     ks = rng.integers(1, 51, N)
     rho = spectral_radius(c, q, delta, lam)
+    A = _momentum_matrices(c, q, delta, lam)
     ok = True
     for k in np.unique(ks):
         sel = ks == k
-        Ak = momentum_power(c[sel], q[sel], delta[sel], lam[sel], int(k))
+        Ak = np.linalg.matrix_power(A[sel], int(k))
         fro = np.sqrt(np.sum(Ak**2, axis=(-2, -1)))
         cap_k = math.sqrt(6.0) * k * np.maximum(rho[sel], 1e-300) ** (k - 1)
         ok = ok and bool(np.all(fro <= cap_k * (1 + 1e-9) + 1e-12))
@@ -354,9 +360,10 @@ def criterion_9():
     # bias-vector bound: |(A^k (1,1)')_2| <= 2 for k <= 1e3, q lam <= 1+c
     c, q, delta = _draw_params(rng, N)
     lam = rng.uniform(0.0, 1.0, N) * (1.0 + c) / q
+    A = _momentum_matrices(c, q, delta, lam)
     worst_bias = 0.0
     for k in (1, 2, 3, 5, 10, 50, 100, 500, 1000):
-        Ak = momentum_power(c, q, delta, lam, k)
+        Ak = np.linalg.matrix_power(A, k)
         comp2 = Ak[..., 1, 0] + Ak[..., 1, 1]
         worst_bias = max(worst_bias, float(np.max(np.abs(comp2))))
     if worst_bias > 2.0 + 1e-12:
@@ -365,10 +372,7 @@ def criterion_9():
     # transformed contraction: |P^-1 A P| <= 1 for lam <= (1-c)^2/(q - c delta)
     c, q, delta = _draw_params(rng, N)
     lam = rng.uniform(0.0, 1.0, N) * (1.0 - c) ** 2 / (q - c * delta)
-    A = np.zeros((N, 2, 2))
-    A[:, 0, 1] = 1.0 - delta * lam
-    A[:, 1, 0] = -c
-    A[:, 1, 1] = 1.0 + c - q * lam
+    A = _momentum_matrices(c, q, delta, lam)
     P = np.stack([np.array([[1.0, -1.0], [1.0, -cc]]) for cc in c])
     Pinv = np.linalg.inv(P)
     op = np.linalg.svd(Pinv @ A @ P, compute_uv=False)[:, 0]
@@ -378,6 +382,7 @@ def criterion_9():
     # stationary matrices: closed forms vs direct solve, Q fixed point
     c, q, delta = _draw_params(rng, N, c_lo=0.0)
     lam = rng.uniform(1e-4, 1.0, N) * (1.0 + c) / q
+    A = _momentum_matrices(c, q, delta, lam)
     checked = 0
     worst_fp = 0.0
     for j in range(N):
@@ -388,18 +393,15 @@ def criterion_9():
             pair = stationary_U(float(lam[j]), float(c[j]), float(q[j]), float(delta[j]))
         except ArithmeticError:
             continue
-        A1 = np.array(
-            [[0.0, 1.0 - delta[j] * lam[j]], [-c[j], 1.0 + c[j] - q[j] * lam[j]]]
-        )
         Nmat = lam[j] * np.array(
             [[delta[j] ** 2, delta[j] * q[j]], [delta[j] * q[j], q[j] ** 2]]
         )
         G = np.array([[0.0, delta[j] * lam[j]], [0.0, q[j] * lam[j]]])
-        K4 = np.eye(4) - np.kron(A1, A1) + np.kron(G, G)
+        K4 = np.eye(4) - np.kron(A[j], A[j]) + np.kron(G, G)
         U_direct = np.linalg.solve(K4, Nmat.reshape(-1)).reshape(2, 2)
         if np.abs(pair.U - U_direct).max() > 1e-9 * max(1.0, np.abs(U_direct).max()):
             return False, f"stationary U closed form mismatch at draw {j}"
-        fp = A1 @ pair.Q @ A1.T + Nmat
+        fp = A[j] @ pair.Q @ A[j].T + Nmat
         worst_fp = max(
             worst_fp,
             float(np.abs(fp - pair.Q).max() / max(1.0, np.abs(pair.Q).max())),

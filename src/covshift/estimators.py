@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
+from .lowerbound import DEFAULT_RADIUS
 from .model import ProblemInstance, Samples, SpectralTriple, excess_risk, sample_source
 from .psdlinalg import NotPSD, spectral_norm
 
@@ -50,9 +49,9 @@ class RiskEstimate:
     n_seeds: int
 
 
-DEFAULT_BIAS_COEFF = 1.0 / math.pi**2
+DEFAULT_BIAS_COEFF = DEFAULT_RADIUS
 """Bias-term weight under which the preconditioner program's optimum meets
-the information-theoretic lower bound (same number as the dual trace budget)."""
+the information-theoretic lower bound: the dual trace budget 1/pi^2."""
 
 
 def default_noise_coeff(inst: ProblemInstance, n: int) -> float:

@@ -57,15 +57,21 @@ __all__ = [
     "run_emergence",
 ]
 
-KINDS = ("duality", "rate_sweep", "emergence", "bound_check")
+# each study kind and the params keys it reads
+_STUDY_PARAMS = {
+    "duality": ("tol",),
+    "rate_sweep": ("tol", "seed_base", "step_base"),
+    "emergence": ("seed_base", "step_base", "step_exponent", "step_n_ref"),
+    "bound_check": ("seed_base", "kappa_tilde"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: a study kind, an instance description (power-law family
     or explicit matrices; the noise level sigma2 is an instance key), the
-    sample-size grid, and the seed count. Extra numeric knobs (step_base,
-    tol, kappa_tilde, seed_base, ...) ride in params.
+    sample-size grid, and the seed count. Extra numeric knobs ride in
+    params; each study accepts only the keys it reads (_STUDY_PARAMS).
     """
 
     kind: str
@@ -76,8 +82,8 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+        if self.kind not in _STUDY_PARAMS:
+            raise ValueError(f"kind must be one of {tuple(_STUDY_PARAMS)}")
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be sorted strictly ascending")
@@ -117,6 +123,14 @@ def spec_hash(spec: ExperimentSpec) -> str:
     payload.pop("output_path")
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _check_study(spec: ExperimentSpec, kind: str):
+    """ValueError unless spec is a `kind` spec and the study reads every one
+    of its params, so that a row's spec_hash names the spec behind it."""
+    unread = sorted(set(spec.params) - set(_STUDY_PARAMS[kind]))
+    if spec.kind != kind or unread:
+        raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
 
 
 def _power_law_spec(desc: dict) -> model.PowerLawSpec:
@@ -241,6 +255,7 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     computed as its floor, the same program as
     maximize_F(triple.ridged(eps), sigma2, n).
     """
+    _check_study(spec, "duality")
     inst = resolve_instance(spec)
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
@@ -307,6 +322,7 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
     closed-form bound at each n, with the exact semi-stochastic bias and
     variance alongside for diagnosis. Fails if any mean exceeds its bound.
     """
+    _check_study(spec, "bound_check")
     inst = resolve_instance(spec)
     h = spec_hash(spec)
     kappa_tilde = spec.params.get("kappa_tilde")
@@ -362,6 +378,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     Needs a power-law instance (ValueError otherwise): the prediction reads
     its (a, s, r, nu).
     """
+    _check_study(spec, "rate_sweep")
     pl = _power_law_spec(spec.instance)
     a, s, r = pl.a, pl.s, pl.r
     inst = resolve_instance(spec)
@@ -469,6 +486,7 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
     As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call. Needs
     a power-law instance with a plateau width d0 (ValueError otherwise).
     """
+    _check_study(spec, "emergence")
     pl = _power_law_spec(spec.instance)
     if pl.d0 is None:
         raise ValueError("emergence needs a plateau width d0")

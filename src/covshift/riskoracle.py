@@ -8,7 +8,7 @@ along eigendirection i, one step in a stage with steps (delta, gamma) maps
                                        [-c, 1 + c - q*lambda]]
 
 where c = alpha(1-beta) and q = alpha*delta + (1-alpha)*gamma. This module
-implements that matrix family (eigenvalues, regimes, powers), the
+implements that matrix family (eigenvalues and regimes), the
 closed-form per-stage stationary second-moment matrices U and Q of the
 driven recursion, and the semi-stochastic risk oracle: the exact bias of
 the noiseless dynamics plus the exact variance of the noise-driven 2x2
@@ -27,12 +27,10 @@ from .model import ProblemInstance
 __all__ = [
     "StationaryPair",
     "DivergentStationaryState",
-    "eig_pair",
     "eig_pair_pm",
     "spectral_radius",
     "lambda_dagger",
     "lambda_ddagger",
-    "momentum_power",
     "stationary_U",
     "SemiStochastic",
     "semi_stochastic_bias",
@@ -55,17 +53,9 @@ def eig_pair_pm(c, q, delta, lam):
     return (tr - root) / 2.0, (tr + root) / 2.0
 
 
-def eig_pair(c, q, delta, lam):
-    """Same pair ordered by magnitude, |x1| <= |x2| (the conventions agree
-    whenever the trace is nonnegative, i.e. q*lam <= 1+c)."""
-    x1, x2 = eig_pair_pm(c, q, delta, lam)
-    swap = np.abs(x1) > np.abs(x2)
-    return np.where(swap, x2, x1), np.where(swap, x1, x2)
-
-
 def spectral_radius(c, q, delta, lam):
-    _, x2 = eig_pair(c, q, delta, lam)
-    return np.abs(x2)
+    x1, x2 = eig_pair_pm(c, q, delta, lam)
+    return np.maximum(np.abs(x1), np.abs(x2))
 
 
 def _check_breakpoint_args(c, q, delta):
@@ -89,43 +79,6 @@ def lambda_ddagger(c, q, delta):
         return np.where(denom > 0, (1.0 - c) ** 2 / denom**2, np.inf)[()]
 
 
-def momentum_power(c, q, delta, lam, k: int) -> np.ndarray:
-    """A(lambda)^k in closed form via the eigenvalue pair: with
-    a_j = (x2^j - x1^j)/(x2 - x1) (-> j x^(j-1) at a double root),
-
-        A^k = [[-c(1-delta*lam) a_{k-1}, (1-delta*lam) a_k],
-               [-c a_k,                  a_{k+1}        ]].
-
-    Vectorized over the parameters; returns shape (..., 2, 2) real.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x1, x2 = eig_pair(c, q, delta, lam)
-    diff = x2 - x1
-    small = np.abs(diff) <= 1e-13 * np.maximum(1.0, np.abs(x2))
-    safe = np.where(small, 1.0, diff)
-
-    def a(j):
-        generic = (x2**j - x1**j) / safe
-        double = j * x2 ** (j - 1) if j >= 1 else np.zeros_like(x2)
-        return np.where(small, double, generic)
-
-    b = np.asarray(1.0 - delta * lam, dtype=complex)
-    cc = np.asarray(c, dtype=complex)
-    out = np.stack(
-        [
-            np.stack([-cc * b * a(k - 1), b * a(k)], axis=-1),
-            np.stack([-cc * a(k), a(k + 1)], axis=-1),
-        ],
-        axis=-2,
-    )
-    imag_max = float(np.abs(out.imag).max())
-    scale = max(1.0, float(np.abs(out.real).max()))
-    if imag_max > 1e-9 * scale:
-        raise ArithmeticError(f"matrix power has imaginary residue {imag_max:.3e}")
-    return out.real
-
-
 @dataclass(frozen=True, eq=False)
 class StationaryPair:
     """Stationary second-moment matrices of the one-direction recursion
@@ -133,15 +86,8 @@ class StationaryPair:
     U solves U = A U A' - G U G' + N with N = lam [[d^2, dq],[dq, q^2]],
     G = [[0, d*lam],[0, q*lam]]; Q = sum_k A^k N A'^k = U/(1 - U22 lam)."""
 
-    lam: float
-    U11: float
-    U12: float
-    U22: float
+    U: np.ndarray
     Q: np.ndarray
-
-    @property
-    def U(self) -> np.ndarray:
-        return np.array([[self.U11, self.U12], [self.U12, self.U22]])
 
 
 def stationary_U(lam: float, c: float, q: float, delta: float) -> StationaryPair:
@@ -163,7 +109,7 @@ def stationary_U(lam: float, c: float, q: float, delta: float) -> StationaryPair
             f"U22*lambda = {U22 * lam:.6f} >= 1; no finite stationary state"
         )
     U = np.array([[U11, U12], [U12, U22]])
-    return StationaryPair(lam=lam, U11=U11, U12=U12, U22=U22, Q=U / (1.0 - U22 * lam))
+    return StationaryPair(U=U, Q=U / (1.0 - U22 * lam))
 
 
 # =====================================================================

@@ -120,6 +120,15 @@ def test_choose_rate_parameters_schedule():
     assert cfg_o.delta0 == pytest.approx(0.01 * (2**11 / 512) ** -0.5, rel=1e-12)
 
 
+def test_choose_rate_parameters_is_flat_for_a_rank_one_target():
+    # (a, r, nu) = (2, 0, 1): exponent (a - b + nu - 1)/(b - nu + 1) = 0
+    inst = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.0, nu=1), seed=0)
+    base = 1.0 / (inst.psi * np.trace(inst.S))
+    for n in (2**4, 2**8, 2**12, 2**16):
+        cfg = choose_rate_parameters(inst, n, a=2.0, r=0.0, nu=1)
+        assert cfg.delta0 == cfg.gamma0 == base
+
+
 # ------------------------------------------------------------- risk bound
 
 

@@ -1,9 +1,17 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from covshift.cli import main
-from covshift.experiments import ExperimentSpec, run_rate_sweep, spec_hash, spec_to_json
+from covshift.experiments import (
+    ExperimentSpec,
+    run_bound_check,
+    run_emergence,
+    run_rate_sweep,
+    spec_hash,
+    spec_to_json,
+)
 from covshift.model import PowerLawSpec, instance_to_json, make_power_law_instance
 
 
@@ -137,6 +145,38 @@ def test_emergence_runs(tmp_path):
     res = CliRunner().invoke(main, ["emergence", "--spec", spec])
     assert res.exit_code == 0, res.output
     assert "knee at n=" in res.output
+
+
+POWER_LAW = {"type": "powerlaw", "d": 20, "a": 2.0, "s": 1.0, "r": 0.0,
+             "sigma2": 0.5, "seed": 0}
+OUT_STUDIES = {
+    "asgd": ("risk bound check", run_bound_check,
+             dict(kind="bound_check", instance=POWER_LAW, n_grid=[32, 64], seeds=2)),
+    "sweep": ("rate sweep", run_rate_sweep,
+              dict(kind="rate_sweep", instance=POWER_LAW,
+                   n_grid=[16, 32, 64, 128], seeds=2)),
+    "emergence": ("emergence curve", run_emergence,
+                  dict(kind="emergence", instance=dict(POWER_LAW, d0=2, w_profile="tail"),
+                       n_grid=[8, 16, 32], seeds=2, params={"step_base": 0.5})),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_STUDIES))
+def test_out_writes_the_study_csv(tmp_path, command):
+    title, study, payload = OUT_STUDIES[command]
+    out = tmp_path / "rows.csv"
+    spec = write_spec(tmp_path / "spec.json", **payload)
+    res = CliRunner().invoke(main, [command, "--spec", spec, "--out", str(out)])
+    rep = study(ExperimentSpec(**payload))
+    assert res.exit_code == (0 if rep.ok else 1), res.output
+    h = spec_hash(ExperimentSpec(**payload))
+    fields = list(rep.rows[0])
+    lines = out.read_text().splitlines()
+    assert lines[:4] == [f"# {title}", f"# spec_hash={h}", "# " + " ".join(fields),
+                         ",".join(fields)]
+    body = [line.split(",") for line in lines[4:]]
+    assert [int(cols[0]) for cols in body] == payload["n_grid"]
+    assert {cols[fields.index("spec_hash")] for cols in body} == {h}
 
 
 def test_verify_single_criterion():

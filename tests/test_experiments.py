@@ -67,6 +67,43 @@ def test_spec_hash_ignores_output_path_only():
     assert len(spec_hash(a)) == 12
 
 
+STUDIES = {"duality": run_duality, "bound_check": run_bound_check,
+           "rate_sweep": run_rate_sweep, "emergence": run_emergence}
+READS = {
+    "duality": ("tol",),
+    "bound_check": ("seed_base", "kappa_tilde"),
+    "rate_sweep": ("tol", "seed_base", "step_base"),
+    "emergence": ("seed_base", "step_base", "step_exponent", "step_n_ref"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STUDIES))
+def test_study_runs_only_its_own_kind_with_params_it_reads(monkeypatch, kind):
+    # a CSV's spec_hash must name the spec that produced its rows: a study
+    # refuses a spec of another kind, and any params key it would ignore
+    class Checked(Exception):
+        pass
+
+    def stop(spec):
+        raise Checked
+
+    monkeypatch.setattr(experiments, "resolve_instance", stop)
+    run = STUDIES[kind]
+
+    def spec(kind=kind, **params):
+        return ExperimentSpec(kind=kind, instance=powerlaw_desc(d0=2),
+                              n_grid=(2**6, 2**7, 2**8, 2**9), seeds=2, params=params)
+
+    with pytest.raises(Checked):
+        run(spec(**dict.fromkeys(READS[kind], 1)))
+    for other in set(STUDIES) - {kind}:
+        with pytest.raises(ValueError, match=f"a {kind} study got a '{other}' spec"):
+            run(spec(kind=other))
+    for key in set().union(*READS.values(), {"sigma2"}) - set(READS[kind]):
+        with pytest.raises(ValueError, match=f"unread params \\['{key}'\\]"):
+            run(spec(**{key: 1}))
+
+
 def test_resolve_instance_powerlaw_and_explicit():
     spec = ExperimentSpec(kind="duality", instance=powerlaw_desc(), n_grid=(8,), seeds=1)
     inst = resolve_instance(spec)
@@ -131,6 +168,17 @@ def test_run_duality_singular_target_uses_ladder():
     assert len(eps) == 7 and all(a > b for a, b in zip(eps, eps[1:]))
     uppers = [row["upper_value"] for row in rep.rows]
     assert all(a >= b * (1 - 1e-9) for a, b in zip(uppers, uppers[1:]))
+
+
+def test_run_duality_on_the_rank_one_target_family():
+    # nu = 1 makes T' singular: every n takes the epsilon-ladder
+    spec = ExperimentSpec(kind="duality", instance=powerlaw_desc(d=16, nu=1),
+                          n_grid=(16, 64), seeds=1)
+    rep = run_duality(spec)
+    assert rep.ok and rep.ladder_monotone and rep.worst_gap <= 1e-9
+    assert len(rep.rows) == 14
+    assert {row["stop_reason"] for row in rep.rows} == {"converged"}
+    assert [row["n"] for row in rep.rows] == [16] * 7 + [64] * 7
 
 
 def test_run_duality_certifies_a_dense_d100_instance():
@@ -293,6 +341,33 @@ def test_power_law_studies_refuse_an_explicit_instance(kind):
 
 
 # --------------------------------------------------------------- emergence
+
+
+def brute_force_nonincreasing_fit(y):
+    """Least-squares nonincreasing fit by search: the optimum is constant on
+    contiguous blocks at the block means, so try every block partition."""
+    best, best_sse = None, np.inf
+    for cuts in range(2 ** (len(y) - 1)):
+        bounds = [0] + [i + 1 for i in range(len(y) - 1) if cuts >> i & 1] + [len(y)]
+        means = [y[lo:hi].mean() for lo, hi in zip(bounds, bounds[1:])]
+        if any(b > a for a, b in zip(means, means[1:])):
+            continue
+        fit = np.repeat(means, np.diff(bounds))
+        sse = float(np.sum((fit - y) ** 2))
+        if sse < best_sse:
+            best, best_sse = fit, sse
+    return best
+
+
+def test_pava_pools_violators_to_the_least_squares_fit():
+    rng = np.random.default_rng(7)
+    pooled = 0
+    for _ in range(300):
+        y = rng.standard_normal(int(rng.integers(2, 9)))
+        fit = experiments._pava_nonincreasing(y)
+        assert np.abs(fit - brute_force_nonincreasing_fit(y)).max() <= 1e-12
+        pooled += not np.array_equal(fit, y)
+    assert pooled > 250  # the pooling branch ran
 
 
 def test_run_emergence_requires_d0():

@@ -36,6 +36,15 @@ def test_power_law_target_with_shift_and_knee():
     assert np.allclose(inst.T, np.diag([1.0 / 16.0, 1.0 / 16.0, 1.0 / 81.0]))
 
 
+def test_rank_one_target_family():
+    # nu = 1: T = v v' with v_i = i^(-(1+r)a/2), rank one
+    d, a, r = 6, 2.0, 0.5
+    inst = make_power_law_instance(PowerLawSpec(d=d, a=a, s=1.0, r=r, nu=1), seed=0)
+    v = np.arange(1, d + 1, dtype=float) ** (-(1 + r) * a / 2)
+    assert np.array_equal(inst.T, np.outer(v, v))
+    assert np.linalg.matrix_rank(inst.T) == 1
+
+
 def test_w_star_on_rho_shell():
     for rho in (0.3, 1.0):
         inst = make_power_law_instance(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,11 +11,10 @@ from covshift.model import PowerLawSpec, ProblemInstance, excess_risk, make_powe
 from covshift.psdlinalg import eigh
 from covshift.riskoracle import (
     DivergentStationaryState,
-    eig_pair,
+    StationaryPair,
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    momentum_power,
     semi_stochastic_bias,
     semi_stochastic_variance,
     semi_stochastic_variance_bound,
@@ -47,7 +47,7 @@ def test_eigenvalues_match_numpy():
         delta = rng.uniform(1e-3, 0.5)
         q = delta * rng.uniform(1.0, 5.0)
         lam = rng.uniform(1e-3, 1.5)
-        x1, x2 = eig_pair(c, q, delta, lam)
+        x1, x2 = eig_pair_pm(c, q, delta, lam)
         ref = np.sort_complex(np.linalg.eigvals(transition(lam, c, q, delta)))
         got = np.sort_complex(np.array([complex(x1), complex(x2)]))
         assert np.allclose(got, ref, atol=1e-10)
@@ -102,35 +102,6 @@ def test_breakpoints_vectorize_elementwise():
         lambda_dagger(c, np.where(np.arange(c.size) == 7, 0.5 * delta, q), delta)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-def test_momentum_power_matches_matrix_power(seed, k):
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(0, 0.95)
-    delta = rng.uniform(1e-3, 0.5)
-    q = delta * rng.uniform(1.0, 5.0)
-    lam = rng.uniform(1e-3, 1.5)
-    closed = momentum_power(c, q, delta, lam, k)
-    brute = np.linalg.matrix_power(transition(lam, c, q, delta), k)
-    assert np.allclose(closed, brute, atol=1e-8 * max(1.0, np.abs(brute).max()))
-
-
-def test_momentum_power_vectorized():
-    lam = np.array([0.1, 0.5, 1.0])
-    out = momentum_power(0.4, 0.2, 0.1, lam, 7)
-    assert out.shape == (3, 2, 2)
-    for i, l in enumerate(lam):
-        assert np.allclose(out[i], momentum_power(0.4, 0.2, 0.1, float(l), 7))
-
-
-def test_momentum_power_double_root_branch():
-    c, q, delta = 0.5, 0.2, 0.1
-    dag = lambda_dagger(c, q, delta)  # discriminant exactly zero here
-    closed = momentum_power(c, q, delta, dag, 12)
-    brute = np.linalg.matrix_power(transition(dag, c, q, delta), 12)
-    assert np.allclose(closed, brute, atol=1e-9)
-
-
 # -------------------------------------------------------------- stationary
 
 
@@ -138,9 +109,10 @@ def test_stationary_pinned_values():
     # frozen from the 4x4 linear-system solve at (c, delta, q, lam) =
     # (0.6, 0.05, 0.12, 0.8)
     sp = stationary_U(0.8, 0.6, 0.12, 0.05)
-    assert sp.U11 == pytest.approx(0.09735955056179806, rel=1e-12)
-    assert sp.U12 == pytest.approx(0.09775280898876436, rel=1e-12)
-    assert sp.U22 == pytest.approx(0.10365168539325877, rel=1e-12)
+    assert [f.name for f in dataclasses.fields(StationaryPair)] == ["U", "Q"]
+    assert sp.U[0, 0] == pytest.approx(0.09735955056179806, rel=1e-12)
+    assert sp.U[0, 1] == sp.U[1, 0] == pytest.approx(0.09775280898876436, rel=1e-12)
+    assert sp.U[1, 1] == pytest.approx(0.10365168539325877, rel=1e-12)
     assert sp.Q[0, 0] == pytest.approx(0.10616270521930934, rel=1e-12)
     assert sp.Q[1, 1] == pytest.approx(0.11302376868414644, rel=1e-12)
 
@@ -158,11 +130,13 @@ def test_stationary_matches_linear_solve(seed):
     except DivergentStationaryState:
         return
     U_ref, A, N = kron_stationary(lam, c, q, delta)
-    assert sp.U11 == pytest.approx(U_ref[0, 0], abs=1e-10)
-    assert sp.U12 == pytest.approx(U_ref[0, 1], abs=1e-10)
-    assert sp.U22 == pytest.approx(U_ref[1, 1], abs=1e-10)
+    assert sp.U[0, 0] == pytest.approx(U_ref[0, 0], abs=1e-10)
+    assert sp.U[0, 1] == pytest.approx(U_ref[0, 1], abs=1e-10)
+    assert sp.U[1, 1] == pytest.approx(U_ref[1, 1], abs=1e-10)
     # the closed-form identity tying the two diagonal entries together
-    assert sp.U11 == pytest.approx((1 - 2 * delta * lam) * sp.U22 + delta**2 * lam, abs=1e-12)
+    assert sp.U[0, 0] == pytest.approx(
+        (1 - 2 * delta * lam) * sp.U[1, 1] + delta**2 * lam, abs=1e-12
+    )
     # Q is the fixed point of X -> A X A^T + N
     resid = sp.Q - (A @ sp.Q @ A.T + N)
     assert np.abs(resid).max() < 1e-10
