@@ -18,19 +18,28 @@ from .model import whiten
 from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
 
 
-def _load_spec(path, out, tol=None, seed=None) -> experiments.ExperimentSpec:
+def _load_spec(path, out, kind=None, tol=None, seed=None) -> experiments.ExperimentSpec:
+    """The spec at ``path`` with the command-line overrides applied; a spec
+    that is malformed, or not a ``kind`` study when ``kind`` is given, is a
+    usage error (exit 2), not a failed study."""
     with open(path) as fh:
         obj = json.load(fh)
     if "kind" not in obj:  # bare instance description: wrap it
         inst = obj.get("instance", obj)
         obj = {"kind": "duality", "instance": inst, "n_grid": [256], "seeds": 1}
-    spec = experiments.spec_from_json(obj)
-    params = dict(spec.params)
-    if tol is not None:
-        params["tol"] = tol
-    if seed is not None:
-        params["seed_base"] = seed
-    return replace(spec, params=params, output_path=out or spec.output_path)
+    try:
+        spec = experiments.spec_from_json(obj)
+        params = dict(spec.params)
+        if tol is not None:
+            params["tol"] = tol
+        if seed is not None:
+            params["seed_base"] = seed
+        spec = replace(spec, params=params, output_path=out or spec.output_path)
+        if kind is not None:
+            experiments._check_study(spec, kind)
+    except (KeyError, ValueError) as err:
+        raise click.UsageError(f"spec {path}: {err}") from err
+    return spec
 
 
 def _finish(ok: bool):
@@ -60,7 +69,7 @@ def main():
 @tol_option
 def duality(spec_path, out, tol):
     """Certify lower-bound value == preconditioner objective per n."""
-    spec = _load_spec(spec_path, out, tol=tol)
+    spec = _load_spec(spec_path, out, "duality", tol=tol)
     rep = experiments.run_duality(spec)
     for row in rep.rows:
         click.echo(
@@ -109,7 +118,7 @@ def precondition(spec_path, out, tol):
 @click.option("--seeds", "seeds_override", default=None, type=int)
 def asgd(spec_path, out, seed, n_override, seeds_override):
     """Monte-Carlo risk of the staged method vs. the closed-form bound."""
-    spec = _load_spec(spec_path, out, seed=seed)
+    spec = _load_spec(spec_path, out, "bound_check", seed=seed)
     if n_override is not None:
         spec = replace(spec, n_grid=(n_override,))
     if seeds_override is not None:
@@ -131,7 +140,7 @@ def asgd(spec_path, out, seed, n_override, seeds_override):
 @seed_option
 def sweep(spec_path, out, tol, seed):
     """Rate sweep: fitted log-log slope vs. the predicted exponent."""
-    spec = _load_spec(spec_path, out, tol=tol, seed=seed)
+    spec = _load_spec(spec_path, out, "rate_sweep", tol=tol, seed=seed)
     rep = experiments.run_rate_sweep(spec)
     click.echo(
         f"predicted exponent {rep.predicted_exponent:+.4f}; "
@@ -149,7 +158,7 @@ def sweep(spec_path, out, tol, seed):
 @seed_option
 def emergence(spec_path, out, seed):
     """Plateau/knee/drop shape of the risk curve for a plateau target."""
-    spec = _load_spec(spec_path, out, seed=seed)
+    spec = _load_spec(spec_path, out, "emergence", seed=seed)
     rep = experiments.run_emergence(spec)
     click.echo(
         f"knee at n={rep.knee_n} (target {rep.knee_target:.0f}, "

@@ -402,7 +402,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
         mc = _mc_summary(mc_risks)
         try:
-            lower = maximize_F(triple, inst.sigma2, n, max_iter=2000).value
+            lower = maximize_F(triple, inst.sigma2, n).value
         except MaxIterationsError as err:
             lower = err.best.value
         means.append(mc["mc_mean"])

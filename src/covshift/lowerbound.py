@@ -56,8 +56,9 @@ class DegeneratePrior(ValueError):
 
 
 class MaxIterationsError(RuntimeError):
-    """Iteration budget exhausted while still improving; carries the best
-    iterate found (``best``) and, where meaningful, the residual ``gap``."""
+    """A solver stopped short of its tolerance (an iteration budget ran out,
+    or a duality gap exceeds tol); carries the best iterate found (``best``)
+    and, where meaningful, the residual ``gap``."""
 
     def __init__(self, message, best=None, gap=None):
         super().__init__(message)
@@ -236,8 +237,9 @@ def maximize_F(
     gap_at = None  # the iterate gap was measured at
     it = 0
     for it in range(1, max_iter + 1):
-        grad = gradient(F)
-        gap, gap_at = linear_gap(F, grad), F
+        if gap_at is not F:  # a restart or a stall that kept F keeps its grad
+            grad = gradient(F)
+            gap, gap_at = linear_gap(F, grad), F
         if gap <= GAP_TOL * max(1.0, abs(val)):
             break
         if momentum:

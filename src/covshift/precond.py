@@ -16,9 +16,9 @@ in whitened coordinates. This module minimizes that bound over A:
                          F PSD, trace F <= bias_coeff },
 
   so the solver maximizes the dual (reusing the lower-bound machinery, which
-  solves diagonal programs in closed form), recovers a primal A from the
-  dual optimum, and certifies the duality gap, with a Polyak subgradient
-  polish to close the last digits. The dual certificate is returned with the
+  solves diagonal programs in closed form), recovers the primal A from the
+  dual optimum through the KKT map, and certifies the duality gap, raising
+  when it exceeds the tolerance. The dual certificate is returned with the
   preconditioner.
 """
 from __future__ import annotations
@@ -151,18 +151,6 @@ def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarra
     return I - np.linalg.solve(Sp, inner)
 
 
-def _subgradient(T_eff, A, Sp, bias_coeff, noise_coeff):
-    d = A.shape[0]
-    R = np.eye(d) - A
-    B = sym(R.T @ T_eff @ R)
-    dec = eigh(B)
-    u = dec.eigenvectors[:, 0]
-    Tu = T_eff @ (R @ u)
-    g_bias = -2.0 * bias_coeff * np.outer(Tu, u)
-    g_noise = 2.0 * noise_coeff * (T_eff @ np.linalg.solve(Sp, A.T).T)
-    return g_bias + g_noise
-
-
 def _target_scale(T_prime) -> tuple[float, bool]:
     """(|T'|_op, singular): T' counts as singular when its smallest
     eigenvalue is below 1e-10 |T'|_op."""
@@ -185,35 +173,29 @@ def _preconditioner(prog, A, val, gap, cert) -> Preconditioner:
     )
 
 
-def solve_general(
-    prog: PrecondProgram,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
-    dual_max_iter: int = 5000,
-) -> Preconditioner:
+def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
     """Minimize the preconditioner objective for arbitrary PD S', PSD T'.
 
     Pipeline: the dual solve of maximize_F for a certified floor, primal
-    recovery from the dual optimum, a closed-form warm start when S' and T'
-    commute, then Polyak-stepped subgradient descent until the relative
-    duality gap is below ``tol``. The returned preconditioner carries that
-    floor as ``certificate`` (the exact zero floor for the degenerate
-    programs T' = 0 and noise_coeff = 0), so callers read the dual value
-    instead of solving the dual again. Raises MaxIterationsError (carrying
-    the best preconditioner, with its certificate, and its gap) if the
-    budget runs out first.
+    recovery from the dual optimum, and the water-filling closed form as a
+    second candidate when S' and T' commute. The candidate with the smaller
+    objective (then the smaller norm) is returned with that floor as its
+    ``certificate`` (the exact zero floor for the degenerate programs T' = 0
+    and noise_coeff = 0), so callers read the dual value instead of solving
+    the dual again. Raises MaxIterationsError (carrying that preconditioner,
+    with its certificate, and its gap) if the relative duality gap exceeds
+    ``tol``.
 
     Singular T' is ridged to T' + eps I with eps = epsilon_reg, defaulting
     to 1e-8 |T'|_op; the reported objective is for the ridged program.
     """
     triple = prog.triple
     d = triple.d
-    I = np.eye(d)
     t_norm, singular = _target_scale(triple.T_prime)
 
     # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
     if t_norm == 0.0 or prog.noise_coeff == 0.0:
-        A = np.zeros((d, d)) if t_norm == 0.0 else I
+        A = np.zeros((d, d)) if t_norm == 0.0 else np.eye(d)
         val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
         return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
 
@@ -226,20 +208,12 @@ def solve_general(
     # -------- certified dual floor --------
     try:
         cert = maximize_F(
-            triple_eff,
-            sigma2=prog.noise_coeff,
-            n=1,
-            radius=prog.bias_coeff,
-            max_iter=dual_max_iter,
+            triple_eff, sigma2=prog.noise_coeff, n=1, radius=prog.bias_coeff
         )
     except MaxIterationsError as err:  # keep the best floor we got
         cert = err.best
-    lower = cert.value
     Sp = triple_eff.S_prime
     _require_pd(Sp)  # S' is fixed for the whole solve: check it once
-
-    def objective(A):
-        return _upper_objective(triple_eff, A, prog.noise_coeff, prog.bias_coeff)
 
     # -------- primal candidates --------
     candidates = [recover_A_from_F(triple_eff, cert.F, prog.noise_coeff)]
@@ -255,42 +229,18 @@ def solve_general(
             lam_w, np.ones(d), t_diag, prog.bias_coeff, prog.noise_coeff
         )
         candidates.append(sym(U @ (diag.a[:, None] * U.T)))
-    candidates.extend([np.zeros((d, d)), I])
 
-    scored = [(objective(A).objective, float(np.linalg.norm(A)), A) for A in candidates]
-    scored.sort(key=lambda item: (item[0], item[1]))
-    best_val, _, best_A = scored[0]
-
-    def rel_gap(val):
-        return (val - lower) / max(lower, 1e-300)
-
-    # -------- Polyak subgradient polish toward the certified floor --------
-    A = best_A.copy()
-    val = best_val
-    it = 0
-    while rel_gap(best_val) > tol and it < max_iter:
-        it += 1
-        G = _subgradient(T_eff, A, Sp, prog.bias_coeff, prog.noise_coeff)
-        g2 = float(np.sum(G * G))
-        if g2 == 0.0:
-            break
-        step = (val - lower) / g2
-        if step <= 0:
-            break
-        A = A - step * G
-        val = objective(A).objective
-        if val < best_val or (
-            val == best_val and np.linalg.norm(A) < np.linalg.norm(best_A)
-        ):
-            best_val, best_A = val, A.copy()
-
-    gap = rel_gap(best_val)
-    prec = _preconditioner(prog, best_A, objective(best_A), float(max(gap, 0.0)), cert)
+    # each candidate scored once; ties go to the smaller norm, then list order
+    val, A = min(
+        ((_upper_objective(triple_eff, C, prog.noise_coeff, prog.bias_coeff), C)
+         for C in candidates),
+        key=lambda item: (item[0].objective, float(np.linalg.norm(item[1]))),
+    )
+    gap = (val.objective - cert.value) / max(cert.value, 1e-300)
+    prec = _preconditioner(prog, A, val, float(max(gap, 0.0)), cert)
     if gap > tol:
         raise MaxIterationsError(
-            f"duality gap {gap:.3e} above tol {tol:.1e} after {it} polish steps",
-            best=prec,
-            gap=float(gap),
+            f"duality gap {gap:.3e} above tol {tol:.1e}", best=prec, gap=float(gap)
         )
     return prec
 

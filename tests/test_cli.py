@@ -198,3 +198,23 @@ def test_options_a_study_does_not_read_are_rejected(tmp_path):
 def test_missing_spec_file_errors():
     res = CliRunner().invoke(main, ["duality", "--spec", "/no/such/file.json"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("asgd", "bound_check"), ("sweep", "rate_sweep"), ("emergence", "emergence")],
+)
+def test_spec_of_another_kind_is_a_usage_error(tmp_path, command, kind):
+    # exit 1 means a study ran and failed; a duality spec handed to another
+    # study is a usage error, reported without a traceback
+    res = CliRunner().invoke(main, [command, "--spec", duality_spec(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert f"a {kind} study got a 'duality' spec" in res.output
+    assert "Traceback" not in res.output and res.exc_info[0] is SystemExit
+
+
+def test_malformed_spec_is_a_usage_error(tmp_path):
+    spec = write_spec(tmp_path / "bad.json", kind="duality", instance={}, seeds=1)
+    res = CliRunner().invoke(main, ["duality", "--spec", spec])
+    assert res.exit_code == 2, res.output
+    assert "n_grid" in res.output and res.exc_info[0] is SystemExit
