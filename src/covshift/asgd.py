@@ -17,8 +17,10 @@ kernel then steps w alone.
 several schedules on one set of seeds and draws each seed's samples once,
 for the largest n, so a study's n-grid costs the draws of its largest n. On
 exactly diagonal S it draws the seeds' samples element by element and,
-given enough seeds, on a thread pool sized by the process's CPU affinity
-mask; every path gives the same bits (see ``_lockstep``).
+given enough seeds, ``run_batch`` and ``run_grid`` split the seeds into one
+block per worker of a thread pool sized by the process's CPU affinity mask,
+each block running the whole kernel; the bits do not depend on the number
+of CPUs (see ``_final_risks``).
 
 Also here: the schedule chooser (with its admissibility requirement), the
 effective dimension k*, and the closed-form excess-risk bound for the
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +56,10 @@ __all__ = [
 ADMISSIBILITY_FLOOR = 16.0
 
 POOL_MIN_SEEDS = 16
-"""The lockstep kernel draws a tile on a thread pool only when each worker
-gets at least this many seeds: with fewer, handing the tile to the pool
-costs more than the parallel draws save."""
+"""``run_batch`` and ``run_grid`` hand the seeds to a thread pool only when
+each worker's block gets at least this many seeds: each block runs its own
+Python step loop, and with fewer seeds that loop costs more than the
+parallel draws and steps save."""
 
 
 class InfeasibleSchedule(ValueError):
@@ -100,13 +102,13 @@ class ASGDConfig:
         stages = int(math.floor(math.log2(self.n)))
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "stage_len", self.n // stages)
-        identity_gap = (self.q - self.c * self.delta0) / (1.0 - self.c) - (
-            self.gamma0 + self.delta0
-        ) / 2.0
-        if abs(identity_gap) > 1e-12:
+        # equivalent to the identity in exact arithmetic; testing the identity
+        # itself divides rounding by 1 - c, which is tiny when beta is
+        momentum_ok = math.isclose(self.alpha, 1.0 / (1.0 + self.beta), rel_tol=1e-12)
+        if not (momentum_ok or self.vanilla_sgd):
             raise ValueError(
                 "step/momentum constants are inconsistent: need alpha = 1/(1+beta) "
-                f"or gamma0 = delta0 (identity residual {identity_gap:.3e})"
+                f"or gamma0 = delta0 (alpha = {self.alpha!r}, beta = {self.beta!r})"
             )
 
     @property
@@ -250,14 +252,9 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     whole draw bit for bit; a config with fewer samples reads a prefix of
     that stream, which ``sample_source`` makes the bits of its own draw. The
     buffer holds one tile for each seed, X laid out (seeds, tile, d) so each
-    step reads contiguous rows, and y as (seeds, tile). When
-    ``inst.source_factor`` is a vector (S exactly diagonal) the draws scale
-    the normals element by element, so filling a tile makes no threaded BLAS
-    product; the per-seed draws then run on a thread pool of up to one
-    worker per CPU in the affinity mask, each worker drawing a fixed block
-    of at least POOL_MIN_SEEDS seeds in seed order. Every generator is thus
-    advanced by one thread at a time, exactly as in the inline loop that
-    fills the tile for fewer seeds or dense S.
+    step reads contiguous rows, and y as (seeds, tile). The kernel is
+    serial: it fills the tile seed by seed on the calling thread
+    (``_final_risks`` runs it once per seed block, each on its own worker).
 
     Each config steps while t is below its stages * stage_len, on its own
     4^-(l-1) ladder. The configs are ordered by that length, longest first,
@@ -280,66 +277,55 @@ def _lockstep(inst, cfgs, seeds, population=False, on_step=None):
     W = np.zeros((K, rows, d) if K > 1 else (rows, d))
     V = W if vanilla else np.zeros_like(W)
     W_out = np.empty((K, rows, d))
-    workers, block = 1, max(used)
+    block = max(used)
     if not population:
         n_max = max(cfg.n for cfg in cfgs)
         gens = [np.random.default_rng(seed) for seed in seeds]
         block = min(SAMPLE_TILE, n_max)
         X = np.empty((rows, block, d))
         Y = np.empty((rows, block))
-        if inst.source_factor.ndim == 1:
-            workers = max(1, min(_cores(), rows // POOL_MIN_SEEDS))
-        parts = np.array_split(np.arange(rows), workers)
-
-        def fill(part, m):
-            for j in part:
-                samples = sample_source(inst, m, gens[j])
-                X[j, :m], Y[j, :m] = samples.X, samples.y
-
     live, t = K, 0
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        while live:
-            live_cfgs = [cfgs[k] for k in order[:live]]
-            if not population and t % block == 0:
-                m = min(block, n_max - t)
-                if pool is None:
-                    fill(range(rows), m)
-                else:  # read every result, so a worker's error raises here
-                    list(pool.map(fill, parts, [m] * workers))
-            consts = [
-                (*cfg.stage_steps(t // cfg.stage_len + 1)[:2], 1.0 - cfg.alpha, cfg.beta)
-                for cfg in live_cfgs
-            ]
-            if live == 1:
-                delta, gamma, keep, beta = consts[0]
+    while live:
+        live_cfgs = [cfgs[k] for k in order[:live]]
+        if not population and t % block == 0:
+            m = min(block, n_max - t)
+            for j, gen in enumerate(gens):
+                samples = sample_source(inst, m, gen)
+                X[j, :m], Y[j, :m] = samples.X, samples.y
+        consts = [
+            (*cfg.stage_steps(t // cfg.stage_len + 1)[:2], 1.0 - cfg.alpha, cfg.beta)
+            for cfg in live_cfgs
+        ]
+        if live == 1:
+            delta, gamma, keep, beta = consts[0]
+        else:
+            delta, gamma, keep, beta = np.array(consts).T[:, :, None, None]
+        stop = min((t // cfg.stage_len + 1) * cfg.stage_len for cfg in live_cfgs)
+        stop = min(stop, (t // block + 1) * block)
+        for t in range(t, stop):
+            U = W if vanilla else W + keep * (V - W)
+            if population:
+                g = (inst.S @ (U - inst.w_star).T).T
             else:
-                delta, gamma, keep, beta = np.array(consts).T[:, :, None, None]
-            stop = min((t // cfg.stage_len + 1) * cfg.stage_len for cfg in live_cfgs)
-            stop = min(stop, (t // block + 1) * block)
-            for t in range(t, stop):
-                U = W if vanilla else W + keep * (V - W)
-                if population:
-                    g = (inst.S @ (U - inst.w_star).T).T
-                else:
-                    x, y = X[:, t % block], Y[:, t % block]
-                    # one dot product per row: the same bits as x @ u on each row
-                    dots = np.matmul(x[..., None, :], U[..., None])[..., 0, 0]
-                    g = (dots - y)[..., None] * x
-                if not vanilla:
-                    V = (V + beta * (U - V)) - gamma * g
-                g *= delta  # in place: the bits of delta * g
-                W = U - g
-                if on_step is not None:
-                    on_step(W)
-            t = stop
-            while live and used[order[live - 1]] == t:
-                live -= 1
-                k = order[live]
-                W_out[k] = W[live] if W.ndim == 3 else W
-            if live == 1 and W.ndim == 3:
-                W, V = W[0], V[0]
-            elif live > 1:
-                W, V = W[:live], V[:live]
+                x, y = X[:, t % block], Y[:, t % block]
+                # one dot product per row: the same bits as x @ u on each row
+                dots = np.matmul(x[..., None, :], U[..., None])[..., 0, 0]
+                g = (dots - y)[..., None] * x
+            if not vanilla:
+                V = (V + beta * (U - V)) - gamma * g
+            g *= delta  # in place: the bits of delta * g
+            W = U - g
+            if on_step is not None:
+                on_step(W)
+        t = stop
+        while live and used[order[live - 1]] == t:
+            live -= 1
+            k = order[live]
+            W_out[k] = W[live] if W.ndim == 3 else W
+        if live == 1 and W.ndim == 3:
+            W, V = W[0], V[0]
+        elif live > 1:
+            W, V = W[:live], V[:live]
     return W_out
 
 
@@ -387,16 +373,28 @@ def run_batch(inst: ProblemInstance, cfg: ASGDConfig, seeds) -> np.ndarray:
     normals by the instance's ``source_factor``, so a call makes no
     eigendecomposition. When that factor is a vector (S exactly diagonal),
     with at least 2 * POOL_MIN_SEEDS seeds and more than one CPU in the
-    affinity mask, the seeds' draws for each tile run on a thread pool that
-    lives for this call.
+    affinity mask, the seeds are split into contiguous blocks of at least
+    POOL_MIN_SEEDS, one per worker of a thread pool that lives for this
+    call, and each worker draws and steps its block alone.
     """
     return _final_risks(inst, [cfg], list(seeds))[0]
 
 
 def _final_risks(inst, cfgs, seeds) -> np.ndarray:
     # run_batch and run_grid share this body rather than call each other, so
-    # a tracer that wraps the public names times each call once
-    W = _lockstep(inst, cfgs, seeds)
+    # a tracer that wraps the public names times each call once. Rows never
+    # interact, so a contiguous block of seeds run alone on a worker keeps
+    # its rows' bits, and its generators are advanced by that thread alone.
+    rows = len(seeds)
+    workers = min(_cores(), rows // POOL_MIN_SEEDS) if inst.source_factor.ndim == 1 else 1
+    if workers < 2:
+        W = _lockstep(inst, cfgs, seeds)
+    else:  # slices, not a numpy array, so each generator gets the caller's seed
+        cuts = [rows * i // workers for i in range(workers + 1)]
+        blocks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ThreadPoolExecutor(workers) as pool:  # list() raises a worker's error here
+            parts = list(pool.map(lambda block: _lockstep(inst, cfgs, block), blocks))
+        W = np.concatenate(parts, axis=1)
     # per-row excess_risk so the reduction order (hence every bit) matches run()
     return np.array([[excess_risk(inst, w) for w in Wk] for Wk in W])
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ def test_config_step_momentum_identity():
     # inconsistent constants are rejected
     with pytest.raises(ValueError):
         ASGDConfig(n=64, delta0=0.01, gamma0=0.5, alpha=0.9, beta=0.25)
+    with pytest.raises(ValueError, match="inconsistent"):
+        ASGDConfig(n=64, delta0=0.01, gamma0=0.5, alpha=0.5, beta=0.01)
+
+
+def test_choose_parameters_builds_consistent_configs_on_small_instances():
+    # d = 8: beta ~ 4e-8, so 1 - c ~ 8e-8 and the identity's residual is
+    # rounding divided by that; 136 of these n were refused
+    inst = power_law(d=8, sigma2=0.5)
+    for n in range(16, 300):
+        cfg = choose_parameters(inst, n, require_admissible=False)
+        risk_bound(inst, cfg)  # effective_dimension's two thresholds must agree
 
 
 def test_stage_ladder():
@@ -283,8 +295,9 @@ def test_run_batch_grouping_invariant(dense):
 
 
 def test_parallel_tile_fill_changes_no_bit(monkeypatch):
-    # diagonal S: the per-seed draws of a tile run on a thread pool when
-    # every worker gets POOL_MIN_SEEDS seeds; n = 600 leaves a ragged tile
+    # diagonal S: the seeds are split into one block per worker of a thread
+    # pool when every block gets POOL_MIN_SEEDS seeds, and each worker draws
+    # and steps its block alone; n = 600 leaves a ragged tile
     inst = power_law(d=20)
     cfg = ASGDConfig(n=600, delta0=0.01, gamma0=0.05, alpha=1 / 1.01, beta=0.01)
     seeds = list(range(40))
@@ -295,9 +308,9 @@ def test_parallel_tile_fill_changes_no_bit(monkeypatch):
             pools.append(workers)
             super().__init__(workers)
 
-        def submit(self, fn, part, *args):
-            submits.append(len(part))
-            return super().submit(fn, part, *args)
+        def submit(self, fn, block, *args):
+            submits.append(len(block))
+            return super().submit(fn, block, *args)
 
         def shutdown(self, wait=True, **kwargs):
             super().shutdown(wait, **kwargs)
@@ -314,12 +327,33 @@ def test_parallel_tile_fill_changes_no_bit(monkeypatch):
             results[cores] = run_batch(inst, cfg, seeds)
     finally:
         sys.setswitchinterval(interval)
-    # 1 core: inline; 4 cores: min(4, 40 // 16) = 2 workers, one block of
-    # 20 seeds each for every one of the 3 tiles, joined when the call ends
-    assert (pools, submits, joined) == ([2], [20] * 6, [True])
+    # 1 core: inline; 4 cores: min(4, 40 // 16) = 2 workers, each handed
+    # one block of 20 seeds for the whole call, joined when the call ends
+    assert (pools, submits, joined) == ([2], [20, 20], [True])
     singles = np.array([excess_risk(inst, run(inst, cfg, seed=s).final_w) for s in seeds])
     assert np.array_equal(results[1], results[4])
     assert np.array_equal(results[4], singles)
+
+
+def test_an_error_in_one_seed_block_raises_from_run_batch(monkeypatch):
+    # the second of two 20-seed blocks fails in its draw; the caller must
+    # see the worker's error, not rows with a block missing
+    inst = power_law(d=20)
+    cfg = choose_rate_parameters(inst, 300)
+    failed_on = []
+
+    def failing(inst, n, rng):
+        if rng.bit_generator.seed_seq.entropy == 37:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+        return sample_source(inst, n, rng)
+
+    monkeypatch.setattr(asgd, "sample_source", failing)
+    monkeypatch.setattr(asgd.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_batch(inst, cfg, range(40))
+    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
 
 # grids off and below SAMPLE_TILE, unsorted, with a repeated n, and one config
@@ -374,26 +408,32 @@ def test_run_grid_mixes_plain_and_momentum_schedules():
 
 
 def test_run_grid_pooled_fill_changes_no_bit(monkeypatch):
-    # diagonal S with 40 seeds: the shared tiles are drawn on a 2-worker
-    # pool at 4 cores and inline at 1; neither may change a bit
+    # diagonal S with 40 seeds: two 20-seed blocks each run every schedule
+    # on a 2-worker pool at 4 cores, and one inline kernel at 1; neither may
+    # change a bit
     inst = power_law(d=20)
     cfgs = grid_configs(inst, (100, 300, 600), "momentum")
     seeds = list(range(40))
     submits = []
 
     class RecordingPool(asgd.ThreadPoolExecutor):
-        def submit(self, fn, part, *args):
-            submits.append(len(part))
-            return super().submit(fn, part, *args)
+        def submit(self, fn, block, *args):
+            submits.append(len(block))
+            return super().submit(fn, block, *args)
 
     monkeypatch.setattr(asgd, "ThreadPoolExecutor", RecordingPool)
     results = {}
-    for cores in (1, 4):
-        monkeypatch.setattr(asgd.os, "sched_getaffinity",
-                            lambda pid, k=cores: set(range(k)), raising=False)
-        results[cores] = run_grid(inst, cfgs, seeds)
-    # 3 shared tiles (256, 256, 88 rows), each split into two 20-seed blocks
-    assert submits == [20] * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
+    try:
+        for cores in (1, 4):
+            monkeypatch.setattr(asgd.os, "sched_getaffinity",
+                                lambda pid, k=cores: set(range(k)), raising=False)
+            results[cores] = run_grid(inst, cfgs, seeds)
+    finally:
+        sys.setswitchinterval(interval)
+    # one submit per block, for the whole grid
+    assert submits == [20, 20]
     assert np.array_equal(results[1], results[4])
     for row, cfg in zip(results[4], cfgs):
         assert np.array_equal(row, run_batch(inst, cfg, seeds))
