@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every subcommand runs a study from a JSON spec file, prints a short report,
-and exits 0 exactly when all of that study's assertions pass. Every value is
-determined by the spec and the seed.
+and exits 0 when all of that study's assertions pass, 1 when one fails, and
+2 on a usage or spec error, before any work. Every value is determined by
+the spec and the seed.
 """
 from __future__ import annotations
 
@@ -18,26 +19,28 @@ from .model import whiten
 from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
 
 
-def _load_spec(path, out, kind=None, tol=None, seed=None) -> experiments.ExperimentSpec:
-    """The spec at ``path`` with the command-line overrides applied; a spec
-    that is malformed, or not a ``kind`` study when ``kind`` is given, is a
-    usage error (exit 2), not a failed study."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if "kind" not in obj:  # bare instance description: wrap it
-        inst = obj.get("instance", obj)
-        obj = {"kind": "duality", "instance": inst, "n_grid": [256], "seeds": 1}
+def _load_spec(path, out, kind=None, n=None, seeds=None,
+               **params) -> experiments.ExperimentSpec:
+    """The spec at ``path`` with the command-line overrides applied (each
+    of ``params`` that is not None sets that params key); a spec that is
+    malformed, or that a ``kind`` study (when ``kind`` is given) cannot run,
+    is a usage error (exit 2), not a failed study."""
     try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("a spec is a JSON object")
+        if "kind" not in obj:  # bare instance description: wrap it
+            inst = obj.get("instance", obj)
+            obj = {"kind": "duality", "instance": inst, "n_grid": [256], "seeds": 1}
         spec = experiments.spec_from_json(obj)
-        params = dict(spec.params)
-        if tol is not None:
-            params["tol"] = tol
-        if seed is not None:
-            params["seed_base"] = seed
-        spec = replace(spec, params=params, output_path=out or spec.output_path)
+        params = {**spec.params, **{k: v for k, v in params.items() if v is not None}}
+        spec = replace(spec, params=params, output_path=out or spec.output_path,
+                       n_grid=spec.n_grid if n is None else (n,),
+                       seeds=spec.seeds if seeds is None else seeds)
         if kind is not None:
             experiments._check_study(spec, kind)
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise click.UsageError(f"spec {path}: {err}") from err
     return spec
 
@@ -47,14 +50,12 @@ def _finish(ok: bool):
     sys.exit(0 if ok else 1)
 
 
-# Each subcommand takes only the options its study reads: --tol where the
-# study reads params["tol"], --seed where it draws Monte-Carlo seeds.
 spec_option = click.option(
     "--spec", "spec_path", required=True, type=click.Path(exists=True)
 )
-out_option = click.option("--out", default=None, type=click.Path())
-tol_option = click.option("--tol", default=None, type=float)
-seed_option = click.option("--seed", default=None, type=int)
+out_option = click.option("--out", type=click.Path())
+tol_option = click.option("--tol", type=float)
+PARAM_OPTIONS = {"tol": tol_option, "seed_base": click.option("--seed", "seed_base", type=int)}
 
 
 @click.group()
@@ -63,22 +64,71 @@ def main():
     bounds, optimal preconditioners, and staged accelerated SGD."""
 
 
-@main.command()
-@spec_option
-@out_option
-@tol_option
-def duality(spec_path, out, tol):
+# subcommand -> the study kind it runs
+STUDY_COMMANDS = {"duality": "duality", "asgd": "bound_check", "sweep": "rate_sweep",
+                  "emergence": "emergence"}
+
+
+def study_command(*options):
+    """Make the decorated function, from a study's report to the lines it
+    prints, the subcommand of its name (its docstring is the help) that
+    loads a spec of its study kind, applies the overrides, runs, prints and
+    exits. Of --tol and --seed, it takes those whose params its study reads;
+    ``options`` are its own."""
+
+    def register(lines):
+        kind = STUDY_COMMANDS[lines.__name__]
+        reads = experiments._STUDIES[kind].reads
+        options_read = [option for key, option in PARAM_OPTIONS.items() if key in reads]
+
+        def command(spec_path, out, **overrides):
+            spec = _load_spec(spec_path, out, kind, **overrides)
+            rep = getattr(experiments, f"run_{kind}")(spec)
+            click.echo("\n".join(lines(rep)))
+            _finish(rep.ok)
+
+        for option in reversed([spec_option, out_option, *options_read, *options]):
+            command = option(command)
+        return main.command(lines.__name__, help=lines.__doc__)(command)
+
+    return register
+
+
+@study_command()
+def duality(rep):
     """Certify lower-bound value == preconditioner objective per n."""
-    spec = _load_spec(spec_path, out, "duality", tol=tol)
-    rep = experiments.run_duality(spec)
     for row in rep.rows:
-        click.echo(
-            f"n={row['n']:>6} eps={row['epsilon']:.1e} "
-            f"lower={row['lower_value']:.10e} upper={row['upper_value']:.10e} "
-            f"gap={row['relative_gap']:.3e}"
-        )
-    click.echo(f"worst gap {rep.worst_gap:.3e}; ladder monotone: {rep.ladder_monotone}")
-    _finish(rep.ok)
+        yield (f"n={row['n']:>6} eps={row['epsilon']:.1e} "
+               f"lower={row['lower_value']:.10e} upper={row['upper_value']:.10e} "
+               f"gap={row['relative_gap']:.3e}")
+    yield f"worst gap {rep.worst_gap:.3e}; ladder monotone: {rep.ladder_monotone}"
+
+
+@study_command(click.option("--n", type=int), click.option("--seeds", type=int))
+def asgd(rep):
+    """Monte-Carlo risk of the staged method vs. the closed-form bound."""
+    for row in rep.rows:
+        yield (f"n={row['n']:>6} risk={row['mc_mean']:.6e} (+-{row['mc_stderr']:.1e}) "
+               f"bound={row['bound_total']:.6e} k*={row['k_star']} "
+               f"semi={row['semi_bias'] + row['semi_variance']:.6e}")
+
+
+@study_command()
+def sweep(rep):
+    """Rate sweep: fitted log-log slope vs. the predicted exponent."""
+    yield (f"predicted exponent {rep.predicted_exponent:+.4f}; "
+           f"raw slope {rep.fit_raw.slope:+.4f} (r2 {rep.fit_raw.r2:.3f}); "
+           f"deflated slope {rep.fit_deflated.slope:+.4f} (gap {rep.fit_deflated.gap:.3f}); "
+           f"lower-bound slope {rep.fit_lower.slope:+.4f}")
+
+
+@study_command()
+def emergence(rep):
+    """Plateau/knee/drop shape of the risk curve for a plateau target."""
+    yield (f"knee at n={rep.knee_n} (target {rep.knee_target:.0f}, ok={rep.knee_ok}); "
+           f"plateau ratio {rep.plateau_ratio:.3f} (ok={rep.plateau_ok}); "
+           f"drop ratio {rep.drop_ratio:.3f} (ok={rep.drop_ok}); "
+           f"nonincreasing={rep.isotonic_ok}")
 
 
 @main.command()
@@ -108,65 +158,6 @@ def precondition(spec_path, out, tol):
             json.dump({**precond_to_json(prec), "n": n}, fh, indent=2)
         click.echo(f"wrote {out}")
     _finish(ok)
-
-
-@main.command()
-@spec_option
-@out_option
-@seed_option
-@click.option("--n", "n_override", default=None, type=int)
-@click.option("--seeds", "seeds_override", default=None, type=int)
-def asgd(spec_path, out, seed, n_override, seeds_override):
-    """Monte-Carlo risk of the staged method vs. the closed-form bound."""
-    spec = _load_spec(spec_path, out, "bound_check", seed=seed)
-    if n_override is not None:
-        spec = replace(spec, n_grid=(n_override,))
-    if seeds_override is not None:
-        spec = replace(spec, seeds=seeds_override)
-    rep = experiments.run_bound_check(spec)
-    for row in rep.rows:
-        click.echo(
-            f"n={row['n']:>6} risk={row['mc_mean']:.6e} (+-{row['mc_stderr']:.1e}) "
-            f"bound={row['bound_total']:.6e} k*={row['k_star']} "
-            f"semi={row['semi_bias'] + row['semi_variance']:.6e}"
-        )
-    _finish(rep.ok)
-
-
-@main.command()
-@spec_option
-@out_option
-@tol_option
-@seed_option
-def sweep(spec_path, out, tol, seed):
-    """Rate sweep: fitted log-log slope vs. the predicted exponent."""
-    spec = _load_spec(spec_path, out, "rate_sweep", tol=tol, seed=seed)
-    rep = experiments.run_rate_sweep(spec)
-    click.echo(
-        f"predicted exponent {rep.predicted_exponent:+.4f}; "
-        f"raw slope {rep.fit_raw.slope:+.4f} (r2 {rep.fit_raw.r2:.3f}); "
-        f"deflated slope {rep.fit_deflated.slope:+.4f} "
-        f"(gap {rep.fit_deflated.gap:.3f}); "
-        f"lower-bound slope {rep.fit_lower.slope:+.4f}"
-    )
-    _finish(rep.ok)
-
-
-@main.command()
-@spec_option
-@out_option
-@seed_option
-def emergence(spec_path, out, seed):
-    """Plateau/knee/drop shape of the risk curve for a plateau target."""
-    spec = _load_spec(spec_path, out, "emergence", seed=seed)
-    rep = experiments.run_emergence(spec)
-    click.echo(
-        f"knee at n={rep.knee_n} (target {rep.knee_target:.0f}, "
-        f"ok={rep.knee_ok}); plateau ratio {rep.plateau_ratio:.3f} "
-        f"(ok={rep.plateau_ok}); drop ratio {rep.drop_ratio:.3f} "
-        f"(ok={rep.drop_ok}); nonincreasing={rep.isotonic_ok}"
-    )
-    _finish(rep.ok)
 
 
 @main.command()

@@ -103,7 +103,8 @@ def estimate(inst: ProblemInstance, A, samples: Samples) -> np.ndarray:
 
 
 def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
-    """Monte-Carlo excess risk of w_hat(A) over a list of data seeds.
+    """Monte-Carlo excess risk of w_hat(A) over a list of data seeds: the
+    excess risk of ``estimate`` on each seed's draw.
 
     Deterministic given the seed list; per-seed draws are independent and the
     reduction is in seed order.
@@ -111,14 +112,8 @@ def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a standard error")
-    A = np.asarray(A, dtype=float)
-    B = inst.M_inv_sqrt @ A @ inst.M_sqrt  # fold the whitening sandwich once
-    risks = np.empty(len(seeds))
-    for k, seed in enumerate(seeds):
-        smp = sample_source(inst, n, seed)
-        moment = smp.X.T @ smp.y / n
-        w = B @ np.linalg.solve(inst.S, moment)
-        risks[k] = excess_risk(inst, w)
+    risks = np.array([excess_risk(inst, estimate(inst, A, sample_source(inst, n, seed)))
+                      for seed in seeds])
     mean = float(np.mean(risks))
     stderr = float(np.std(risks, ddof=1) / np.sqrt(len(seeds)))
     return RiskEstimate(mean=mean, stderr=stderr, median=float(np.median(risks)),

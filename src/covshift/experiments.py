@@ -13,8 +13,11 @@ determined by (spec, seed policy = seeds 0..n_seeds-1):
                  (most negative discrete second difference of log risk) and
                  plateau/drop assertions.
 
-CSV artifacts carry a gnuplot-friendly '#' header and a spec-hash column so
-every row can be traced to the exact configuration that produced it.
+``_STUDIES`` registers each kind: the params it reads, its CSV title, and
+what a spec must satisfy before any work starts. Every ``run_<kind>(spec)``
+is one call of ``_run``, which checks the spec (ValueError), resolves the
+instance, runs the study's body, ends every row with the spec's hash, and
+writes the CSV: a gnuplot-friendly '#' header, then the rows.
 """
 from __future__ import annotations
 
@@ -57,12 +60,32 @@ __all__ = [
     "run_emergence",
 ]
 
-# each study kind and the params keys it reads
-_STUDY_PARAMS = {
-    "duality": ("tol",),
-    "rate_sweep": ("tol", "seed_base", "step_base"),
-    "emergence": ("seed_base", "step_base", "step_exponent", "step_n_ref"),
-    "bound_check": ("seed_base", "kappa_tilde"),
+
+@dataclass(frozen=True)
+class _Study:
+    reads: tuple  # the params keys the study reads
+    title: str  # the first line of its CSV
+    min_n: int  # the smallest n of a grid it can run
+    needs: tuple = ()  # checks that raise ValueError for a spec it cannot run
+
+
+def _sweep_grid(spec):
+    _power_law_spec(spec.instance)
+    if len(spec.n_grid) < 4 or spec.n_grid[-1] < 8 * spec.n_grid[0]:
+        raise ValueError("rate sweep needs an n-grid spanning >= 3 octaves")
+
+
+def _plateau(spec):
+    if _power_law_spec(spec.instance).d0 is None:
+        raise ValueError("emergence needs a plateau width d0")
+
+
+_STUDIES = {
+    "duality": _Study(("tol",), "duality certification", 1),
+    "rate_sweep": _Study(("tol", "seed_base", "step_base"), "rate sweep", 2, (_sweep_grid,)),
+    "emergence": _Study(("seed_base", "step_base", "step_exponent", "step_n_ref"),
+                        "emergence curve", 2, (_plateau,)),
+    "bound_check": _Study(("seed_base", "kappa_tilde"), "risk bound check", 16),
 }
 
 
@@ -71,7 +94,7 @@ class ExperimentSpec:
     """What to run: a study kind, an instance description (power-law family
     or explicit matrices; the noise level sigma2 is an instance key), the
     sample-size grid, and the seed count. Extra numeric knobs ride in
-    params; each study accepts only the keys it reads (_STUDY_PARAMS).
+    params; each study accepts only the keys it reads (_STUDIES).
     """
 
     kind: str
@@ -82,13 +105,13 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _STUDY_PARAMS:
-            raise ValueError(f"kind must be one of {tuple(_STUDY_PARAMS)}")
+        if self.kind not in _STUDIES:
+            raise ValueError(f"kind must be one of {tuple(_STUDIES)}")
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be sorted strictly ascending")
-        if not grid:
-            raise ValueError("n_grid must be nonempty")
+        if not grid or grid[0] < 1:
+            raise ValueError("n_grid must be nonempty, with every n >= 1")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         object.__setattr__(self, "n_grid", grid)
@@ -126,11 +149,37 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def _check_study(spec: ExperimentSpec, kind: str):
-    """ValueError unless spec is a `kind` spec and the study reads every one
-    of its params, so that a row's spec_hash names the spec behind it."""
-    unread = sorted(set(spec.params) - set(_STUDY_PARAMS[kind]))
+    """ValueError unless spec is a `kind` spec, the study reads every one of
+    its params (so that a row's spec_hash names the spec behind it), and the
+    study can run its grid and instance."""
+    study = _STUDIES[kind]
+    unread = sorted(set(spec.params) - set(study.reads))
     if spec.kind != kind or unread:
         raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
+    if spec.n_grid[0] < study.min_n:
+        raise ValueError(f"{kind} needs every n >= {study.min_n}")
+    for need in study.needs:
+        need(spec)
+
+
+def _run(kind: str, spec: ExperimentSpec, body):
+    """The frame of every study: check the spec, resolve its instance, run
+    ``body(spec, inst)``, end each row of its report with the spec's hash,
+    and write the CSV to ``spec.output_path`` when one is set."""
+    _check_study(spec, kind)
+    inst = resolve_instance(spec)
+    h = spec_hash(spec)
+    rep = body(spec, inst)
+    for row in rep.rows:
+        row["spec_hash"] = h
+    if spec.output_path:
+        fields = list(rep.rows[0])
+        with open(spec.output_path, "w", newline="") as fh:
+            fh.write(f"# {_STUDIES[kind].title}\n# spec_hash={h}\n# {' '.join(fields)}\n")
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rep.rows)
+    return rep
 
 
 def _power_law_spec(desc: dict) -> model.PowerLawSpec:
@@ -165,19 +214,6 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
         psi=float(desc.get("psi", 3.0)),
         w_profile=desc.get("w_profile", "spread"),
     )
-
-
-def _write_csv(path: str, title: str, spec: ExperimentSpec, rows: list[dict]):
-    if not rows:
-        return
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {title}\n")
-        fh.write(f"# spec_hash={spec_hash(spec)}\n")
-        fh.write("# " + " ".join(fields) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _seed_range(spec: ExperimentSpec) -> range:
@@ -255,12 +291,13 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     computed as its floor, the same program as
     maximize_F(triple.ridged(eps), sigma2, n).
     """
-    _check_study(spec, "duality")
-    inst = resolve_instance(spec)
+    return _run("duality", spec, _duality)
+
+
+def _duality(spec, inst):
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
     t_norm, singular = _target_scale(triple.T_prime)
-    h = spec_hash(spec)
     rows = []
     worst = 0.0
     ladder_monotone = True
@@ -294,11 +331,8 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
                     "iterations": cert.iterations,
                     "dual_gap": cert.gap,
                     "stop_reason": cert.stop_reason,
-                    "spec_hash": h,
                 }
             )
-    if spec.output_path:
-        _write_csv(spec.output_path, "duality certification", spec, rows)
     return DualityReport(
         rows=rows,
         worst_gap=worst,
@@ -322,9 +356,10 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
     closed-form bound at each n, with the exact semi-stochastic bias and
     variance alongside for diagnosis. Fails if any mean exceeds its bound.
     """
-    _check_study(spec, "bound_check")
-    inst = resolve_instance(spec)
-    h = spec_hash(spec)
+    return _run("bound_check", spec, _bound_check)
+
+
+def _bound_check(spec, inst):
     kappa_tilde = spec.params.get("kappa_tilde")
     seeds = _seed_range(spec)
     rows = []
@@ -345,12 +380,9 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
             "semi_bias": semi_stochastic_bias(inst, cfg).total,
             "semi_variance": semi_stochastic_variance(inst, cfg).total,
             "admissible": bound.admissible,
-            "spec_hash": h,
         }
         rows.append(row)
         ok = ok and (mc["mc_mean"] <= bound.total)
-    if spec.output_path:
-        _write_csv(spec.output_path, "risk bound check", spec, rows)
     return BoundCheckReport(rows=rows, ok=ok)
 
 
@@ -375,23 +407,21 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     The certified lower-bound value is fitted on the same grid for scale.
     The whole grid runs in one ``run_grid`` call, on one sample stream per
     seed; each grid point's risks are the bits of its own ``run_batch``.
-    Needs a power-law instance (ValueError otherwise): the prediction reads
-    its (a, s, r, nu).
+    Needs a power-law instance, whose (a, s, r, nu) the prediction reads,
+    and a grid spanning >= 3 octaves (ValueError otherwise).
     """
-    _check_study(spec, "rate_sweep")
+    return _run("rate_sweep", spec, _rate_sweep)
+
+
+def _rate_sweep(spec, inst):
     pl = _power_law_spec(spec.instance)
     a, s, r = pl.a, pl.s, pl.r
-    inst = resolve_instance(spec)
-    if len(spec.n_grid) < 4 or spec.n_grid[-1] < 8 * spec.n_grid[0]:
-        raise ValueError("rate sweep needs an n-grid spanning >= 3 octaves")
     predicted = -(r + s) * a / (s * a + 1.0)
     log_exp = 3.0 * ((1.0 + r) * a - 1.0) / a
     tol = float(spec.params.get("tol", 0.15))
     base = spec.params.get("step_base")
     triple = whiten(inst)
-    h = spec_hash(spec)
     rows = []
-    means, lowers = [], []
     cfgs = [
         choose_rate_parameters(
             inst, n, a=a, r=r, nu=pl.nu, n_ref=spec.n_grid[0], base=base
@@ -405,8 +435,6 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
             lower = maximize_F(triple, inst.sigma2, n).value
         except MaxIterationsError as err:
             lower = err.best.value
-        means.append(mc["mc_mean"])
-        lowers.append(lower)
         rows.append(
             {
                 "n": n,
@@ -414,16 +442,13 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
                 "deflated_mean": mc["mc_mean"] / math.log(n) ** log_exp,
                 "lower_value": lower,
                 "step": cfg.delta0,
-                "spec_hash": h,
             }
         )
     grid = np.array(spec.n_grid, dtype=float)
-    fit_raw = _fit(grid, np.array(means), predicted)
-    deflated = np.array(means) / np.log(grid) ** log_exp
-    fit_deflated = _fit(grid, deflated, predicted)
-    fit_lower = _fit(grid, np.array(lowers), predicted)
-    if spec.output_path:
-        _write_csv(spec.output_path, "rate sweep", spec, rows)
+    means = np.array([row["mc_mean"] for row in rows])
+    fit_raw = _fit(grid, means, predicted)
+    fit_deflated = _fit(grid, means / np.log(grid) ** log_exp, predicted)
+    fit_lower = _fit(grid, np.array([row["lower_value"] for row in rows]), predicted)
     return RateSweepReport(
         rows=rows,
         fit_raw=fit_raw,
@@ -486,39 +511,27 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
     As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call. Needs
     a power-law instance with a plateau width d0 (ValueError otherwise).
     """
-    _check_study(spec, "emergence")
+    return _run("emergence", spec, _emergence)
+
+
+def _emergence(spec, inst):
     pl = _power_law_spec(spec.instance)
-    if pl.d0 is None:
-        raise ValueError("emergence needs a plateau width d0")
     a, d0 = pl.a, int(pl.d0)
-    inst = resolve_instance(spec)
     n_knee = d0 ** (a + 1.0)
     base = spec.params.get("step_base")
     exponent = float(spec.params.get("step_exponent", -1.0 / (a + 1.0)))
     # anchor the schedule at the theoretical knee: constant base step while
     # n < n_ref (the plateau has nothing more to resolve), decaying after
     n_ref = int(spec.params.get("step_n_ref", round(n_knee)))
-    h = spec_hash(spec)
-    rows = []
-    means, stderrs = [], []
     cfgs = [
         choose_rate_parameters(inst, n, n_ref=n_ref, base=base, exponent=exponent)
         for n in spec.n_grid
     ]
     risks = run_grid(inst, cfgs, _seed_range(spec))
-    for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
-        mc = _mc_summary(mc_risks)
-        means.append(mc["mc_mean"])
-        stderrs.append(mc["mc_stderr"])
-        rows.append(
-            {
-                "n": n,
-                **mc,
-                "step": cfg.delta0,
-                "spec_hash": h,
-            }
-        )
-    means_arr = np.array(means)
+    rows = [{"n": n, **_mc_summary(mc_risks), "step": cfg.delta0}
+            for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks)]
+    means_arr = np.array([row["mc_mean"] for row in rows])
+    stderrs = np.array([row["mc_stderr"] for row in rows])
     grid = np.array(spec.n_grid, dtype=float)
     log_risk = np.log2(means_arr)
     if len(grid) >= 3:
@@ -544,10 +557,8 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
         drop_ratio, drop_ok = 0.0, True
     fit = _pava_nonincreasing(means_arr)
     isotonic_ok = bool(
-        np.all(np.abs(fit - means_arr) <= 2.0 * np.maximum(np.array(stderrs), 1e-300))
+        np.all(np.abs(fit - means_arr) <= 2.0 * np.maximum(stderrs, 1e-300))
     )
-    if spec.output_path:
-        _write_csv(spec.output_path, "emergence curve", spec, rows)
     return EmergenceReport(
         rows=rows,
         knee_n=knee_n,

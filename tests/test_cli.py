@@ -3,10 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from covshift import cli, experiments
 from covshift.cli import main
 from covshift.experiments import (
     ExperimentSpec,
     run_bound_check,
+    run_duality,
     run_emergence,
     run_rate_sweep,
     spec_hash,
@@ -150,6 +152,8 @@ def test_emergence_runs(tmp_path):
 POWER_LAW = {"type": "powerlaw", "d": 20, "a": 2.0, "s": 1.0, "r": 0.0,
              "sigma2": 0.5, "seed": 0}
 OUT_STUDIES = {
+    "duality": ("duality certification", run_duality,
+                dict(kind="duality", instance=POWER_LAW, n_grid=[16, 64], seeds=1)),
     "asgd": ("risk bound check", run_bound_check,
              dict(kind="bound_check", instance=POWER_LAW, n_grid=[32, 64], seeds=2)),
     "sweep": ("rate sweep", run_rate_sweep,
@@ -202,15 +206,24 @@ def test_missing_spec_file_errors():
 
 @pytest.mark.parametrize(
     "command, kind",
-    [("asgd", "bound_check"), ("sweep", "rate_sweep"), ("emergence", "emergence")],
+    [("asgd", "bound_check"), ("sweep", "rate_sweep"), ("emergence", "emergence"),
+     ("duality", "duality")],
 )
 def test_spec_of_another_kind_is_a_usage_error(tmp_path, command, kind):
-    # exit 1 means a study ran and failed; a duality spec handed to another
-    # study is a usage error, reported without a traceback
-    res = CliRunner().invoke(main, [command, "--spec", duality_spec(tmp_path)])
+    # exit 1 means a study ran and failed; a spec of another kind handed to
+    # a study is a usage error, reported without a traceback
+    other = "bound_check" if kind == "duality" else "duality"
+    spec = write_spec(tmp_path / "spec.json", **dict(OUT_STUDIES["asgd"][2], kind=other))
+    res = CliRunner().invoke(main, [command, "--spec", spec])
     assert res.exit_code == 2, res.output
-    assert f"a {kind} study got a 'duality' spec" in res.output
+    assert f"a {kind} study got a '{other}' spec" in res.output
     assert "Traceback" not in res.output and res.exc_info[0] is SystemExit
+
+
+def test_study_commands_cover_the_study_kinds():
+    # a new study kind cannot ship without a subcommand that runs it
+    assert sorted(cli.STUDY_COMMANDS.values()) == sorted(experiments._STUDIES)
+    assert set(cli.STUDY_COMMANDS) <= set(main.commands)
 
 
 def test_malformed_spec_is_a_usage_error(tmp_path):
@@ -218,3 +231,45 @@ def test_malformed_spec_is_a_usage_error(tmp_path):
     res = CliRunner().invoke(main, ["duality", "--spec", spec])
     assert res.exit_code == 2, res.output
     assert "n_grid" in res.output and res.exc_info[0] is SystemExit
+
+
+@pytest.mark.parametrize("text", ['{"kind": "duality",', "[1, 2]"], ids=["truncated", "list"])
+def test_spec_file_that_is_not_a_json_object_is_a_usage_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["duality", "--spec", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec {path}: " in res.output and res.exc_info[0] is SystemExit
+
+
+UNRUNNABLE = {
+    "sweep-3-point-grid": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 128]),
+                           "rate sweep needs an n-grid spanning >= 3 octaves"),
+    "emergence-without-d0": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32]),
+                             "emergence needs a plateau width d0"),
+    "emergence-n-1": ("emergence", dict(kind="emergence", n_grid=[1, 16, 32],
+                                        instance=dict(POWER_LAW, d0=2)),
+                      "emergence needs every n >= 2"),
+    "asgd-n-8": ("asgd", dict(kind="bound_check", n_grid=[8]),
+                 "bound_check needs every n >= 16"),
+    "duality-n-0": ("duality", dict(kind="duality", n_grid=[0, 16]),
+                    "n_grid must be nonempty, with every n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_spec_a_study_cannot_run_is_refused_before_any_work(tmp_path, monkeypatch, case):
+    # the library raises ValueError and the CLI exits 2, both before the
+    # instance is resolved
+    command, payload, message = UNRUNNABLE[case]
+    payload = dict(dict(instance=POWER_LAW, seeds=2), **payload)
+
+    def resolve(spec):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(experiments, "resolve_instance", resolve)
+    res = CliRunner().invoke(main, [command, "--spec", write_spec(tmp_path / "s.json", **payload)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output and res.exc_info[0] is SystemExit
+    with pytest.raises(ValueError, match=message):
+        getattr(experiments, f"run_{payload['kind']}")(ExperimentSpec(**payload))

@@ -41,7 +41,6 @@ CALLERS = MODULES + sorted(
 
 PUBLIC_API = {
     "model.instance_to_json": "writes the explicit instance format the CLI reads",
-    "estimators.estimate": "the paper's estimator w_hat(A) (ROADMAP item 6)",
     "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 6)",
     "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 3",
 }
