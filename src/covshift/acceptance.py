@@ -173,7 +173,7 @@ def criterion_4():
     n, d, seed = 2**12, 50, 7
     inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0), seed=1)
     step = 1.0 / (inst.psi * float(np.trace(inst.S)))
-    cfg = ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.7, beta=0.3)
+    cfg = ASGDConfig(n=n, delta0=step, gamma0=step, beta=0.3)
     traj = run(inst, cfg, seed=seed, record_iterates=True)
 
     samples = sample_source(inst, n, seed)
@@ -211,9 +211,7 @@ def criterion_5():
         beta = rng.uniform(0.05, 1.0)
         gamma0 = rng.uniform(0.2, 0.9) / float(np.trace(inst.S))
         delta0 = gamma0 * rng.uniform(0.3, 1.0)
-        cfg = ASGDConfig(
-            n=n, delta0=delta0, gamma0=gamma0, alpha=1.0 / (1.0 + beta), beta=beta
-        )
+        cfg = ASGDConfig(n=n, delta0=delta0, gamma0=gamma0, beta=beta)
         traj = run(inst, cfg, population=True)
         mc = excess_risk(inst, traj.final_w)
         oracle = semi_stochastic_bias(inst, cfg).total
@@ -480,21 +478,25 @@ CRITERIA = (
 )
 
 
+def selected_criteria(selected=None):
+    """The CRITERIA entries numbered in ``selected`` (all when None), in
+    order; ValueError for a number with no criterion."""
+    unknown = sorted(set(selected or ()) - {num for num, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError(f"no criterion numbered {unknown}; they are 1 to {len(CRITERIA)}")
+    return [entry for entry in CRITERIA if selected is None or entry[0] in selected]
+
+
 def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, detail = fn()
-            elapsed = time.perf_counter() - start
-            return CriterionResult(num, name, passed, elapsed, detail)
-    raise ValueError(f"no criterion {number}")
+    [(num, name, fn)] = selected_criteria([number])
+    start = time.perf_counter()
+    passed, detail = fn()
+    return CriterionResult(num, name, passed, time.perf_counter() - start, detail)
 
 
 def run_all(selected=None) -> bool:
     all_ok = True
-    for num, name, _ in CRITERIA:
-        if selected is not None and num not in selected:
-            continue
+    for num, name, _ in selected_criteria(selected):
         res = run_criterion(num)
         status = "PASS" if res.passed else "FAIL"
         budget = CAPS_SECONDS[num]

@@ -4,14 +4,16 @@ The method runs floor(log2 n) stages of K = floor(n / stages) steps each; in
 stage l the step sizes are delta0/4^(l-1) and gamma0/4^(l-1). Each step uses
 one fresh sample (single global counter, leftovers unused):
 
-    u <- alpha w + (1 - alpha) v
+    u <- alpha w + (1 - alpha) v,   alpha = 1/(1 + beta)
     g <- (x'u - y) x
     w <- u - delta g
     v <- beta u + (1 - beta) v - gamma g
 
-starting from w = v = 0. With gamma = delta the v-iterate coincides with w
-bit-for-bit and the method collapses to plain SGD on the same ladder, so the
-kernel then steps w alone.
+starting from w = v = 0. The schedule is (n, delta0, gamma0, beta); alpha is
+derived from beta, the choice under which a single eigendirection sees the
+step ladder (gamma + delta)/2 for any step pair. With gamma = delta
+the v-iterate coincides with w bit-for-bit and the method collapses to plain
+SGD on the same ladder, so the kernel then steps w alone.
 
 ``run``, ``run_batch`` and ``run_grid`` share one lockstep kernel. It steps
 several schedules on one set of seeds and draws each seed's samples once,
@@ -64,7 +66,7 @@ parallel draws and steps save."""
 
 class InfeasibleSchedule(ValueError):
     """The chosen parameters violate the schedule admissibility requirement
-    n (1 - alpha (1 - beta)) / (log2 n * ln n) >= 16; carries ``ratio``."""
+    n (1 - c) / (log2 n * ln n) >= 16; carries ``ratio``."""
 
     def __init__(self, message, ratio):
         super().__init__(message)
@@ -75,18 +77,18 @@ class InfeasibleSchedule(ValueError):
 class ASGDConfig:
     """Stage schedule and momentum constants.
 
-    delta0/gamma0 are the stage-1 step sizes (quartered each stage); alpha
-    and beta are the momentum mixers. Derived constants: c = alpha(1-beta)
-    and q = alpha delta + (1-alpha) gamma, with the exact identity
-    (q - c delta)/(1 - c) == (gamma + delta)/2, which pins down the step
-    ladder seen by a single eigendirection.
+    delta0/gamma0 are the stage-1 step sizes (quartered each stage) and beta
+    is the momentum mixer. Derived: alpha = 1/(1+beta), c = alpha(1-beta)
+    and q = alpha delta + (1-alpha) gamma, so that in exact arithmetic
+    (q - c delta)/(1 - c) == (gamma + delta)/2, the step ladder seen by a
+    single eigendirection.
     """
 
     n: int
     delta0: float
     gamma0: float
-    alpha: float
     beta: float
+    alpha: float = field(init=False)
     stages: int = field(init=False)
     stage_len: int = field(init=False)
 
@@ -97,19 +99,10 @@ class ASGDConfig:
             raise ValueError("need gamma0 >= delta0 > 0")
         if not 0 < self.beta <= 1:
             raise ValueError("need 0 < beta <= 1")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("need 0 < alpha <= 1")
         stages = int(math.floor(math.log2(self.n)))
+        object.__setattr__(self, "alpha", 1.0 / (1.0 + self.beta))
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "stage_len", self.n // stages)
-        # equivalent to the identity in exact arithmetic; testing the identity
-        # itself divides rounding by 1 - c, which is tiny when beta is
-        momentum_ok = math.isclose(self.alpha, 1.0 / (1.0 + self.beta), rel_tol=1e-12)
-        if not (momentum_ok or self.vanilla_sgd):
-            raise ValueError(
-                "step/momentum constants are inconsistent: need alpha = 1/(1+beta) "
-                f"or gamma0 = delta0 (alpha = {self.alpha!r}, beta = {self.beta!r})"
-            )
 
     @property
     def c(self) -> float:
@@ -134,11 +127,8 @@ class ASGDConfig:
 
 
 def admissibility_ratio(cfg: ASGDConfig) -> float:
-    """n (1 - alpha(1-beta)) / (log2 n * ln n); schedules need this >= 16."""
-    return (
-        cfg.n * (1.0 - cfg.alpha * (1.0 - cfg.beta))
-        / (math.log2(cfg.n) * math.log(cfg.n))
-    )
+    """n (1 - c) / (log2 n * ln n); schedules need this >= 16."""
+    return cfg.n * (1.0 - cfg.c) / (math.log2(cfg.n) * math.log(cfg.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +155,8 @@ def choose_parameters(
         delta0 = delta'/(2188 ln n),     gamma0 = gamma'/(2188 ln n)
 
     The contraction analysis behind the risk bound additionally demands
-    n(1-alpha(1-beta))/(log2 n * ln n) >= 16, which for these beta values
-    is out of reach below n ~ 1e8 on typical spectra; pass
+    n(1-c)/(log2 n * ln n) >= 16 with c = alpha(1-beta), which for these
+    beta values is out of reach below n ~ 1e8 on typical spectra; pass
     require_admissible=False to use the schedule anyway (the bound can still
     be evaluated, it is just not certified by the admissibility lemma).
     """
@@ -187,14 +177,11 @@ def choose_parameters(
     if tail <= 0:
         raise ValueError("source spectrum vanishes beyond kappa_tilde")
     gamma_prime = 1.0 / (psi * tail)
-    beta = delta_prime / (4376.0 * psi * kappa_tilde * gamma_prime * ln_n)
-    alpha = 1.0 / (1.0 + beta)
     cfg = ASGDConfig(
         n=n,
         delta0=delta_prime / (2188.0 * ln_n),
         gamma0=gamma_prime / (2188.0 * ln_n),
-        alpha=alpha,
-        beta=beta,
+        beta=delta_prime / (4376.0 * psi * kappa_tilde * gamma_prime * ln_n),
     )
     if require_admissible and not cfg.admissible:
         raise InfeasibleSchedule(
@@ -229,7 +216,7 @@ def choose_rate_parameters(
         b = (1.0 + r) * a
         exponent = (a - b + nu - 1.0) / (b - nu + 1.0)
     step = base * min(1.0, (n / n_ref) ** exponent)
-    return ASGDConfig(n=n, delta0=step, gamma0=step, alpha=0.5, beta=1.0)
+    return ASGDConfig(n=n, delta0=step, gamma0=step, beta=1.0)
 
 
 def _cores() -> int:
@@ -400,25 +387,15 @@ def _final_risks(inst, cfgs, seeds) -> np.ndarray:
 
 
 def effective_dimension(cfg: ASGDConfig, lam) -> int:
-    """k* = max{k : lambda_k > 32 ln n / ((gamma+delta) K)} for a
-    non-increasing spectrum (0 if empty). Cross-checked against the
-    equivalent threshold 16(1-c) ln n / ((q - c delta) K); the two coincide
-    exactly for valid configs."""
+    """k* = max{k : lambda_k > 32 ln n / ((gamma0+delta0) K)} for a
+    non-increasing spectrum (0 if empty). In exact arithmetic the threshold
+    equals 16(1-c) ln n / ((q - c delta0) K), since alpha = 1/(1+beta); that
+    form divides rounding by 1 - c, which is tiny when beta is."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if np.any(np.diff(lam) > 0):
         raise ValueError("lambda must be sorted non-increasing")
-    ln_n = math.log(cfg.n)
-    K = cfg.stage_len
-    thresh_main = 32.0 * ln_n / ((cfg.gamma0 + cfg.delta0) * K)
-    thresh_alt = 16.0 * (1.0 - cfg.c) * ln_n / ((cfg.q - cfg.c * cfg.delta0) * K)
-    k_main = int(np.sum(lam > thresh_main))
-    k_alt = int(np.sum(lam > thresh_alt))
-    if k_main != k_alt:
-        raise ValueError(
-            f"effective-dimension forms disagree ({k_main} vs {k_alt}); "
-            "config identity violated"
-        )
-    return k_main
+    thresh = 32.0 * math.log(cfg.n) / ((cfg.gamma0 + cfg.delta0) * cfg.stage_len)
+    return int(np.sum(lam > thresh))
 
 
 @dataclass(frozen=True)
@@ -426,7 +403,8 @@ class RiskBound:
     """Closed-form excess-risk bound for the schedule: an effective-variance
     term on the k* well-conditioned directions plus step-size-squared tail
     variance, and a bias term split into a rapidly-contracted head and a
-    4 |T'_tail| remainder. total == effective_variance + effective_bias."""
+    4 |T'_tail| remainder. total == effective_variance + effective_bias.
+    The schedule's K, stages and admissibility are read from its config."""
 
     k_star: int
     effective_variance: float
@@ -436,9 +414,6 @@ class RiskBound:
     variance_tail: float
     bias_head: float
     bias_tail: float
-    K: int
-    stages: int
-    admissible: bool
 
 
 def _masked_whitened_norm(inst: ProblemInstance, keep) -> float:
@@ -460,8 +435,8 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
         + |T'_head| / (8 n^2 (log2 n)^4) + 4 |T'_tail|
 
     where t_ii is the diagonal of T in S's eigenbasis and the head/tail
-    blocks zero the complementary rows/columns there before whitening.
-    Evaluated regardless of admissibility (the flag is reported)."""
+    blocks zero the complementary rows/columns there before whitening;
+    K = cfg.stage_len. Evaluated regardless of ``cfg.admissible``."""
     n = cfg.n
     if n < 16:
         raise ValueError("bound needs n >= 16")
@@ -491,7 +466,4 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
         variance_tail=variance_tail,
         bias_head=bias_head,
         bias_tail=bias_tail,
-        K=K,
-        stages=cfg.stages,
-        admissible=cfg.admissible,
     )

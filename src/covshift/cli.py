@@ -164,11 +164,12 @@ def precondition(spec_path, out, tol):
 @click.option("--only", default=None, type=str, help="comma-separated criterion numbers")
 def verify(only):
     """Run the full acceptance suite (one line per criterion)."""
-    selected = None
-    if only:
-        selected = [int(tok) for tok in only.split(",")]
-    ok = acceptance.run_all(selected=selected)
-    sys.exit(0 if ok else 1)
+    try:
+        selected = None if only is None else [int(tok) for tok in only.split(",")]
+        acceptance.selected_criteria(selected)
+    except ValueError as err:
+        raise click.UsageError(f"--only {only}: {err}") from err
+    sys.exit(0 if acceptance.run_all(selected=selected) else 1)
 
 
 if __name__ == "__main__":

@@ -114,6 +114,7 @@ class ExperimentSpec:
             raise ValueError("n_grid must be nonempty, with every n >= 1")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        _check_instance(self.instance)
         object.__setattr__(self, "n_grid", grid)
 
 
@@ -196,6 +197,21 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
         nu=int(desc.get("nu", 0)),
         d0=desc.get("d0"),
     )
+
+
+def _check_instance(desc):
+    """ValueError, before any matrix is built, unless ``resolve_instance``
+    can build the description: an explicit one has the keys it reads, and
+    any other builds its PowerLawSpec."""
+    if not isinstance(desc, dict):
+        raise ValueError("an instance description is a JSON object")
+    explicit = desc.get("type") == "explicit"
+    needs = ("S", "T", "M", "w_star", "sigma2") if explicit else ("d", "a")
+    missing = [key for key in needs if key not in desc]
+    if missing:
+        raise ValueError(f"the instance description lacks the keys {missing}")
+    if not explicit:
+        _power_law_spec(desc)
 
 
 def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
@@ -379,7 +395,7 @@ def _bound_check(spec, inst):
             "k_star": bound.k_star,
             "semi_bias": semi_stochastic_bias(inst, cfg).total,
             "semi_variance": semi_stochastic_variance(inst, cfg).total,
-            "admissible": bound.admissible,
+            "admissible": cfg.admissible,
         }
         rows.append(row)
         ok = ok and (mc["mc_mean"] <= bound.total)

@@ -7,8 +7,9 @@ along eigendirection i, one step in a stage with steps (delta, gamma) maps
     h <- A(lambda_i) h,   A(lambda) = [[0, 1 - delta*lambda],
                                        [-c, 1 + c - q*lambda]]
 
-where c = alpha(1-beta) and q = alpha*delta + (1-alpha)*gamma. This module
-implements that matrix family (eigenvalues and regimes), the
+where c = alpha(1-beta) and q = alpha*delta + (1-alpha)*gamma with the
+config's alpha = 1/(1+beta), so (q - c*delta)/(1 - c) = (gamma+delta)/2.
+This module implements that matrix family (eigenvalues and regimes), the
 closed-form per-stage stationary second-moment matrices U and Q of the
 driven recursion, and the semi-stochastic risk oracle: the exact bias of
 the noiseless dynamics plus the exact variance of the noise-driven 2x2
@@ -190,14 +191,16 @@ def semi_stochastic_variance_bound(inst: ProblemInstance, cfg: ASGDConfig) -> fl
     """Closed-form cap on the semi-stochastic variance total:
 
         sigma2 [ sum_{i<=k*} t_ii/(2 K lambda_i)
-                 + (128/15) K ((q - c delta)/(1-c))^2 sum_{i>k*} lambda_i t_ii ].
+                 + (128/15) K ((gamma + delta)/2)^2 sum_{i>k*} lambda_i t_ii ],
+
+    where (gamma + delta)/2 = (q - c delta)/(1 - c) without dividing by 1 - c.
     """
     lam = inst.eig_S.eigenvalues
     t_diag = np.maximum(np.diag(inst.T_tilde), 0.0)
     K = cfg.stage_len
     k_star = effective_dimension(cfg, lam)
     head = np.arange(lam.size) < k_star
-    ratio = (cfg.q - cfg.c * cfg.delta0) / (1.0 - cfg.c)
+    ratio = (cfg.gamma0 + cfg.delta0) / 2.0
     return inst.sigma2 * (
         float(np.sum(t_diag[head] / (2.0 * K * lam[head])))
         + (128.0 / 15.0) * K * ratio**2 * float(np.sum(lam[~head] * t_diag[~head]))

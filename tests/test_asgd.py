@@ -39,43 +39,59 @@ def power_law(d=100, n_seed=0, sigma2=1.0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ASGDConfig(n=1, delta0=0.1, gamma0=0.1, alpha=0.5, beta=1.0)
+        ASGDConfig(n=1, delta0=0.1, gamma0=0.1, beta=1.0)
     with pytest.raises(ValueError):
-        ASGDConfig(n=64, delta0=0.0, gamma0=0.1, alpha=0.5, beta=1.0)
+        ASGDConfig(n=64, delta0=0.0, gamma0=0.1, beta=1.0)
     with pytest.raises(ValueError):
-        ASGDConfig(n=64, delta0=0.2, gamma0=0.1, alpha=0.5, beta=1.0)  # gamma < delta
+        ASGDConfig(n=64, delta0=0.2, gamma0=0.1, beta=1.0)  # gamma < delta
     with pytest.raises(ValueError):
-        ASGDConfig(n=64, delta0=0.1, gamma0=0.1, alpha=0.5, beta=0.0)
+        ASGDConfig(n=64, delta0=0.1, gamma0=0.1, beta=0.0)
     with pytest.raises(ValueError):
-        ASGDConfig(n=64, delta0=0.1, gamma0=0.1, alpha=1.5, beta=1.0)
+        ASGDConfig(n=64, delta0=0.1, gamma0=0.1, beta=1.5)
 
 
 def test_config_step_momentum_identity():
-    # the exact identity (q - c delta)/(1 - c) = (gamma + delta)/2 holds in
-    # two regimes: alpha = 1/(1+beta) with any step pair, or gamma = delta
-    cfg = ASGDConfig(n=64, delta0=0.01, gamma0=0.5, alpha=1 / 1.25, beta=0.25)
+    # alpha is derived, so the exact identity
+    # (q - c delta)/(1 - c) = (gamma + delta)/2 holds for any step pair
+    cfg = ASGDConfig(n=64, delta0=0.01, gamma0=0.5, beta=0.25)
     lhs = (cfg.q - cfg.c * cfg.delta0) / (1 - cfg.c)
     assert lhs == pytest.approx((cfg.gamma0 + cfg.delta0) / 2, abs=1e-15)
-    cfg = ASGDConfig(n=64, delta0=0.3, gamma0=0.3, alpha=0.7, beta=0.3)
-    assert cfg.vanilla_sgd
-    # inconsistent constants are rejected
-    with pytest.raises(ValueError):
-        ASGDConfig(n=64, delta0=0.01, gamma0=0.5, alpha=0.9, beta=0.25)
-    with pytest.raises(ValueError, match="inconsistent"):
-        ASGDConfig(n=64, delta0=0.01, gamma0=0.5, alpha=0.5, beta=0.01)
+    assert ASGDConfig(n=64, delta0=0.3, gamma0=0.3, beta=0.3).vanilla_sgd
+    for beta in (0.25, 0.3, 5.72775583692933e-08, 1.0):
+        assert ASGDConfig(n=64, delta0=0.01, gamma0=0.5, beta=beta).alpha == 1.0 / (1.0 + beta)
+    # alpha is not a constructor argument
+    with pytest.raises(TypeError, match="alpha"):
+        ASGDConfig(n=64, delta0=0.01, gamma0=0.5, beta=0.25, **{"alpha": 0.8})
+
+
+def threshold_from_momentum(cfg):
+    # the form of k*'s threshold that reads c and q: equal to
+    # 32 ln n / ((gamma0 + delta0) K) in exact arithmetic
+    ln_n = math.log(cfg.n)
+    return 16.0 * (1.0 - cfg.c) * ln_n / ((cfg.q - cfg.c * cfg.delta0) * cfg.stage_len)
+
+
+def assert_threshold_forms_agree(inst, cfg):
+    lam = inst.eig_S.eigenvalues
+    assert effective_dimension(cfg, lam) == int(np.sum(lam > threshold_from_momentum(cfg)))
 
 
 def test_choose_parameters_builds_consistent_configs_on_small_instances():
-    # d = 8: beta ~ 4e-8, so 1 - c ~ 8e-8 and the identity's residual is
-    # rounding divided by that; 136 of these n were refused
+    # d = 8: beta ~ 4e-8, so 1 - c ~ 8e-8 divides the rounding of the
+    # momentum form; both forms still count the same k* at every n
     inst = power_law(d=8, sigma2=0.5)
     for n in range(16, 300):
-        cfg = choose_parameters(inst, n, require_admissible=False)
-        risk_bound(inst, cfg)  # effective_dimension's two thresholds must agree
+        assert_threshold_forms_agree(inst, choose_parameters(inst, n, require_admissible=False))
+
+
+def test_effective_dimension_threshold_forms_agree_on_a_rotated_instance():
+    inst = rotated(100)  # the bound benchmark's seed-0 instance
+    for n in (2**12, 2**14, 2**16):
+        assert_threshold_forms_agree(inst, choose_parameters(inst, n, require_admissible=False))
 
 
 def test_stage_ladder():
-    cfg = ASGDConfig(n=2**8, delta0=0.08, gamma0=0.4, alpha=1 / 1.5, beta=0.5)
+    cfg = ASGDConfig(n=2**8, delta0=0.08, gamma0=0.4, beta=0.5)
     assert cfg.stages == 8
     assert cfg.stage_len == 2**8 // 8
     for ell in (1, 2, 5):
@@ -97,7 +113,7 @@ def test_choose_parameters_pinned_values():
     assert cfg.delta0 == pytest.approx(1.344288508368828e-05, rel=1e-12)
     assert cfg.gamma0 == pytest.approx(0.00025791937066699873, rel=1e-12)
     assert cfg.beta == pytest.approx(5.72775583692933e-08, rel=1e-12)
-    assert cfg.alpha == pytest.approx(1 / (1 + cfg.beta), rel=1e-15)
+    assert cfg.alpha == 1.0 / (1.0 + cfg.beta)
     assert cfg.stages == 10
     assert cfg.stage_len == 102
 
@@ -110,9 +126,10 @@ def test_choose_parameters_admissibility_gate():
 
 
 def test_admissible_property():
-    # ratio n(1-c)/(log2 n * ln n) crosses the floor of 16 as n grows
-    small = ASGDConfig(n=2**10, delta0=0.1, gamma0=0.1, alpha=0.5, beta=0.5)
-    big = ASGDConfig(n=2**12, delta0=0.1, gamma0=0.1, alpha=0.5, beta=0.5)
+    # ratio n(1-c)/(log2 n * ln n) crosses the floor of 16 as n grows:
+    # 9.85 at 2^10 and 27.4 at 2^12, with c = 1/3
+    small = ASGDConfig(n=2**10, delta0=0.1, gamma0=0.1, beta=0.5)
+    big = ASGDConfig(n=2**12, delta0=0.1, gamma0=0.1, beta=0.5)
     assert not small.admissible
     assert big.admissible
 
@@ -150,8 +167,8 @@ def test_risk_bound_pinned_values():
     cfg = choose_parameters(inst, 2**10, kappa_tilde=10, require_admissible=False)
     rb = risk_bound(inst, cfg)
     assert rb.k_star == 0
-    assert rb.K == 102 and rb.stages == 10
-    assert not rb.admissible
+    assert (cfg.stage_len, cfg.stages) == (102, 10)
+    assert not cfg.admissible
     assert rb.effective_variance == pytest.approx(0.00020811139872779975, rel=1e-10)
     assert rb.effective_bias == pytest.approx(4.0, rel=1e-12)
     assert rb.total == pytest.approx(4.000208111398728, rel=1e-10)
@@ -178,8 +195,8 @@ def test_risk_bound_dominates_population_run():
 
 
 def test_effective_dimension_monotone_in_steps():
-    cfg_small = ASGDConfig(n=2**10, delta0=1e-4, gamma0=1e-4, alpha=0.5, beta=1.0)
-    cfg_big = ASGDConfig(n=2**10, delta0=0.3, gamma0=0.3, alpha=0.5, beta=1.0)
+    cfg_small = ASGDConfig(n=2**10, delta0=1e-4, gamma0=1e-4, beta=1.0)
+    cfg_big = ASGDConfig(n=2**10, delta0=0.3, gamma0=0.3, beta=1.0)
     lam = np.arange(1, 40.0) ** -2.0
     assert effective_dimension(cfg_small, lam) <= effective_dimension(cfg_big, lam)
     k = effective_dimension(cfg_big, lam)
@@ -192,10 +209,10 @@ def test_effective_dimension_monotone_in_steps():
 
 def test_vanilla_schedule_collapses_to_sgd():
     # gamma0 = delta0 forces v to track w exactly, so the two-sequence
-    # recursion is bit-for-bit a plain SGD ladder regardless of alpha, beta
+    # recursion is bit-for-bit a plain SGD ladder regardless of beta
     inst = power_law(d=5)
     step = 1.0 / (inst.psi * np.trace(inst.S))
-    cfg = ASGDConfig(n=2**6, delta0=step, gamma0=step, alpha=0.7, beta=0.3)
+    cfg = ASGDConfig(n=2**6, delta0=step, gamma0=step, beta=0.3)
     traj = run(inst, cfg, seed=9)
     samples = sample_source(inst, cfg.n, 9)
     w = np.zeros(5)
@@ -214,8 +231,7 @@ def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
     # here, must keep v == w bit for bit and land on run()'s iterates
     inst = power_law(d=5)
     step = 1.0 / (inst.psi * np.trace(inst.S))
-    alpha, beta = 0.7, 0.3
-    cfg = ASGDConfig(n=2**8, delta0=step, gamma0=step, alpha=alpha, beta=beta)
+    cfg = ASGDConfig(n=2**8, delta0=step, gamma0=step, beta=0.3)
     traj = run(inst, cfg, seed=9, record_iterates=True)
     samples = sample_source(inst, cfg.n, 9)
     w = np.zeros(5)
@@ -225,15 +241,25 @@ def test_two_sequence_recursion_keeps_v_equal_to_w_when_gamma_is_delta():
         delta, gamma, _ = cfg.stage_steps(ell)
         for _ in range(cfg.stage_len):
             x = samples.X[t]
-            u = w + (1.0 - alpha) * (v - w)
+            u = w + (1.0 - cfg.alpha) * (v - w)
             g = (x @ u - samples.y[t]) * x
             w = u - delta * g
-            v = (v + beta * (u - v)) - gamma * g
+            v = (v + cfg.beta * (u - v)) - gamma * g
             t += 1
         assert np.array_equal(v, w)
         assert np.array_equal(traj.iterates[ell * cfg.stage_len - 1], w)
     assert traj.iterates.shape == (t, 5)
     assert np.array_equal(traj.final_w, w)
+
+
+def test_plain_sgd_iterates_do_not_depend_on_beta():
+    # gamma0 = delta0: beta (and alpha = 1/(1+beta)) only mix v into u, and
+    # v equals w, so every iterate is the same bits for any beta
+    inst = power_law(d=5)
+    step = 1.0 / (inst.psi * np.trace(inst.S))
+    a, b = (run(inst, ASGDConfig(n=2**8, delta0=step, gamma0=step, beta=beta), seed=9,
+                record_iterates=True) for beta in (0.3, 1.0))
+    assert np.array_equal(a.iterates, b.iterates)
 
 
 def test_run_is_deterministic_and_seed_sensitive():
@@ -286,7 +312,7 @@ def test_run_batch_grouping_invariant(dense):
     # rows never interact and every seed owns its sample stream, so how the
     # seeds are grouped into calls may not change a bit
     inst = rotated(12) if dense else power_law(d=12)
-    cfg = ASGDConfig(n=1000, delta0=0.01, gamma0=0.05, alpha=1 / 1.01, beta=0.01)
+    cfg = ASGDConfig(n=1000, delta0=0.01, gamma0=0.05, beta=0.01)
     seeds = list(range(7))
     whole = run_batch(inst, cfg, seeds)
     parts = np.concatenate([run_batch(inst, cfg, p) for p in ([0, 1, 2], [3], [4, 5, 6])])
@@ -299,7 +325,7 @@ def test_parallel_tile_fill_changes_no_bit(monkeypatch):
     # pool when every block gets POOL_MIN_SEEDS seeds, and each worker draws
     # and steps its block alone; n = 600 leaves a ragged tile
     inst = power_law(d=20)
-    cfg = ASGDConfig(n=600, delta0=0.01, gamma0=0.05, alpha=1 / 1.01, beta=0.01)
+    cfg = ASGDConfig(n=600, delta0=0.01, gamma0=0.05, beta=0.01)
     seeds = list(range(40))
     pools, submits, joined = [], [], []
 
@@ -463,10 +489,11 @@ def test_run_grid_draws_the_largest_n_once_per_seed(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 1.0), st.floats(0.05, 1.0))
 def test_identity_holds_for_momentum_family(seed, beta, ratio):
-    # alpha = 1/(1+beta) satisfies the schedule identity for any step pair
+    # the derived alpha = 1/(1+beta) satisfies the schedule identity for any
+    # step pair
     rng = np.random.default_rng(seed)
     gamma0 = float(rng.uniform(0.01, 1.0))
     delta0 = gamma0 * ratio
-    cfg = ASGDConfig(n=64, delta0=delta0, gamma0=gamma0, alpha=1 / (1 + beta), beta=beta)
+    cfg = ASGDConfig(n=64, delta0=delta0, gamma0=gamma0, beta=beta)
     lhs = (cfg.q - cfg.c * cfg.delta0) / (1 - cfg.c)
     assert lhs == pytest.approx((cfg.gamma0 + cfg.delta0) / 2, abs=1e-13)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
-from covshift import cli, experiments
+from covshift import acceptance, cli, experiments
 from covshift.cli import main
 from covshift.experiments import (
     ExperimentSpec,
@@ -189,6 +190,26 @@ def test_verify_single_criterion():
     assert "PASS criterion  1" in res.output
 
 
+@pytest.mark.parametrize("only, message", [
+    ("11", "no criterion numbered [11]"),
+    ("1,x", "invalid literal for int()"),
+    ("", "invalid literal for int()"),
+], ids=["unknown", "not-an-integer", "empty"])
+def test_verify_selection_that_names_no_criterion_is_a_usage_error(monkeypatch, only, message):
+    # a selection that would run nothing, or that is not a list of
+    # criterion numbers, must not pass the gate vacuously or crash
+    def ran(number):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "run_criterion", ran)
+    res = CliRunner().invoke(main, ["verify", "--only", only])
+    assert res.exit_code == 2, res.output
+    assert f"--only {only}: " in res.output and message in res.output
+    assert res.exc_info[0] is SystemExit
+    with pytest.raises(ValueError, match=re.escape("no criterion numbered [0, 11]")):
+        acceptance.run_all(selected=[1, 11, 0])
+
+
 def test_options_a_study_does_not_read_are_rejected(tmp_path):
     spec = duality_spec(tmp_path)
     runner = CliRunner()
@@ -254,6 +275,23 @@ UNRUNNABLE = {
                  "bound_check needs every n >= 16"),
     "duality-n-0": ("duality", dict(kind="duality", n_grid=[0, 16]),
                     "n_grid must be nonempty, with every n >= 1"),
+    # instance descriptions that cannot be built
+    "duality-powerlaw-without-a": ("duality", dict(kind="duality", n_grid=[16],
+                                                   instance={"type": "powerlaw", "d": 3}),
+                                   "the instance description lacks the keys ['a']"),
+    "precondition-powerlaw-without-a": ("precondition",
+                                        dict(kind="duality", n_grid=[16],
+                                             instance={"type": "powerlaw", "d": 3}),
+                                        "the instance description lacks the keys ['a']"),
+    "asgd-a-below-1": ("asgd", dict(kind="bound_check", n_grid=[16],
+                                    instance=dict(POWER_LAW, a=0.5)),
+                       "a must be > 1"),
+    "duality-unknown-type": ("duality", dict(kind="duality", n_grid=[16],
+                                             instance=dict(POWER_LAW, type="powrlaw")),
+                             "not a power-law instance: type 'powrlaw'"),
+    "duality-explicit-without-matrices": (
+        "duality", dict(kind="duality", n_grid=[16], instance={"type": "explicit", "d": 2}),
+        "the instance description lacks the keys ['S', 'T', 'M', 'w_star', 'sigma2']"),
 }
 
 
@@ -271,5 +309,5 @@ def test_spec_a_study_cannot_run_is_refused_before_any_work(tmp_path, monkeypatc
     res = CliRunner().invoke(main, [command, "--spec", write_spec(tmp_path / "s.json", **payload)])
     assert res.exit_code == 2, res.output
     assert message in res.output and res.exc_info[0] is SystemExit
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         getattr(experiments, f"run_{payload['kind']}")(ExperimentSpec(**payload))

@@ -167,7 +167,7 @@ def test_semi_stochastic_bias_with_momentum_config():
         PowerLawSpec(d=8, a=2.0, s=1.0, r=0.0), seed=5, sigma2=0.0
     )
     beta = 0.2
-    cfg = ASGDConfig(n=2**7, delta0=0.05, gamma0=0.25, alpha=1 / (1 + beta), beta=beta)
+    cfg = ASGDConfig(n=2**7, delta0=0.05, gamma0=0.25, beta=beta)
     bias = semi_stochastic_bias(inst, cfg)
     traj = run(inst, cfg, population=True)
     assert bias.total == pytest.approx(excess_risk(inst, traj.final_w), abs=1e-12)
