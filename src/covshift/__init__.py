@@ -80,6 +80,7 @@ from .precond import (
     recover_A_from_F,
     solve_diagonal,
     solve_general,
+    solve_stack,
 )
 from .psdlinalg import (
     EigenDecomposition,

@@ -40,7 +40,7 @@ from .asgd import (
 from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
-from .precond import PrecondProgram, _target_scale, solve_general
+from .precond import PrecondProgram, _target_scale, solve_stack
 from .riskoracle import semi_stochastic_bias, semi_stochastic_variance
 
 __all__ = [
@@ -201,8 +201,10 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
 
 def _check_instance(desc):
     """ValueError, before any matrix is built, unless ``resolve_instance``
-    can build the description: an explicit one has the keys it reads, and
-    any other builds its PowerLawSpec."""
+    can build the description: an explicit one has the keys it reads, square
+    S, T and M of one size d and a w_star of length d; any other builds its
+    PowerLawSpec; and each has a known noise kind, sigma2 >= 0 and psi >= 1
+    (the values a ProblemInstance would otherwise refuse mid-study)."""
     if not isinstance(desc, dict):
         raise ValueError("an instance description is a JSON object")
     explicit = desc.get("type") == "explicit"
@@ -210,8 +212,23 @@ def _check_instance(desc):
     missing = [key for key in needs if key not in desc]
     if missing:
         raise ValueError(f"the instance description lacks the keys {missing}")
-    if not explicit:
-        _power_law_spec(desc)
+    try:
+        if explicit:  # lengths only: no matrix is built here
+            d = len(desc["S"])
+            square = all(len(desc[key]) == d and all(len(row) == d for row in desc[key])
+                         for key in ("S", "T", "M"))
+            if not square or len(desc["w_star"]) != d:
+                raise ValueError("S, T, M, w_star dimensions disagree")
+        else:
+            _power_law_spec(desc)
+        if desc.get("noise", "gaussian") not in model.NOISE_KINDS:
+            raise ValueError(f"noise must be one of {model.NOISE_KINDS}")
+        if not float(desc.get("sigma2", 1.0)) >= 0:
+            raise ValueError("sigma2 must be >= 0")
+        if not float(desc.get("psi", 3.0)) >= 1:
+            raise ValueError("psi must be >= 1")
+    except TypeError as err:  # e.g. "d": null
+        raise ValueError(f"the instance description has a bad value: {err}") from err
 
 
 def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
@@ -302,10 +319,13 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     whitened target the program is solved along a decreasing epsilon-ladder
     of ridges and the values must decrease monotonically toward the limit.
 
-    Each row's lower value, iteration count, ``dual_gap`` and
-    ``stop_reason`` come from the dual certificate that ``solve_general``
-    computed as its floor, the same program as
-    maximize_F(triple.ridged(eps), sigma2, n).
+    Every (n, epsilon) program is solved in one ``solve_stack`` call, which
+    steps all their dual programs in lockstep; each row has the bits of that
+    program's own ``solve_general``. Each row's lower value, iteration
+    count, ``dual_gap`` and ``stop_reason`` come from the dual certificate
+    that was the preconditioner's floor, the same program as
+    maximize_F(triple.ridged(eps), sigma2, n) (its "budget" certificate
+    where the iterations ran out).
     """
     return _run("duality", spec, _duality)
 
@@ -314,41 +334,35 @@ def _duality(spec, inst):
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
     t_norm, singular = _target_scale(triple.T_prime)
+    ladder = [e * t_norm for e in EPSILON_LADDER] if singular else [0.0]
+    grid = [(n, eps) for n in spec.n_grid for eps in ladder]
+    precs = solve_stack([
+        PrecondProgram(triple, DEFAULT_BIAS_COEFF, inst.sigma2 / n, epsilon_reg=eps)
+        for n, eps in grid
+    ])
     rows = []
     worst = 0.0
     ladder_monotone = True
-    for n in spec.n_grid:
-        noise_coeff = inst.sigma2 / n
-        ladder = [e * t_norm for e in EPSILON_LADDER] if singular else [0.0]
-        prev_upper = math.inf
-        for eps in ladder:
-            try:
-                prec = solve_general(
-                    PrecondProgram(
-                        triple, DEFAULT_BIAS_COEFF, noise_coeff, epsilon_reg=eps
-                    ),
-                    tol=tol,
-                )
-            except MaxIterationsError as err:
-                prec = err.best
-            cert = prec.certificate
-            gap = (prec.objective_value - cert.value) / max(cert.value, 1e-300)
-            worst = max(worst, abs(gap))
-            if prec.objective_value > prev_upper * (1 + 1e-9):
-                ladder_monotone = False
-            prev_upper = prec.objective_value
-            rows.append(
-                {
-                    "n": n,
-                    "epsilon": eps,
-                    "lower_value": cert.value,
-                    "upper_value": prec.objective_value,
-                    "relative_gap": gap,
-                    "iterations": cert.iterations,
-                    "dual_gap": cert.gap,
-                    "stop_reason": cert.stop_reason,
-                }
-            )
+    prev_upper = {}  # the last rung's upper value at each n
+    for (n, eps), prec in zip(grid, precs):
+        cert = prec.certificate
+        gap = (prec.objective_value - cert.value) / max(cert.value, 1e-300)
+        worst = max(worst, abs(gap))
+        if prec.objective_value > prev_upper.get(n, math.inf) * (1 + 1e-9):
+            ladder_monotone = False
+        prev_upper[n] = prec.objective_value
+        rows.append(
+            {
+                "n": n,
+                "epsilon": eps,
+                "lower_value": cert.value,
+                "upper_value": prec.objective_value,
+                "relative_gap": gap,
+                "iterations": cert.iterations,
+                "dual_gap": cert.gap,
+                "stop_reason": cert.stop_reason,
+            }
+        )
     return DualityReport(
         rows=rows,
         worst_gap=worst,

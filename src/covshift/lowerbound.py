@@ -12,6 +12,13 @@ one form, a linear solve that is defined for singular F too, maximizes it
 (in closed form by water-filling when S' and T' are exactly diagonal, else
 by an accelerated proximal ascent) with a linear-gap stopping certificate,
 and implements the matching prior family (sampler + information matrix).
+
+The ascent is one FISTA loop, written for one program (``_fista``) and run
+in lockstep (``_lockstep``) over any number of programs: each
+round serves one operation, for all the programs that ask for it, with one
+LAPACK call on the stack of their matrices, and every program gets the
+bits it gets alone. ``maximize_F`` solves one program; ``_maximize_stack``
+solves a study's list of them.
 """
 from __future__ import annotations
 
@@ -102,14 +109,78 @@ def eval_lower_objective(triple: SpectralTriple, F, sigma2: float, n: int) -> fl
     """
     if sigma2 == 0:
         return 0.0
-    F = np.asarray(F, dtype=float)
-    return _floor_value(triple.T_prime, triple.S_prime, F, sigma2 / n, np.eye(len(F)))
+    return float(_value(_DualProgram.of(triple, sigma2, n, None), np.asarray(F, dtype=float))[0])
 
 
-def _floor_value(Tp, Sp, F, nu: float, I) -> float:
-    """eval_lower_objective's formula on its parts, I = eye(d); FISTA's
-    evaluations call it with maximize_F's own nu and I."""
-    return float(np.sum(Tp * np.linalg.solve(I + F @ Sp / nu, F)))
+# =====================================================================
+# the dual program and its lockstep ascent
+# =====================================================================
+
+class _DualProgram:
+    """The constants of one dual program (d x d matrices, float scalars), or
+    of a stack of B programs of one size ((B, d, d) matrices; nu shaped
+    (B, 1, 1) and radius (B,) to broadcast). Every operation below takes
+    either, and gives each program of a stack the bits of its own call."""
+
+    __slots__ = ("Sp", "Tp", "nu", "radius", "I")
+
+    def __init__(self, Sp, Tp, nu, radius):
+        self.Sp, self.Tp, self.nu, self.radius = Sp, Tp, nu, radius
+        self.I = np.eye(Sp.shape[-1])
+
+    @classmethod
+    def of(cls, triple: SpectralTriple, sigma2: float, n: int, radius: float):
+        return cls(triple.S_prime, triple.T_prime, sigma2 / n, radius)
+
+    @classmethod
+    def stack(cls, programs):
+        """The stack of ``programs``, which share one size d."""
+        return cls(np.stack([p.Sp for p in programs]), np.stack([p.Tp for p in programs]),
+                   np.array([p.nu for p in programs])[:, None, None],
+                   np.array([p.radius for p in programs]))
+
+    def take(self, ks):
+        """The sub-stack of the programs ``ks`` of this stack."""
+        return _DualProgram(self.Sp[ks], self.Tp[ks], self.nu[ks], self.radius[ks])
+
+
+def _inner(A, B):
+    """<A, B> of each slice, summed as np.sum sums one matrix."""
+    return (A * B).sum((-2, -1))
+
+
+def _gradient(p, F):
+    """H T' H' with H = (I + S' F / nu)^{-1} (inv is the solve against I)."""
+    H = np.linalg.inv(p.I + p.Sp @ F / p.nu)
+    return sym(H @ p.Tp @ H.swapaxes(-1, -2))
+
+
+def _value(p, F):
+    """(the objective at F,)"""
+    return (_inner(p.Tp, np.linalg.solve(p.I + F @ p.Sp / p.nu, F)),)
+
+
+def _grad_gap(p, F):
+    """(gradient at F, linear optimality gap at F)"""
+    grad = _gradient(p, F)
+    lam_max = np.linalg.eigvalsh(grad)[..., -1]
+    return grad, p.radius * lam_max - _inner(grad, F)
+
+
+def _extrapolate(p, Y):
+    """(gradient at Y, objective at Y); raises LinAlgError where either
+    system is singular."""
+    return _gradient(p, Y), _value(p, Y)[0]
+
+
+def _trial(p, Z):
+    """(the projection of Z onto the feasible set, the objective there)"""
+    F = project_psd_nuclear_ball(Z, p.radius)
+    return F, _value(p, F)[0]
+
+
+_STEPS = ("_value", "_grad_gap", "_extrapolate", "_trial")
+"""The operations of a FISTA iteration, by name, in the order it asks for them."""
 
 
 def _water_level(s, c, bias_coeff: float, noise_coeff: float) -> float:
@@ -199,67 +270,183 @@ def maximize_F(
     maximum (the gap upper-bounds the suboptimality of a concave objective).
     Raises MaxIterationsError carrying the best certificate if the budget
     runs out first; any returned value is a valid lower bound either way.
+
+    This is the one-program case of ``_maximize_stack``, which steps many
+    programs in lockstep and gives each the bits of this call.
     """
-    d = triple.d
-    if sigma2 == 0:
-        return LowerBoundCertificate.zero_floor(d)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    nu = sigma2 / n
-    I = np.eye(d)
-    Sp, Tp = triple.S_prime, triple.T_prime
+    cert = _maximize_stack([(triple, sigma2, n, radius)], max_iter)[0]
+    if cert.stop_reason == "budget":
+        raise MaxIterationsError(
+            f"optimality gap {cert.gap:.3e} after {max_iter} iterations",
+            best=cert,
+            gap=cert.gap,
+        )
+    return cert
 
-    def gradient(F):
-        H = np.linalg.solve(I + Sp @ F / nu, I)
-        return sym(H @ Tp @ H.T)
 
-    def linear_gap(F, grad):
-        return radius * float(np.linalg.eigvalsh(grad)[-1]) - float(np.sum(grad * F))
+def _maximize_stack(programs, max_iter: int = 5000) -> list:
+    """maximize_F of each (triple, sigma2, n, radius) in ``programs``, the
+    certificates in order. Zero-noise and water-filled programs are
+    finished one by one; the rest run one FISTA each (``_fista``), in
+    lockstep (``_lockstep``) with the others of their size: a round makes
+    one stacked LAPACK call for the programs that ask for the same
+    operation, and each program keeps its own curvature estimate,
+    momentum, restarts, stall count and iteration count, and leaves the
+    stack when it stops. Each certificate has the bits of the program's own
+    maximize_F, whatever the stack's grouping or order. A program whose
+    budget runs out gives its "budget" certificate (maximize_F raises with
+    it); any other exception of a program's operation stops the whole stack.
+    """
+    certs = [None] * len(programs)
+    fistas = {}
+    for k, (triple, sigma2, n, radius) in enumerate(programs):
+        if sigma2 == 0:
+            certs[k] = LowerBoundCertificate.zero_floor(triple.d)
+            continue
+        if not radius > 0:
+            raise ValueError("radius must be positive")
+        p = _DualProgram.of(triple, sigma2, n, radius)
+        certs[k] = _water_filled_certificate(p, triple, sigma2, n)
+        if certs[k] is None:
+            fistas[k] = p
+    by_size = {}
+    for k, p in fistas.items():
+        by_size.setdefault(len(p.I), []).append(k)
+    for ks in by_size.values():
+        for k, cert in zip(ks, _lockstep([fistas[k] for k in ks], max_iter)):
+            certs[k] = cert
+    return certs
 
-    if _is_diagonal(Sp) and _is_diagonal(Tp):
-        f = _water_filled(np.diag(Sp), np.maximum(np.diag(Tp), 0.0), nu, radius)
-        if f is not None:
-            F = np.diag(f)
-            gap = linear_gap(F, gradient(F))
-            value = eval_lower_objective(triple, F, sigma2, n)
-            if gap <= GAP_TOL * max(1.0, abs(value)):
-                return LowerBoundCertificate(F=F, value=value, iterations=1,
-                                             gap=gap, stop_reason="converged")
 
-    F = (radius / d) * I
-    val = _floor_value(Tp, Sp, F, nu, I)
+def _water_filled_certificate(p: _DualProgram, triple, sigma2, n):
+    """The closed-form certificate of the diagonal program ``p`` (see
+    maximize_F), or None where it does not apply or misses the tolerance."""
+    if not (_is_diagonal(p.Sp) and _is_diagonal(p.Tp)):
+        return None
+    f = _water_filled(np.diag(p.Sp), np.maximum(np.diag(p.Tp), 0.0), p.nu, p.radius)
+    if f is None:
+        return None
+    F = np.diag(f)
+    gap = float(_grad_gap(p, F)[1])
+    value = eval_lower_objective(triple, F, sigma2, n)
+    if gap > GAP_TOL * max(1.0, abs(value)):
+        return None
+    return LowerBoundCertificate(F=F, value=value, iterations=1, gap=gap,
+                                 stop_reason="converged")
+
+
+def _lockstep(programs, max_iter: int) -> list:
+    """Run ``_fista`` on every program (all of one size) in lockstep, the
+    certificates in order.
+
+    Each round collects the request (operation, matrix) of every running
+    program and serves the operation that most of them ask for (ties go to
+    the earliest step of an iteration, _STEPS), in one call on the stack of
+    their matrices (a lone program's call goes in unstacked). The others
+    wait, so programs that drift apart fall back into step. Where a stacked
+    call raises LinAlgError, each of its programs is called alone, and the
+    error goes to the programs whose own call raises, as it would without
+    the stack.
+    """
+    if len(programs) == 1:
+        return [_alone(programs[0], max_iter)]
+    everyone = _DualProgram.stack(programs)
+    fistas = [_fista(p, max_iter) for p in programs]
+    certs = [None] * len(fistas)
+    asks = {k: next(fista) for k, fista in enumerate(fistas)}
+    while asks:
+        groups = {}
+        for k, (op, _) in asks.items():
+            groups.setdefault(op, []).append(k)
+        op, ks = max(groups.items(), key=lambda g: (len(g[1]), -_STEPS.index(g[0].__name__)))
+        if len(ks) == 1:
+            stack = programs[ks[0]]
+        else:
+            stack = everyone if len(ks) == len(programs) else everyone.take(ks)
+        answers = _answer(op, stack, [programs[k] for k in ks], [asks[k][1] for k in ks])
+        for k, answer in zip(ks, answers):
+            try:
+                if isinstance(answer, np.linalg.LinAlgError):
+                    asks[k] = fistas[k].throw(answer)
+                else:
+                    asks[k] = fistas[k].send(answer)
+            except StopIteration as stop:
+                certs[k] = stop.value
+                del asks[k]
+    return certs
+
+
+def _alone(p: _DualProgram, max_iter: int) -> LowerBoundCertificate:
+    """``_lockstep`` of one program, without the grouping."""
+    fista = _fista(p, max_iter)
+    op, X = next(fista)
+    while True:
+        try:
+            try:
+                answer = op(p, X)
+            except np.linalg.LinAlgError as err:
+                op, X = fista.throw(err)
+            else:
+                op, X = fista.send(answer)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _answer(op, stack, programs, Xs):
+    """op's results for each of ``programs`` (stacked in ``stack``, or
+    ``stack`` itself when alone) at its matrix in ``Xs``, or the LinAlgError
+    that program's own call raises."""
+    if len(programs) == 1:
+        try:
+            return [op(stack, Xs[0])]
+        except np.linalg.LinAlgError as err:
+            return [err]
+    try:
+        return list(zip(*op(stack, np.stack(Xs))))
+    except np.linalg.LinAlgError:
+        return [_answer(op, p, [p], [X])[0] for p, X in zip(programs, Xs)]
+
+
+def _fista(p: _DualProgram, max_iter: int):
+    """FISTA on one program as a generator: it yields each operation it
+    needs as (op, matrix), receives op's results (or, thrown in, the
+    LinAlgError op raised), and returns the certificate, "budget" if the
+    iterations ran out."""
+    d = len(p.I)
+    radius = p.radius
+    F = (radius / d) * p.I
+    (val,) = yield _value, F
     F_prev = F
     t_mom = 1.0
     momentum = False
-    L = max(1.0, float(np.linalg.norm(Tp)))
+    L = max(1.0, float(np.linalg.norm(p.Tp)))
     stall = 0
     gap = math.inf
     gap_at = None  # the iterate gap was measured at
     it = 0
     for it in range(1, max_iter + 1):
         if gap_at is not F:  # a restart or a stall that kept F keeps its grad
-            grad = gradient(F)
-            gap, gap_at = linear_gap(F, grad), F
+            grad, gap = yield _grad_gap, F
+            gap_at = F
         if gap <= GAP_TOL * max(1.0, abs(val)):
             break
         if momentum:
             beta = (t_mom - 1.0) / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2)))
             Y = F + beta * (F - F_prev)
             try:
-                gY, fY = gradient(Y), _floor_value(Tp, Sp, Y, nu, I)
+                gY, fY = yield _extrapolate, Y
             except np.linalg.LinAlgError:
                 momentum, t_mom, Y, gY, fY = False, 1.0, F, grad, val
         else:
             Y, gY, fY = F, grad, val
         accepted = False
         for _ in range(120):
-            F_cand = project_psd_nuclear_ball(Y + gY / L, radius)
+            F_cand, val_cand = yield _trial, Y + gY / L
             diff = F_cand - Y
-            val_cand = _floor_value(Tp, Sp, F_cand, nu, I)
             majorized = (
                 fY
-                + float(np.sum(gY * diff))
-                - 0.5 * L * float(np.sum(diff * diff))
+                + float((gY * diff).sum())
+                - 0.5 * L * float((diff * diff).sum())
                 - 1e-15 * max(1.0, abs(fY))
             )
             if val_cand >= majorized:
@@ -284,22 +471,15 @@ def maximize_F(
         momentum = True
         L *= 0.7  # probe a longer step next round; backtracking re-grows it
     if gap_at is not F:  # the last stall or the last budgeted step moved F
-        gap = linear_gap(F, gradient(F))
+        _, gap = yield _grad_gap, F
     if gap <= GAP_TOL * max(1.0, abs(val)):  # val is the objective at F
         reason = "converged"
     elif stall >= 3:
         reason = "stalled"
     else:
         reason = "budget"
-    cert = LowerBoundCertificate(F=F, value=val, iterations=it, gap=gap,
+    return LowerBoundCertificate(F=F, value=float(val), iterations=it, gap=float(gap),
                                  stop_reason=reason)
-    if reason == "budget":
-        raise MaxIterationsError(
-            f"optimality gap {gap:.3e} after {max_iter} iterations",
-            best=cert,
-            gap=gap,
-        )
-    return cert
 
 
 # =====================================================================

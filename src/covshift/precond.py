@@ -20,6 +20,9 @@ in whitened coordinates. This module minimizes that bound over A:
   dual optimum through the KKT map, and certifies the duality gap, raising
   when it exceeds the tolerance. The dual certificate is returned with the
   preconditioner.
+* ``solve_stack`` — solve_general on a list of programs, their duals
+  maximized in one lockstep stack; each result has the bits of its own
+  solve_general, and a gap above tolerance is reported, not raised.
 """
 from __future__ import annotations
 
@@ -28,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _require_pd, _upper_objective, eval_upper_objective
-from .lowerbound import LowerBoundCertificate, MaxIterationsError, _water_level, maximize_F
+from .lowerbound import (
+    LowerBoundCertificate,
+    MaxIterationsError,
+    _maximize_stack,
+    _water_level,
+    maximize_F,
+)
 from .model import SpectralTriple
 from .psdlinalg import eigh, sym
 
@@ -39,6 +48,7 @@ __all__ = [
     "MaxIterationsError",
     "solve_diagonal",
     "solve_general",
+    "solve_stack",
     "recover_A_from_F",
     "precond_to_json",
 ]
@@ -189,29 +199,64 @@ def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
     Singular T' is ridged to T' + eps I with eps = epsilon_reg, defaulting
     to 1e-8 |T'|_op; the reported objective is for the ridged program.
     """
-    triple = prog.triple
-    d = triple.d
-    t_norm, singular = _target_scale(triple.T_prime)
-
-    # -------- degenerate programs: A = 0 (T' = 0) or I (no noise) meets the zero floor
-    if t_norm == 0.0 or prog.noise_coeff == 0.0:
-        A = np.zeros((d, d)) if t_norm == 0.0 else np.eye(d)
-        val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
-        return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
-
-    eps = prog.epsilon_reg
-    if eps is None:
-        eps = 1e-8 * t_norm if singular else 0.0
-    triple_eff = triple.ridged(eps)
-    T_eff = triple_eff.T_prime
-
-    # -------- certified dual floor --------
+    triple_eff = _dual_triple(prog)
+    if isinstance(triple_eff, Preconditioner):
+        return triple_eff
     try:
         cert = maximize_F(
             triple_eff, sigma2=prog.noise_coeff, n=1, radius=prog.bias_coeff
         )
     except MaxIterationsError as err:  # keep the best floor we got
         cert = err.best
+    prec = _from_floor(prog, triple_eff, cert)
+    if prec.gap > tol:
+        raise MaxIterationsError(
+            f"duality gap {prec.gap:.3e} above tol {tol:.1e}", best=prec, gap=prec.gap
+        )
+    return prec
+
+
+def solve_stack(progs) -> list[Preconditioner]:
+    """solve_general on each program of ``progs``, the preconditioners in
+    order, with every dual maximized in one lockstep stack
+    (lowerbound._maximize_stack). Each preconditioner and certificate has
+    the bits of its own solve_general, whatever the grouping or order of
+    the list. Nothing is raised for a gap above tolerance: each result's
+    ``gap`` reports it, and a dual whose budget ran out gives its "budget"
+    certificate as the floor.
+    """
+    results = [_dual_triple(prog) for prog in progs]  # triples until solved
+    duals = [k for k, r in enumerate(results) if not isinstance(r, Preconditioner)]
+    certs = _maximize_stack(
+        [(results[k], progs[k].noise_coeff, 1, progs[k].bias_coeff) for k in duals]
+    )
+    for k, cert in zip(duals, certs):
+        results[k] = _from_floor(progs[k], results[k], cert)
+    return results
+
+
+def _dual_triple(prog: PrecondProgram):
+    """The triple whose dual solve_general maximizes: T' ridged when singular
+    (see solve_general); or, for a degenerate program (T' = 0, or no noise),
+    its finished Preconditioner: A = 0 or I meets the zero floor."""
+    triple = prog.triple
+    d = triple.d
+    t_norm, singular = _target_scale(triple.T_prime)
+    if t_norm == 0.0 or prog.noise_coeff == 0.0:
+        A = np.zeros((d, d)) if t_norm == 0.0 else np.eye(d)
+        val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
+        return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
+    eps = prog.epsilon_reg
+    if eps is None:
+        eps = 1e-8 * t_norm if singular else 0.0
+    return triple.ridged(eps)
+
+
+def _from_floor(prog: PrecondProgram, triple_eff, cert) -> Preconditioner:
+    """The preconditioner of ``prog`` recovered from its dual certificate
+    ``cert`` on the (ridged) ``triple_eff``, with its relative duality gap."""
+    d = triple_eff.d
+    T_eff = triple_eff.T_prime
     Sp = triple_eff.S_prime
     _require_pd(Sp)  # S' is fixed for the whole solve: check it once
 
@@ -237,12 +282,7 @@ def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
         key=lambda item: (item[0].objective, float(np.linalg.norm(item[1]))),
     )
     gap = (val.objective - cert.value) / max(cert.value, 1e-300)
-    prec = _preconditioner(prog, A, val, float(max(gap, 0.0)), cert)
-    if gap > tol:
-        raise MaxIterationsError(
-            f"duality gap {gap:.3e} above tol {tol:.1e}", best=prec, gap=float(gap)
-        )
-    return prec
+    return _preconditioner(prog, A, val, float(max(gap, 0.0)), cert)
 
 
 def precond_to_json(prec: Preconditioner) -> dict:

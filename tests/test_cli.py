@@ -292,6 +292,22 @@ UNRUNNABLE = {
     "duality-explicit-without-matrices": (
         "duality", dict(kind="duality", n_grid=[16], instance={"type": "explicit", "d": 2}),
         "the instance description lacks the keys ['S', 'T', 'M', 'w_star', 'sigma2']"),
+    # every key present, a value the instance would refuse
+    "duality-unknown-noise": ("duality", dict(kind="duality", n_grid=[16],
+                                              instance=dict(POWER_LAW, noise="gauss")),
+                              "noise must be one of ('gaussian', 'rademacher')"),
+    "duality-psi-below-1": ("duality", dict(kind="duality", n_grid=[16],
+                                            instance=dict(POWER_LAW, psi=0.5)),
+                            "psi must be >= 1"),
+    "duality-explicit-w-star-too-long": (
+        "duality", dict(kind="duality", n_grid=[16],
+                        instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],
+                                  "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
+                                  "w_star": [0, 0, 0], "sigma2": 1.0}),
+        "S, T, M, w_star dimensions disagree"),
+    "duality-d-null": ("duality", dict(kind="duality", n_grid=[16],
+                                       instance=dict(POWER_LAW, d=None)),
+                       "the instance description has a bad value"),
 }
 
 

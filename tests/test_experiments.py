@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import covshift
-from covshift import asgd, experiments
+from covshift import asgd, experiments, precond
+from covshift.estimators import DEFAULT_BIAS_COEFF
+from covshift.lowerbound import MaxIterationsError, maximize_F
 from covshift.experiments import (
     ExperimentSpec,
     resolve_instance,
@@ -19,7 +21,8 @@ from covshift.experiments import (
     spec_hash,
     spec_to_json,
 )
-from covshift.model import instance_to_json, make_power_law_instance, PowerLawSpec
+from covshift.model import instance_to_json, make_power_law_instance, PowerLawSpec, whiten
+from covshift.precond import PrecondProgram, solve_general
 
 
 def powerlaw_desc(**over):
@@ -202,6 +205,94 @@ def test_run_duality_certifies_a_dense_d100_instance():
     for row in rep.rows:
         assert row["epsilon"] == 0.0
         assert row["upper_value"] >= row["lower_value"] > 0
+
+
+def certify_instance(kind, d, seed):
+    """An explicit instance as the certify benchmark draws them: S, M and T
+    with the spectrum 2 ... 0.1 in random eigenbases; a rank-d/2 target for
+    kind "rank_deficient"."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.geomspace(2.0, 0.1, d)
+
+    def rotated(eigenvalues):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (Q * eigenvalues) @ Q.T
+
+    t = spectrum.copy()
+    if kind == "rank_deficient":
+        t[d // 2:] = 0.0
+    S, M, T = rotated(spectrum), rotated(spectrum), rotated(t)
+    return {"type": "explicit", "d": d, "S": S.tolist(), "T": T.tolist(),
+            "M": M.tolist(), "w_star": [0.0] * d, "sigma2": 1.0, "psi": 3.0}
+
+
+def record_solve_stack(monkeypatch):
+    """Every preconditioner run_duality's solve_stack call returns, in order."""
+    solved = []
+    real = experiments.solve_stack
+
+    def recording(progs):
+        solved.extend(real(progs))
+        return solved[-len(progs):]
+
+    monkeypatch.setattr(experiments, "solve_stack", recording)
+    return solved
+
+
+@pytest.mark.parametrize("kind,d", [("rank_deficient", 10), ("dense", 20)])
+def test_run_duality_rows_equal_one_solve_general_per_program(monkeypatch, kind, d):
+    # the (n, epsilon) programs are solved in one lockstep stack; every row
+    # and certificate keeps the bits of that program's own solve_general
+    spec = ExperimentSpec(kind="duality", instance=certify_instance(kind, d, seed=3),
+                          n_grid=(64, 1024), seeds=1)
+    solved = record_solve_stack(monkeypatch)
+    rep = run_duality(spec)
+    assert len(rep.rows) == len(solved) == (14 if kind == "rank_deficient" else 2)
+    inst = resolve_instance(spec)
+    triple = whiten(inst)
+    for row, prec in zip(rep.rows, solved):
+        prog = PrecondProgram(triple, DEFAULT_BIAS_COEFF, inst.sigma2 / row["n"],
+                              epsilon_reg=row["epsilon"])
+        try:
+            ref = solve_general(prog, tol=1e-4)
+        except MaxIterationsError as err:
+            ref = err.best
+        assert np.array_equal(prec.A, ref.A) and np.array_equal(
+            prec.certificate.F, ref.certificate.F)
+        cert = ref.certificate
+        assert (row["lower_value"], row["upper_value"], row["iterations"], row["dual_gap"],
+                row["stop_reason"]) == (cert.value, ref.objective_value, cert.iterations,
+                                        cert.gap, cert.stop_reason)
+        assert row["relative_gap"] == (ref.objective_value - cert.value) / cert.value
+
+
+def test_run_duality_floors_a_program_out_of_budget_with_its_budget_certificate(monkeypatch):
+    # the ladder's longest dual runs out of iterations inside the stack; its
+    # row reads the "budget" certificate maximize_F raises with, the others
+    # are unchanged
+    spec = ExperimentSpec(kind="duality", instance=certify_instance("rank_deficient", 5, 4),
+                          n_grid=(64,), seeds=1)
+    full = run_duality(spec).rows
+    iterations = [row["iterations"] for row in full]
+    longest = int(np.argmax(iterations))
+    budget = iterations[longest] - 1
+    assert sorted(iterations)[-2] <= budget  # the others stop within it
+    real = precond._maximize_stack
+    monkeypatch.setattr(precond, "_maximize_stack",
+                        lambda programs: real(programs, max_iter=budget))
+    rows = run_duality(spec).rows
+    inst = resolve_instance(spec)
+    row = full[longest]
+    with pytest.raises(MaxIterationsError) as raised:
+        maximize_F(whiten(inst).ridged(row["epsilon"]), inst.sigma2 / row["n"], 1,
+                   radius=DEFAULT_BIAS_COEFF, max_iter=budget)
+    best = raised.value.best
+    assert (rows[longest]["lower_value"], rows[longest]["iterations"],
+            rows[longest]["dual_gap"], rows[longest]["stop_reason"]) == (
+        best.value, budget, best.gap, "budget")
+    for k, (got, ref) in enumerate(zip(rows, full)):
+        if k != longest:
+            assert got == ref
 
 
 # ------------------------------------------------------------- bound check

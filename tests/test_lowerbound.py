@@ -1,15 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covshift import lowerbound
 from covshift.lowerbound import (
     GAP_TOL,
     CosSquaredPrior,
     DegeneratePrior,
     MaxIterationsError,
     _cos2_quantile,
+    _maximize_stack,
     eval_lower_objective,
     maximize_F,
     prior_from_certificate,
@@ -392,3 +395,105 @@ def test_sample_prior_newton_matches_bisection(levels, g):
     # mirrored levels: for hi >= 1/2 both 1 - hi and 1 - (1 - hi) are exact
     hi = np.maximum(u, 1.0 - u)
     assert np.array_equal(_cos2_quantile(1.0 - hi, g), -_cos2_quantile(hi, g))
+
+
+# ----------------------------------------------------------------- lockstep
+# _maximize_stack steps many programs in one FISTA loop over stacked
+# matrices; each program must come out with the bits of its own maximize_F.
+
+
+def stack_programs(d=5, seed=21):
+    """Six dual programs of one size: a rank-deficient target ridged three
+    ways, at two n."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(d, d // 2))
+    triple = make_triple(rand_pd(rng, d), G @ G.T)
+    return [(triple.ridged(eps * float(np.linalg.norm(G @ G.T, 2))), 0.25, n, RADIUS)
+            for n in (16, 256) for eps in (1e-4, 1e-6, 1e-8)]
+
+
+def alone(program, **kw):
+    """maximize_F of one program; the best certificate if the budget ran out."""
+    try:
+        return maximize_F(*program, **kw)
+    except MaxIterationsError as err:
+        return err.best
+
+
+def assert_same_certificate(got, ref):
+    assert np.array_equal(got.F, ref.F)
+    assert (got.value, got.iterations, got.gap, got.stop_reason) == (
+        ref.value, ref.iterations, ref.gap, ref.stop_reason)
+
+
+def test_stacked_programs_keep_the_bits_of_their_own_solves():
+    programs = stack_programs()
+    diagonal = make_triple(np.diag([1.0, 0.5]), np.diag([0.3, 0.0]))
+    other_size = make_triple(rand_pd(np.random.default_rng(2), 3), np.eye(3))
+    programs += [(diagonal, 0.25, 64, RADIUS), (other_size, 0.25, 64, RADIUS),
+                 (other_size, 0.0, 64, RADIUS)]
+    refs = [alone(p) for p in programs]
+    assert refs[-3].iterations == 1 and refs[-1].value == 0.0  # closed form, zero floor
+    for order in (range(len(programs)), range(len(programs) - 1, -1, -1)):
+        order = list(order)
+        certs = _maximize_stack([programs[k] for k in order])
+        for k, cert in zip(order, certs):
+            assert_same_certificate(cert, refs[k])
+    parts = _maximize_stack(programs[:2]) + _maximize_stack(programs[2:])
+    for cert, ref in zip(parts, refs):
+        assert_same_certificate(cert, ref)
+
+
+def test_a_failed_extrapolation_restarts_only_its_program(monkeypatch):
+    # the target's first extrapolated point is declared singular: the stacked
+    # call raises, each program of it is called alone, and only the target
+    # restarts its momentum, as it does when solved alone
+    programs = stack_programs()
+    triple, sigma2, n, _ = programs[4]
+    d = triple.d
+    refs = [alone(p) for p in programs]
+    real = lowerbound._extrapolate
+    singular = []
+
+    @functools.wraps(real)
+    def flaky(p, Y):
+        slices = zip(p.Tp.reshape(-1, d, d), np.ravel(p.nu), Y.reshape(-1, d, d))
+        for Tp, nu, y in slices:
+            if np.array_equal(Tp, triple.T_prime) and nu == sigma2 / n:
+                if not singular:
+                    singular.append(y.copy())
+                if np.array_equal(y, singular[0]):
+                    raised.append(len(np.ravel(p.nu)))  # the size of the call
+                    raise np.linalg.LinAlgError("Singular matrix")
+        return real(p, Y)
+
+    raised = []
+    monkeypatch.setattr(lowerbound, "_extrapolate", flaky)
+    restarted = [alone(p) for p in programs]
+    assert raised == [1]
+    assert not np.array_equal(restarted[4].F, refs[4].F)
+    for k in (0, 1, 2, 3, 5):
+        assert_same_certificate(restarted[k], refs[k])
+    for cert, ref in zip(_maximize_stack(programs), restarted):
+        assert_same_certificate(cert, ref)
+    assert raised[1] > 1 and raised[2:] == [1]  # the stacked call, then its own
+
+
+def test_a_program_out_of_budget_gives_its_budget_certificate():
+    # the longest program runs out of iterations while the others stall or
+    # converge: maximize_F raises for it alone, and the stack returns the
+    # certificate that error carries
+    programs = stack_programs()
+    refs = [alone(p) for p in programs]
+    iterations = [cert.iterations for cert in refs]
+    longest = int(np.argmax(iterations))
+    budget = iterations[longest] - 1
+    assert sorted(iterations)[-2] <= budget
+    with pytest.raises(MaxIterationsError) as raised:
+        maximize_F(*programs[longest], max_iter=budget)
+    certs = _maximize_stack(programs, max_iter=budget)
+    assert certs[longest].stop_reason == "budget"
+    assert_same_certificate(certs[longest], raised.value.best)
+    for k, (cert, ref) in enumerate(zip(certs, refs)):
+        if k != longest:
+            assert_same_certificate(cert, ref)

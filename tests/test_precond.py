@@ -13,6 +13,7 @@ from covshift.precond import (
     recover_A_from_F,
     solve_diagonal,
     solve_general,
+    solve_stack,
 )
 from covshift.psdlinalg import NotPSD, spectral_norm
 
@@ -357,3 +358,41 @@ def test_precond_to_json_round_trip_fields():
     assert np.allclose(np.array(doc["A"]), prec.A)
     assert doc["objective"] == prec.objective_value
     assert doc["gap"] == prec.gap
+
+
+def assert_same_preconditioner(got, ref):
+    assert np.array_equal(got.A, ref.A)
+    assert (got.objective_value, got.bias_term, got.variance_term, got.gap) == (
+        ref.objective_value, ref.bias_term, ref.variance_term, ref.gap)
+    a, b = got.certificate, ref.certificate
+    assert np.array_equal(a.F, b.F)
+    assert (a.value, a.iterations, a.gap, a.stop_reason) == (
+        b.value, b.iterations, b.gap, b.stop_reason)
+
+
+def test_solve_stack_is_invariant_to_grouping_and_order():
+    # programs never interact in the lockstep stack, so how they are grouped
+    # into calls, and in which order, may not change a bit; the list mixes
+    # sizes, a ridge ladder, a commuting and a degenerate program
+    rng = np.random.default_rng(12)
+    G = rng.normal(size=(6, 3))
+    singular = make_triple(rand_pd(rng, 6), G @ G.T)
+    dense = make_triple(rand_pd(rng, 4), rand_pd(rng, 4, 0.7))
+    lam, U = np.linalg.eigvalsh(rand_pd(rng, 4)), np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    commuting = make_triple((U * lam) @ U.T, (U * lam[::-1]) @ U.T)
+    progs = [PrecondProgram(singular, B, 0.02 / k, epsilon_reg=eps)
+             for k in (1, 8) for eps in (1e-4, 1e-7, None)]
+    progs += [PrecondProgram(dense, B, 0.01), PrecondProgram(commuting, B, 0.01),
+              PrecondProgram(dense, B, 0.0)]
+    refs = []
+    for prog in progs:
+        try:
+            refs.append(solve_general(prog))
+        except MaxIterationsError as err:
+            refs.append(err.best)
+    whole = solve_stack(progs)
+    backwards = solve_stack(progs[::-1])[::-1]
+    parts = solve_stack(progs[:2]) + solve_stack(progs[2:3]) + solve_stack(progs[3:])
+    for got in (whole, backwards, parts):
+        for prec, ref in zip(got, refs):
+            assert_same_preconditioner(prec, ref)

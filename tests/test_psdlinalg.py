@@ -231,3 +231,104 @@ def test_project_is_closest_feasible_point(seed):
         C = rand_pd(rng, d, scale=rng.uniform(0.01, 1.0))
         C *= min(1.0, radius / np.trace(C))  # feasible competitor
         assert np.linalg.norm(X - C) >= dist - 1e-9
+
+
+# ------------------------------------------------------------------- stacks
+# The lockstep dual solver steps a (B, d, d) stack of independent programs
+# with one LAPACK call per operation and relies on each slice getting the
+# bits of its own 2-D call.
+
+STACK_DIMS = [2, 5, 20, 40]
+
+
+def random_stack(rng, d, size):
+    G = rng.standard_normal((size, d, d))
+    return G + G.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_numpy_stacked_calls_equal_per_slice_calls(d):
+    # platform canary: a numpy or BLAS build whose stacked linalg calls or
+    # matrix products round differently from per-slice calls fails here
+    rng = np.random.default_rng(600 + d)
+    for size in (2, 7, 14):
+        X = random_stack(rng, d, size)
+        M = np.eye(d) + X @ X / (4.0 * d)  # positive definite
+        w, U = np.linalg.eigh(X)
+        vals = np.linalg.eigvalsh(X)
+        inv = np.linalg.inv(M)
+        solved = np.linalg.solve(M, X)
+        product = inv @ X @ inv.swapaxes(-1, -2)
+        sums = (M * X).sum((-2, -1))
+        for k in range(size):
+            w_k, U_k = np.linalg.eigh(X[k])
+            assert np.array_equal(w[k], w_k) and np.array_equal(U[k], U_k)
+            assert np.array_equal(vals[k], np.linalg.eigvalsh(X[k]))
+            assert np.array_equal(inv[k], np.linalg.inv(M[k]))
+            assert np.array_equal(inv[k], np.linalg.solve(M[k], np.eye(d)))
+            assert np.array_equal(solved[k], np.linalg.solve(M[k], X[k]))
+            assert np.array_equal(product[k], inv[k] @ X[k] @ inv[k].T)
+            assert sums[k] == np.sum(M[k] * X[k])
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_eigh_and_projection_on_a_stack_equal_per_slice_calls(d):
+    # slice 0 has every eigenvalue repeated, so that stack takes the stable
+    # argsort; the others take the reversal of LAPACK's ascending order
+    rng = np.random.default_rng(700 + d)
+    X = random_stack(rng, d, 6)
+    X[0] = dict(spectral_test_matrices(rng, d))["tied"]
+    radius = rng.uniform(0.05, 3.0, len(X))
+    for stack in (X, X[1:]):
+        dec = eigh(stack)
+        P = project_psd_nuclear_ball(stack, radius[-len(stack):])
+        for k, (Xk, r) in enumerate(zip(stack, radius[-len(stack):])):
+            one = eigh(Xk)
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], one.eigenvectors)
+            assert dec.eigenvectors[k].strides == one.eigenvectors.strides
+            assert np.array_equal(P[k], project_psd_nuclear_ball(Xk, float(r)))
+        assert np.array_equal(sym(stack)[0], sym(stack[0]))
+    assert np.array_equal(project_psd_nuclear_ball(X, 0.5)[3], project_psd_nuclear_ball(X[3], 0.5))
+
+
+def scalar_simplex_cap_project(v, radius):
+    """The one-vector loop form of the capped-simplex projection, the
+    reference for the vectorized one."""
+    if v.sum() <= radius:
+        return v
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, v.size + 1)
+    rho = int(np.max(j[u - (css - radius) / j > 0]))
+    theta = (css[rho - 1] - radius) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def test_simplex_projection_of_rows_equals_the_loop_form():
+    # rows inside and outside their radius in one stack, and single rows
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 9, 40):
+        V = rng.uniform(0.0, 1.0, (5, d)) ** 3
+        radius = np.array([0.3, 100.0, 1.0, 4.0, 0.01])
+        capped = _simplex_cap_project(V, radius)
+        for row, r, got in zip(V, radius, capped):
+            ref = scalar_simplex_cap_project(row, float(r))
+            assert np.array_equal(got, ref)
+            assert np.array_equal(_simplex_cap_project(row, float(r)), ref)
+        assert np.array_equal(capped[1], V[1])  # inside the ball: unchanged
+
+
+def test_a_failed_reconstruction_in_one_slice_fails_the_stack(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def one_bad_slice(X):
+        w, U = real_eigh(X)
+        w = w.copy()
+        w[2] += 1e-6
+        return w, U
+
+    monkeypatch.setattr(np.linalg, "eigh", one_bad_slice)
+    X = random_stack(np.random.default_rng(10), 5, 4)
+    with pytest.raises(EigenSolverError, match="residual"):
+        eigh(X)
