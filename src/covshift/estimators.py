@@ -11,7 +11,8 @@ constraint ellipsoid) is
 
     bias_coeff * |(I-A)' T' (I-A)|  +  noise_coeff * <T', A S'^{-1} A'>
 
-with noise_coeff = (2 sigma2 + 2 psi |S'|)/n for the moment-based guarantee
+with noise_coeff = (2 sigma2 + 2 psi |S'|)/n for the moment-based guarantee,
+psi = 3 the Gaussian design's fourth-moment constant (ProblemInstance.psi),
 and sigma2/n for the information-theoretic matching variant.
 """
 from __future__ import annotations

@@ -25,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Study:
-    reads: tuple  # the params keys the study reads
+    reads: dict  # the params keys the study reads, each to int or float (any real)
     title: str  # the first line of its CSV
     min_n: int  # the smallest n of a grid it can run
     needs: tuple = ()  # checks that raise ValueError for a spec it cannot run
@@ -81,11 +82,12 @@ def _plateau(spec):
 
 
 _STUDIES = {
-    "duality": _Study(("tol",), "duality certification", 1),
-    "rate_sweep": _Study(("tol", "seed_base", "step_base"), "rate sweep", 2, (_sweep_grid,)),
-    "emergence": _Study(("seed_base", "step_base", "step_exponent", "step_n_ref"),
-                        "emergence curve", 2, (_plateau,)),
-    "bound_check": _Study(("seed_base", "kappa_tilde"), "risk bound check", 16),
+    "duality": _Study({"tol": float}, "duality certification", 1),
+    "rate_sweep": _Study({"tol": float, "seed_base": int, "step_base": float},
+                         "rate sweep", 2, (_sweep_grid,)),
+    "emergence": _Study({"seed_base": int, "step_base": float, "step_exponent": float,
+                         "step_n_ref": int}, "emergence curve", 2, (_plateau,)),
+    "bound_check": _Study({"seed_base": int, "kappa_tilde": int}, "risk bound check", 16),
 }
 
 
@@ -151,12 +153,19 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def _check_study(spec: ExperimentSpec, kind: str):
     """ValueError unless spec is a `kind` spec, the study reads every one of
-    its params (so that a row's spec_hash names the spec behind it), and the
-    study can run its grid and instance."""
+    its params (so that a row's spec_hash names the spec behind it), each
+    an integer or a real number as the study reads it (a bool is neither),
+    and the study can run its grid and instance."""
     study = _STUDIES[kind]
     unread = sorted(set(spec.params) - set(study.reads))
     if spec.kind != kind or unread:
         raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
+    for key, value in spec.params.items():
+        integer = study.reads[key] is int
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real):
+            what = "an integer" if integer else "a real number"
+            raise ValueError(f"params {key} must be {what}, not {value!r}")
     if spec.n_grid[0] < study.min_n:
         raise ValueError(f"{kind} needs every n >= {study.min_n}")
     for need in study.needs:
@@ -199,12 +208,22 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
     )
 
 
+# the keys an instance description may hold, by type: those resolve_instance
+# reads, and "psi" and "noise", which may state the law (model._check_law)
+_INSTANCE_KEYS = {
+    "explicit": {"type", "d", "S", "T", "M", "w_star", "sigma2", "psi", "noise"},
+    "powerlaw": {"type", "d", "a", "s", "r", "sigma2", "seed", "nu", "d0", "rho",
+                 "w_profile", "psi", "noise"},
+}
+
+
 def _check_instance(desc):
     """ValueError, before any matrix is built, unless ``resolve_instance``
-    can build the description: an explicit one has the keys it reads, square
-    S, T and M of one size d and a w_star of length d; any other builds its
-    PowerLawSpec; and each has a known noise kind, sigma2 >= 0 and psi >= 1
-    (the values a ProblemInstance would otherwise refuse mid-study)."""
+    can build the description and reads all of it: an explicit one has the
+    keys it reads, square S, T and M of one size d (the "d" it states, if
+    any) and a w_star of length d; any other builds its PowerLawSpec; each
+    holds only keys of its type (_INSTANCE_KEYS), states no law but the
+    Gaussian design's, and has sigma2 >= 0."""
     if not isinstance(desc, dict):
         raise ValueError("an instance description is a JSON object")
     explicit = desc.get("type") == "explicit"
@@ -219,14 +238,16 @@ def _check_instance(desc):
                          for key in ("S", "T", "M"))
             if not square or len(desc["w_star"]) != d:
                 raise ValueError("S, T, M, w_star dimensions disagree")
+            if desc.get("d", d) != d:
+                raise ValueError(f"the instance states d = {desc['d']!r}, its S is {d} x {d}")
         else:
             _power_law_spec(desc)
-        if desc.get("noise", "gaussian") not in model.NOISE_KINDS:
-            raise ValueError(f"noise must be one of {model.NOISE_KINDS}")
+        unread = sorted(set(desc) - _INSTANCE_KEYS["explicit" if explicit else "powerlaw"])
+        if unread:
+            raise ValueError(f"the instance description has keys nothing reads: {unread}")
+        model._check_law(desc)
         if not float(desc.get("sigma2", 1.0)) >= 0:
             raise ValueError("sigma2 must be >= 0")
-        if not float(desc.get("psi", 3.0)) >= 1:
-            raise ValueError("psi must be >= 1")
     except TypeError as err:  # e.g. "d": null
         raise ValueError(f"the instance description has a bad value: {err}") from err
 
@@ -243,8 +264,6 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
         seed=int(desc.get("seed", 0)),
         rho=float(desc.get("rho", 1.0)),
         sigma2=float(desc.get("sigma2", 1.0)),
-        noise=desc.get("noise", "gaussian"),
-        psi=float(desc.get("psi", 3.0)),
         w_profile=desc.get("w_profile", "spread"),
     )
 

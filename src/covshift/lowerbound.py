@@ -348,9 +348,7 @@ def _lockstep(programs, max_iter: int) -> list:
     error goes to the programs whose own call raises, as it would without
     the stack.
     """
-    if len(programs) == 1:
-        return [_alone(programs[0], max_iter)]
-    everyone = _DualProgram.stack(programs)
+    everyone = _DualProgram.stack(programs) if len(programs) > 1 else None
     fistas = [_fista(p, max_iter) for p in programs]
     certs = [None] * len(fistas)
     asks = {k: next(fista) for k, fista in enumerate(fistas)}
@@ -374,22 +372,6 @@ def _lockstep(programs, max_iter: int) -> list:
                 certs[k] = stop.value
                 del asks[k]
     return certs
-
-
-def _alone(p: _DualProgram, max_iter: int) -> LowerBoundCertificate:
-    """``_lockstep`` of one program, without the grouping."""
-    fista = _fista(p, max_iter)
-    op, X = next(fista)
-    while True:
-        try:
-            try:
-                answer = op(p, X)
-            except np.linalg.LinAlgError as err:
-                op, X = fista.throw(err)
-            else:
-                op, X = fista.send(answer)
-        except StopIteration as stop:
-            return stop.value
 
 
 def _answer(op, stack, programs, Xs):

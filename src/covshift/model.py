@@ -2,8 +2,10 @@
 
 An instance bundles the source covariance S, target covariance T, the
 constraint metric M (admissible ground truths live in the ellipsoid
-w' M w <= 1), the ground truth w*, the noise second moment sigma2 and the
-fourth-moment constant psi. Whitening by M^{-1/2} produces the matrices
+w' M w <= 1), the ground truth w* and the noise variance sigma2. The data
+law is the Gaussian design: x ~ N(0, S) and y = x'w* + eps with
+eps ~ N(0, sigma2), so the fourth-moment constant is ProblemInstance.psi = 3.
+Whitening by M^{-1/2} produces the matrices
 S' = M^{-1/2} S M^{-1/2} and T' = M^{-1/2} T M^{-1/2} in which the minimax
 problem is naturally stated. Each instance decomposes S and M once each, at
 construction, and keeps what the package reads of S's eigenbasis and M's
@@ -38,8 +40,6 @@ __all__ = [
     "instance_from_json",
 ]
 
-NOISE_KINDS = ("gaussian", "rademacher")
-
 # Rows per matrix product in sample_source: BLAS picks kernels and splits
 # rows between workers by shape, so every product has this one shape (the
 # last tile zero-padded) and a row gets the same bits wherever a draw ends.
@@ -62,8 +62,9 @@ class ProblemInstance:
     M: np.ndarray
     w_star: np.ndarray
     sigma2: float
-    psi: float = 3.0
-    noise: str = "gaussian"
+    psi = 3.0
+    """Fourth-moment constant of the Gaussian design x ~ N(0, S): for every
+    PSD A, E[x x' A x x'] = 2 S A S + tr(SA) S <= 3 tr(SA) S."""
     c_finite: float = field(init=False)
     M_sqrt: np.ndarray = field(init=False, repr=False)
     M_inv_sqrt: np.ndarray = field(init=False, repr=False)
@@ -79,10 +80,6 @@ class ProblemInstance:
             raise ValueError("S, T, M, w_star dimensions disagree")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.psi < 1:
-            raise ValueError("psi must be >= 1")
-        if self.noise not in NOISE_KINDS:
-            raise ValueError(f"noise must be one of {NOISE_KINDS}")
         eig_S, eig_M = eigh(S), eigh(M)
         for name, eigs in (("S", eig_S.eigenvalues), ("M", eig_M.eigenvalues)):
             if eigs.min() <= 0:
@@ -109,7 +106,6 @@ class ProblemInstance:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "w_star", w)
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "psi", float(self.psi))
 
     @property
     def d(self) -> int:
@@ -179,8 +175,6 @@ def make_power_law_instance(
     seed: int,
     rho: float = 1.0,
     sigma2: float = 1.0,
-    noise: str = "gaussian",
-    psi: float = 3.0,
     w_profile: str = "spread",
 ) -> ProblemInstance:
     """Build the canonical synthetic instance for a power-law spec.
@@ -222,8 +216,7 @@ def make_power_law_instance(
     w = rng.choice([-1.0, 1.0], size=d) * mags
     w *= rho / np.sqrt(np.sum(m * w * w))
     return ProblemInstance(
-        S=np.diag(lam), T=T, M=np.diag(m), w_star=w,
-        sigma2=sigma2, psi=psi, noise=noise,
+        S=np.diag(lam), T=T, M=np.diag(m), w_star=w, sigma2=sigma2
     )
 
 
@@ -261,8 +254,7 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
     thus depend only on its normals: the first m rows of an n-row draw are
     the m-row draw, and drawing one stream in consecutive blocks whose
     lengths are multiples of SAMPLE_TILE (the last may be shorter)
-    reproduces one whole draw bit for bit. eps is N(0, sigma2) for gaussian
-    noise and sigma * sign(z) for rademacher.
+    reproduces one whole draw bit for bit.
 
     X is the tile product Z @ root.T with ``inst.source_factor``, or
     Z * factor element by element when the factor is a vector (S exactly
@@ -286,13 +278,7 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
         if factor.ndim == 2:
             X[a : a + SAMPLE_TILE] = Z[a : a + SAMPLE_TILE, :d] @ factor.T
         y[a : a + SAMPLE_TILE] = X[a : a + SAMPLE_TILE] @ inst.w_star
-    sigma = np.sqrt(inst.sigma2)
-    if inst.noise == "gaussian":
-        eps = sigma * Z[:n, d]
-    else:  # rademacher
-        z = Z[:n, d]
-        eps = sigma * np.where(z >= 0, 1.0, -1.0)
-    return Samples(X=X[:n], y=y[:n] + eps)
+    return Samples(X=X[:n], y=y[:n] + np.sqrt(inst.sigma2) * Z[:n, d])
 
 
 # =====================================================================
@@ -309,20 +295,27 @@ def instance_to_json(inst: ProblemInstance) -> dict:
         "M": inst.M.tolist(),
         "w_star": inst.w_star.tolist(),
         "sigma2": inst.sigma2,
-        "psi": inst.psi,
-        "noise": inst.noise,
     }
+
+
+def _check_law(doc: dict):
+    """ValueError unless the description's "psi" and "noise", where it
+    states them, are those of the Gaussian design the sampler draws."""
+    if doc.get("psi", ProblemInstance.psi) != ProblemInstance.psi:
+        raise ValueError(f"psi is {ProblemInstance.psi} for the Gaussian design, "
+                         f"not {doc['psi']!r}")
+    if doc.get("noise", "gaussian") != "gaussian":
+        raise ValueError(f"noise is 'gaussian', not {doc['noise']!r}")
 
 
 def instance_from_json(doc) -> ProblemInstance:
     if isinstance(doc, str):
         doc = json.loads(doc)
+    _check_law(doc)
     return ProblemInstance(
         S=np.array(doc["S"], dtype=float),
         T=np.array(doc["T"], dtype=float),
         M=np.array(doc["M"], dtype=float),
         w_star=np.array(doc["w_star"], dtype=float),
         sigma2=float(doc["sigma2"]),
-        psi=float(doc.get("psi", 3.0)),
-        noise=doc.get("noise", "gaussian"),
     )

@@ -60,7 +60,8 @@ class PrecondProgram:
 
     bias_coeff multiplies the operator-norm bias term (1/pi^2 for the
     lower-bound-matching program); noise_coeff multiplies the variance trace
-    (sigma2/n, or the inflated finite-sample (2 sigma2 + 2 psi |S'|)/n).
+    (sigma2/n, or the inflated finite-sample (2 sigma2 + 6 |S'|)/n of the
+    Gaussian design, whose fourth-moment constant psi is 3).
     epsilon_reg = None asks the solver to pick a ridge for singular T'.
     """
 

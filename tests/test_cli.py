@@ -295,10 +295,31 @@ UNRUNNABLE = {
     # every key present, a value the instance would refuse
     "duality-unknown-noise": ("duality", dict(kind="duality", n_grid=[16],
                                               instance=dict(POWER_LAW, noise="gauss")),
-                              "noise must be one of ('gaussian', 'rademacher')"),
+                              "noise is 'gaussian', not 'gauss'"),
+    "duality-rademacher-noise": ("duality", dict(kind="duality", n_grid=[16],
+                                                 instance=dict(POWER_LAW, noise="rademacher")),
+                                 "noise is 'gaussian', not 'rademacher'"),
     "duality-psi-below-1": ("duality", dict(kind="duality", n_grid=[16],
                                             instance=dict(POWER_LAW, psi=0.5)),
-                            "psi must be >= 1"),
+                            "psi is 3.0 for the Gaussian design, not 0.5"),
+    "duality-psi-2": ("duality", dict(kind="duality", n_grid=[16],
+                                      instance=dict(POWER_LAW, psi=2)),
+                      "psi is 3.0 for the Gaussian design, not 2"),
+    "duality-misspelled-sigma2": ("duality", dict(kind="duality", n_grid=[16],
+                                                  instance=dict(POWER_LAW, sigma=0.25)),
+                                  "the instance description has keys nothing reads: ['sigma']"),
+    "duality-explicit-d-disagrees": (
+        "duality", dict(kind="duality", n_grid=[16],
+                        instance={"type": "explicit", "d": 7, "S": [[1, 0], [0, 1]],
+                                  "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
+                                  "w_star": [0, 0], "sigma2": 1.0}),
+        "the instance states d = 7, its S is 2 x 2"),
+    # params of a type the study cannot read
+    "asgd-fractional-kappa-tilde": ("asgd", dict(kind="bound_check", n_grid=[16],
+                                                 params={"kappa_tilde": 2.5}),
+                                    "params kappa_tilde must be an integer, not 2.5"),
+    "duality-string-tol": ("duality", dict(kind="duality", n_grid=[16], params={"tol": "loose"}),
+                           "params tol must be a real number, not 'loose'"),
     "duality-explicit-w-star-too-long": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],

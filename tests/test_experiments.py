@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import covshift
-from covshift import asgd, experiments, precond
+from covshift import asgd, experiments, model, precond
 from covshift.estimators import DEFAULT_BIAS_COEFF
 from covshift.lowerbound import MaxIterationsError, maximize_F
 from covshift.experiments import (
@@ -122,6 +122,34 @@ def test_resolve_instance_powerlaw_and_explicit():
         resolve_instance(
             ExperimentSpec(kind="duality", instance={"type": "mystery"}, n_grid=(8,), seeds=1)
         )
+
+
+@pytest.mark.parametrize("desc", [powerlaw_desc(), instance_to_json(
+    make_power_law_instance(PowerLawSpec(d=8, a=2.0, s=1.0, r=1.0), seed=3, sigma2=0.5))],
+    ids=["powerlaw", "explicit"])
+def test_stating_the_gaussian_law_builds_the_same_instance(desc):
+    def build(instance):
+        inst = resolve_instance(ExperimentSpec(kind="duality", instance=instance,
+                                               n_grid=(8,), seeds=1))
+        return inst, model.sample_source(inst, 300, 5)
+
+    (inst, draw), (stated, stated_draw) = build(desc), build(
+        dict(desc, psi=3.0, noise="gaussian"))
+    for key in ("S", "T", "M", "w_star", "sigma2", "psi"):
+        assert np.array_equal(getattr(stated, key), getattr(inst, key))
+    assert np.array_equal(stated_draw.X, draw.X) and np.array_equal(stated_draw.y, draw.y)
+
+
+def test_the_benchmark_specs_are_accepted(monkeypatch):
+    # a description key the checks refuse would fail every benchmark operation
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    specs = [workloads.Sweep(0).inputs(0), workloads.Bound(0).inputs(0)]
+    specs += [spec for r in range(3) for _, spec, _ in workloads.Certify(0).inputs(r)]
+    assert len(specs) == 2 + 3 * 14
+    for spec in specs:
+        assert resolve_instance(spec).d == spec.instance["d"]
 
 
 # ----------------------------------------------------------------- duality

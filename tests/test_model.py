@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,12 +330,20 @@ def test_instance_json_round_trip():
     assert back.psi == inst.psi
 
 
-def test_instance_json_is_the_explicit_description_and_keeps_noise():
-    inst = replace(rand_instance(17), noise="rademacher")
+def test_the_data_law_is_the_gaussian_design_and_not_settable():
+    inst = rand_instance(17)
+    assert inst.psi == ProblemInstance.psi == 3.0
     doc = instance_to_json(inst)
-    assert doc["type"] == "explicit"
-    back = instance_from_json(json.dumps(doc))
-    assert back.noise == "rademacher"
+    assert doc["type"] == "explicit" and "psi" not in doc and "noise" not in doc
+    with pytest.raises(TypeError):
+        ProblemInstance(S=inst.S, T=inst.T, M=inst.M, w_star=inst.w_star, sigma2=1.0, psi=2.0)
+    with pytest.raises(TypeError):
+        make_power_law_instance(PowerLawSpec(d=3, a=2.0, s=1.0, r=0.0), seed=0,
+                                noise="rademacher")
+    for stated, message in (({"psi": 2.0}, "psi is 3.0"), ({"noise": "rademacher"}, "noise")):
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(json.dumps({**doc, **stated}))
+    back = instance_from_json(json.dumps({**doc, "psi": 3, "noise": "gaussian"}))
     assert np.array_equal(sample_source(back, 8, 0).y, sample_source(inst, 8, 0).y)
 
 
