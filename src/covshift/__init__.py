@@ -99,8 +99,7 @@ from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    semi_stochastic_bias,
-    semi_stochastic_variance,
+    semi_stochastic,
     semi_stochastic_variance_bound,
     spectral_radius,
     stationary_U,

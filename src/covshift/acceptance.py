@@ -36,7 +36,7 @@ from .riskoracle import (
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    semi_stochastic_bias,
+    semi_stochastic,
     spectral_radius,
     stationary_U,
 )
@@ -214,7 +214,7 @@ def criterion_5():
         cfg = ASGDConfig(n=n, delta0=delta0, gamma0=gamma0, beta=beta)
         traj = run(inst, cfg, population=True)
         mc = excess_risk(inst, traj.final_w)
-        oracle = semi_stochastic_bias(inst, cfg).total
+        oracle = semi_stochastic(inst, cfg)[0].total
         rel = abs(mc - oracle) / max(1.0, abs(oracle))
         worst = max(worst, rel)
         if rel > 1e-10:

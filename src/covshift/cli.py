@@ -19,12 +19,12 @@ from .model import whiten
 from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
 
 
-def _load_spec(path, out, kind=None, n=None, seeds=None,
+def _load_spec(path, out, kind, n=None, seeds=None,
                **params) -> experiments.ExperimentSpec:
     """The spec at ``path`` with the command-line overrides applied (each
     of ``params`` that is not None sets that params key); a spec that is
-    malformed, or that a ``kind`` study (when ``kind`` is given) cannot run,
-    is a usage error (exit 2), not a failed study."""
+    malformed, or that a ``kind`` study cannot run, is a usage error
+    (exit 2), not a failed study."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -38,8 +38,7 @@ def _load_spec(path, out, kind=None, n=None, seeds=None,
         spec = replace(spec, params=params, output_path=out or spec.output_path,
                        n_grid=spec.n_grid if n is None else (n,),
                        seeds=spec.seeds if seeds is None else seeds)
-        if kind is not None:
-            experiments._check_study(spec, kind)
+        experiments._check_study(spec, kind)
     except (KeyError, TypeError, ValueError) as err:
         raise click.UsageError(f"spec {path}: {err}") from err
     return spec
@@ -136,8 +135,8 @@ def emergence(rep):
 @out_option
 @tol_option
 def precondition(spec_path, out, tol):
-    """Solve the preconditioner program; write the certified A as JSON."""
-    spec = _load_spec(spec_path, out, tol=tol)
+    """Write the certified preconditioner of a duality spec's first n as JSON."""
+    spec = _load_spec(spec_path, out, "duality", tol=tol)
     inst = experiments.resolve_instance(spec)
     n = int(spec.n_grid[0])
     prog = PrecondProgram(

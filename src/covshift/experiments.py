@@ -42,7 +42,7 @@ from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
 from .precond import PrecondProgram, _target_scale, solve_stack
-from .riskoracle import semi_stochastic_bias, semi_stochastic_variance
+from .riskoracle import semi_stochastic
 
 __all__ = [
     "ExperimentSpec",
@@ -208,6 +208,19 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
     )
 
 
+def _power_law_args(desc: dict) -> dict:
+    """make_power_law_instance's arguments for a power-law description;
+    ValueError for a value it would refuse, or a seed that is not an
+    integer."""
+    spec, seed = _power_law_spec(desc), desc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, not {seed!r}")
+    rho, w_profile = float(desc.get("rho", 1.0)), desc.get("w_profile", "spread")
+    model._check_shell(spec, rho, w_profile)
+    return dict(spec=spec, seed=int(seed), rho=rho, sigma2=float(desc.get("sigma2", 1.0)),
+                w_profile=w_profile)
+
+
 # the keys an instance description may hold, by type: those resolve_instance
 # reads, and "psi" and "noise", which may state the law (model._check_law)
 _INSTANCE_KEYS = {
@@ -221,7 +234,8 @@ def _check_instance(desc):
     """ValueError, before any matrix is built, unless ``resolve_instance``
     can build the description and reads all of it: an explicit one has the
     keys it reads, square S, T and M of one size d (the "d" it states, if
-    any) and a w_star of length d; any other builds its PowerLawSpec; each
+    any) and a w_star of length d; any other makes the arguments
+    make_power_law_instance accepts (_power_law_args); each
     holds only keys of its type (_INSTANCE_KEYS), states no law but the
     Gaussian design's, and has sigma2 >= 0."""
     if not isinstance(desc, dict):
@@ -241,7 +255,7 @@ def _check_instance(desc):
             if desc.get("d", d) != d:
                 raise ValueError(f"the instance states d = {desc['d']!r}, its S is {d} x {d}")
         else:
-            _power_law_spec(desc)
+            _power_law_args(desc)
         unread = sorted(set(desc) - _INSTANCE_KEYS["explicit" if explicit else "powerlaw"])
         if unread:
             raise ValueError(f"the instance description has keys nothing reads: {unread}")
@@ -259,13 +273,7 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
     desc = spec.instance
     if desc.get("type") == "explicit":
         return model.instance_from_json(desc)
-    return model.make_power_law_instance(
-        _power_law_spec(desc),
-        seed=int(desc.get("seed", 0)),
-        rho=float(desc.get("rho", 1.0)),
-        sigma2=float(desc.get("sigma2", 1.0)),
-        w_profile=desc.get("w_profile", "spread"),
-    )
+    return model.make_power_law_instance(**_power_law_args(desc))
 
 
 def _seed_range(spec: ExperimentSpec) -> range:
@@ -402,7 +410,7 @@ class BoundCheckReport:
 
 def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
     """Mean Monte-Carlo excess risk of the staged method against the
-    closed-form bound at each n, with the exact semi-stochastic bias and
+    closed-form bound at each n, with ``semi_stochastic``'s exact bias and
     variance alongside for diagnosis. Fails if any mean exceeds its bound.
     """
     return _run("bound_check", spec, _bound_check)
@@ -419,6 +427,7 @@ def _bound_check(spec, inst):
         )
         mc = _mc_summary(run_batch(inst, cfg, seeds))
         bound = risk_bound(inst, cfg)
+        semi_bias, semi_variance = semi_stochastic(inst, cfg)
         row = {
             "n": n,
             **mc,
@@ -426,8 +435,8 @@ def _bound_check(spec, inst):
             "bound_variance": bound.effective_variance,
             "bound_bias": bound.effective_bias,
             "k_star": bound.k_star,
-            "semi_bias": semi_stochastic_bias(inst, cfg).total,
-            "semi_variance": semi_stochastic_variance(inst, cfg).total,
+            "semi_bias": semi_bias.total,
+            "semi_variance": semi_variance.total,
             "admissible": cfg.admissible,
         }
         rows.append(row)

@@ -170,6 +170,17 @@ class Samples:
 # construction
 # =====================================================================
 
+def _check_shell(spec: PowerLawSpec, rho: float, w_profile: str):
+    """ValueError unless make_power_law_instance can place w* on the shell
+    |w*|_M = rho with this profile."""
+    if not 0 < rho <= 1:
+        raise ValueError("rho must be in (0, 1]")
+    if w_profile not in ("spread", "tail"):
+        raise ValueError(f"unknown w_profile {w_profile!r}")
+    if w_profile == "tail" and spec.d0 is None:
+        raise ValueError("w_profile='tail' needs d0")
+
+
 def make_power_law_instance(
     spec: PowerLawSpec,
     seed: int,
@@ -189,12 +200,7 @@ def make_power_law_instance(
     resolving up to direction k leaves Sum_{i>k} t_ii w_i^2 ~ t_kk k — the
     worst-case profile whose post-plateau decay follows the power-law rate.
     """
-    if not 0 < rho <= 1:
-        raise ValueError("rho must be in (0, 1]")
-    if w_profile not in ("spread", "tail"):
-        raise ValueError(f"unknown w_profile {w_profile!r}")
-    if w_profile == "tail" and spec.d0 is None:
-        raise ValueError("w_profile='tail' needs d0")
+    _check_shell(spec, rho, w_profile)
     d, a, s, r = spec.d, spec.a, spec.s, spec.r
     i = np.arange(1, d + 1, dtype=float)
     lam = i ** (-a)

@@ -11,10 +11,10 @@ where c = alpha(1-beta) and q = alpha*delta + (1-alpha)*gamma with the
 config's alpha = 1/(1+beta), so (q - c*delta)/(1 - c) = (gamma+delta)/2.
 This module implements that matrix family (eigenvalues and regimes), the
 closed-form per-stage stationary second-moment matrices U and Q of the
-driven recursion, and the semi-stochastic risk oracle: the exact bias of
-the noiseless dynamics plus the exact variance of the noise-driven 2x2
-second-moment recursion, whose sum predicts the algorithm's risk without
-Monte Carlo.
+driven recursion, and the semi-stochastic risk oracle ``semi_stochastic``:
+one pass over the stages returns the exact bias of the noiseless dynamics
+and the exact variance of the noise-driven 2x2 second-moment recursion,
+whose sum predicts the algorithm's risk without Monte Carlo.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ __all__ = [
     "lambda_ddagger",
     "stationary_U",
     "SemiStochastic",
-    "semi_stochastic_bias",
-    "semi_stochastic_variance",
+    "semi_stochastic",
     "semi_stochastic_variance_bound",
 ]
 
@@ -119,57 +118,33 @@ def stationary_U(lam: float, c: float, q: float, delta: float) -> StationaryPair
 
 @dataclass(frozen=True, eq=False)
 class SemiStochastic:
-    """per_direction holds each eigendirection's diagonal contribution
-    t_ii * (component)^2; total additionally includes the cross terms that
-    appear when T is dense in S's eigenbasis (bias only; the variance
-    recursion is exactly block-diagonal, so its total is the plain sum)."""
+    """One half of ``semi_stochastic``: per_direction holds each direction's
+    diagonal contribution t_ii * (component)^2; total adds the cross terms
+    of a T dense in S's eigenbasis (bias only; the variance recursion is
+    exactly block-diagonal, so its total is the plain sum)."""
 
     per_direction: np.ndarray
     total: float
 
 
-def _stage_mats(cfg: ASGDConfig, lam: np.ndarray, ell: int):
-    delta, _, q = cfg.stage_steps(ell)
-    b = 1.0 - delta * lam          # A[0,1]
-    e = 1.0 + cfg.c - q * lam      # A[1,1]
-    return delta, q, b, e
-
-
-def semi_stochastic_bias(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStochastic:
-    """Exact excess risk of the noiseless (population-gradient) dynamics
-    after the full schedule, propagated direction-by-direction: h starts at
-    (-w*_i, -w*_i) in S's eigenbasis and is multiplied by the stage matrix
-    A(lambda_i) once per step. Matches a full-gradient run of the algorithm
-    to rounding error."""
+def semi_stochastic(inst: ProblemInstance,
+                    cfg: ASGDConfig) -> tuple[SemiStochastic, SemiStochastic]:
+    """Exact (bias, variance) after the full schedule, per direction of S's
+    eigenbasis, from one pass over the stages. Each step multiplies
+    h = (w - w*, u - w*), from (-w*_i, -w*_i), by the stage matrix
+    A(lambda_i): the bias, which matches a full-gradient run to rounding
+    error. It also maps the 2x2 second moment C, from C = 0, to
+    A C A' + sigma2 lam [[d^2, dq],[dq, q^2]]: the variance, t_ii * C11 per
+    direction, block-diagonal, so its total is the sum even for dense T."""
     lam, V = inst.eig_S.eigenvalues, inst.eig_S.eigenvectors
-    w0 = -(V.T @ inst.w_star)
-    h1 = w0.copy()  # w - w* components
-    h2 = w0.copy()  # u - w* components
+    h1 = -(V.T @ inst.w_star)  # w - w* components
+    h2 = h1.copy()  # u - w* components
+    C11, C12, C22 = np.zeros((3, lam.size))
     c = cfg.c
     for ell in range(1, cfg.stages + 1):
-        _, _, b, e = _stage_mats(cfg, lam, ell)
-        for _ in range(cfg.stage_len):
-            h1, h2 = b * h2, -c * h1 + e * h2
-    per_direction = np.diag(inst.T_tilde) * h1**2
-    total = float(h1 @ inst.T_tilde @ h1)
-    return SemiStochastic(per_direction=per_direction, total=total)
-
-
-def semi_stochastic_variance(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStochastic:
-    """Exact noise variance of the dynamics: per direction, the 2x2 second
-    moment C obeys C <- A C A' + sigma2 lam [[d^2, dq],[dq, q^2]] from
-    C = 0, and the risk contribution is t_ii * C11. Exactly block-diagonal
-    across directions, so the total is the sum even for dense T."""
-    if inst.sigma2 == 0:
-        z = np.zeros(inst.d)
-        return SemiStochastic(per_direction=z, total=0.0)
-    lam = inst.eig_S.eigenvalues
-    c = cfg.c
-    C11 = np.zeros_like(lam)
-    C12 = np.zeros_like(lam)
-    C22 = np.zeros_like(lam)
-    for ell in range(1, cfg.stages + 1):
-        delta, q, b, e = _stage_mats(cfg, lam, ell)
+        delta, _, q = cfg.stage_steps(ell)
+        b = 1.0 - delta * lam          # A[0,1]
+        e = 1.0 + c - q * lam          # A[1,1]
         n11 = inst.sigma2 * lam * delta * delta
         n12 = inst.sigma2 * lam * delta * q
         n22 = inst.sigma2 * lam * q * q
@@ -178,13 +153,16 @@ def semi_stochastic_variance(inst: ProblemInstance, cfg: ASGDConfig) -> SemiStoc
         bb, cb, eb = b * b, -c * b, e * b
         cc, ce, ee = c * c, 2.0 * c * e, e * e
         for _ in range(cfg.stage_len):
+            h1, h2 = b * h2, -c * h1 + e * h2
             C11, C12, C22 = (
                 bb * C22 + n11,
                 cb * C12 + eb * C22 + n12,
                 cc * C11 - ce * C12 + ee * C22 + n22,
             )
-    per_direction = np.diag(inst.T_tilde) * C11
-    return SemiStochastic(per_direction=per_direction, total=float(per_direction.sum()))
+    t_diag = np.diag(inst.T_tilde)
+    variance = t_diag * C11
+    return (SemiStochastic(t_diag * h1**2, float(h1 @ inst.T_tilde @ h1)),
+            SemiStochastic(variance, float(variance.sum())))
 
 
 def semi_stochastic_variance_bound(inst: ProblemInstance, cfg: ASGDConfig) -> float:

@@ -228,7 +228,7 @@ def test_missing_spec_file_errors():
 @pytest.mark.parametrize(
     "command, kind",
     [("asgd", "bound_check"), ("sweep", "rate_sweep"), ("emergence", "emergence"),
-     ("duality", "duality")],
+     ("duality", "duality"), ("precondition", "duality")],
 )
 def test_spec_of_another_kind_is_a_usage_error(tmp_path, command, kind):
     # exit 1 means a study ran and failed; a spec of another kind handed to
@@ -329,6 +329,26 @@ UNRUNNABLE = {
     "duality-d-null": ("duality", dict(kind="duality", n_grid=[16],
                                        instance=dict(POWER_LAW, d=None)),
                        "the instance description has a bad value"),
+    # power-law values make_power_law_instance would refuse
+    "duality-rho-2": ("duality", dict(kind="duality", n_grid=[16],
+                                      instance=dict(POWER_LAW, rho=2)),
+                      "rho must be in (0, 1]"),
+    "duality-unknown-w-profile": ("duality", dict(kind="duality", n_grid=[16],
+                                                  instance=dict(POWER_LAW, w_profile="flat")),
+                                  "unknown w_profile 'flat'"),
+    "duality-tail-without-d0": ("duality", dict(kind="duality", n_grid=[16],
+                                                instance=dict(POWER_LAW, w_profile="tail")),
+                                "w_profile='tail' needs d0"),
+    "duality-string-seed": ("duality", dict(kind="duality", n_grid=[16],
+                                            instance=dict(POWER_LAW, seed="abc")),
+                            "seed must be an integer, not 'abc'"),
+    # precondition checks params as the duality study does
+    "precondition-string-tol": ("precondition", dict(kind="duality", n_grid=[16],
+                                                     params={"tol": "loose"}),
+                                "params tol must be a real number, not 'loose'"),
+    "precondition-unread-param": ("precondition", dict(kind="duality", n_grid=[16],
+                                                       params={"tolerance": 1e-3}),
+                                  "unread params ['tolerance']"),
 }
 
 

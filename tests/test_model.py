@@ -201,8 +201,7 @@ def test_bound_check_point_makes_no_eigendecomposition(monkeypatch):
     cfg = asgd.choose_parameters(inst, 256, require_admissible=False)
     asgd.run_batch(inst, cfg, [0, 1])
     asgd.risk_bound(inst, cfg)
-    riskoracle.semi_stochastic_bias(inst, cfg)
-    riskoracle.semi_stochastic_variance(inst, cfg)
+    riskoracle.semi_stochastic(inst, cfg)
     assert len(calls) == 0
     assert sum(np.array_equal(X, inst.S) for X in at_construction) == 1
 

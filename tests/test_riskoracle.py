@@ -15,8 +15,7 @@ from covshift.riskoracle import (
     eig_pair_pm,
     lambda_dagger,
     lambda_ddagger,
-    semi_stochastic_bias,
-    semi_stochastic_variance,
+    semi_stochastic,
     semi_stochastic_variance_bound,
     spectral_radius,
     stationary_U,
@@ -155,7 +154,7 @@ def test_semi_stochastic_bias_equals_population_run():
         PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=4, sigma2=0.5
     )
     cfg = choose_rate_parameters(inst, 2**8)
-    bias = semi_stochastic_bias(inst, cfg)
+    bias, _ = semi_stochastic(inst, cfg)
     traj = run(inst, cfg, population=True)
     assert bias.total == pytest.approx(excess_risk(inst, traj.final_w), abs=1e-12)
     assert bias.total == pytest.approx(float(np.sum(bias.per_direction)), rel=1e-10)
@@ -168,7 +167,7 @@ def test_semi_stochastic_bias_with_momentum_config():
     )
     beta = 0.2
     cfg = ASGDConfig(n=2**7, delta0=0.05, gamma0=0.25, beta=beta)
-    bias = semi_stochastic_bias(inst, cfg)
+    bias, _ = semi_stochastic(inst, cfg)
     traj = run(inst, cfg, population=True)
     assert bias.total == pytest.approx(excess_risk(inst, traj.final_w), abs=1e-12)
 
@@ -178,7 +177,7 @@ def test_semi_stochastic_variance_decomposition_and_bound():
         PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=6, sigma2=0.8
     )
     cfg = choose_rate_parameters(inst, 2**8)
-    var = semi_stochastic_variance(inst, cfg)
+    _, var = semi_stochastic(inst, cfg)
     assert np.all(var.per_direction >= 0)
     assert var.total == pytest.approx(float(np.sum(var.per_direction)), rel=1e-10)
     assert var.total <= semi_stochastic_variance_bound(inst, cfg) + 1e-15
@@ -192,20 +191,78 @@ def test_semi_stochastic_variance_scales_with_noise():
         PowerLawSpec(d=10, a=2.0, s=1.0, r=0.0), seed=7, sigma2=1.0
     )
     cfg = choose_rate_parameters(inst0, 2**7)
-    v0 = semi_stochastic_variance(inst0, cfg)
-    v1 = semi_stochastic_variance(inst1, cfg)
+    _, v0 = semi_stochastic(inst0, cfg)
+    _, v1 = semi_stochastic(inst1, cfg)
     assert v0.total == pytest.approx(0.0, abs=1e-15)
     assert v1.total > 0
     inst2 = make_power_law_instance(
         PowerLawSpec(d=10, a=2.0, s=1.0, r=0.0), seed=7, sigma2=2.0
     )
-    v2 = semi_stochastic_variance(inst2, cfg)
+    _, v2 = semi_stochastic(inst2, cfg)
     # the sigma^2-driven part is linear in the noise level
     assert v2.total == pytest.approx(2 * v1.total, rel=1e-10)
 
 
+def rotated_momentum_case(sigma2=0.7):
+    # a power-law instance in a random basis (dense S), momentum live
+    base = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=3)
+    Q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(20, 20)))
+    inst = ProblemInstance(
+        S=Q @ base.S @ Q.T, T=Q @ base.T @ Q.T, M=Q @ base.M @ Q.T,
+        w_star=Q @ base.w_star, sigma2=sigma2,
+    )
+    cfg = choose_parameters(inst, 2**10, require_admissible=False)
+    assert 0.0 < cfg.c < 1.0  # momentum is live
+    return inst, cfg
+
+
+def plain_sgd_case(sigma2=0.5):
+    inst = make_power_law_instance(
+        PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=4, sigma2=sigma2
+    )
+    cfg = choose_rate_parameters(inst, 2**8)
+    assert cfg.c == 0.0
+    return inst, cfg
+
+
+CASES = pytest.mark.parametrize("case", [rotated_momentum_case, plain_sgd_case],
+                                ids=["rotated-momentum", "plain-sgd"])
+
+
+def bias_step_by_step(inst, cfg):
+    """The bias recursion alone: h = (w - w*, u - w*) stepped by A(lambda)
+    with nothing else in the loop."""
+    lam, V = inst.eig_S.eigenvalues, inst.eig_S.eigenvectors
+    h1 = -(V.T @ inst.w_star)
+    h2 = h1.copy()
+    c = cfg.c
+    for ell in range(1, cfg.stages + 1):
+        delta, _, q = cfg.stage_steps(ell)
+        b, e = 1.0 - delta * lam, 1.0 + c - q * lam
+        for _ in range(cfg.stage_len):
+            h1, h2 = b * h2, -c * h1 + e * h2
+    return np.diag(inst.T_tilde) * h1**2, float(h1 @ inst.T_tilde @ h1)
+
+
+@CASES
+def test_semi_stochastic_bias_is_the_bias_recursion_alone(case):
+    inst, cfg = case()
+    bias, _ = semi_stochastic(inst, cfg)
+    per_direction, total = bias_step_by_step(inst, cfg)
+    assert np.array_equal(bias.per_direction, per_direction)
+    assert bias.total == total
+
+
+@CASES
+def test_semi_stochastic_variance_is_zero_without_noise(case):
+    inst, cfg = case(sigma2=0.0)
+    _, var = semi_stochastic(inst, cfg)
+    assert np.all(var.per_direction == 0.0)
+    assert var.total == 0.0
+
+
 def variance_step_by_step(inst, cfg):
-    """semi_stochastic_variance's per-direction C11 with every coefficient
+    """semi_stochastic's per-direction variance C11 with every coefficient
     product formed inside the step, as the recursion reads."""
     dec = eigh(inst.S)
     lam, c = dec.eigenvalues, cfg.c
@@ -228,16 +285,11 @@ def variance_step_by_step(inst, cfg):
 
 
 def test_semi_stochastic_variance_is_the_step_by_step_recursion():
-    base = make_power_law_instance(PowerLawSpec(d=20, a=2.0, s=1.0, r=0.5), seed=3)
-    Q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(20, 20)))
-    inst = ProblemInstance(
-        S=Q @ base.S @ Q.T, T=Q @ base.T @ Q.T, M=Q @ base.M @ Q.T,
-        w_star=Q @ base.w_star, sigma2=0.7,
-    )
-    cfg = choose_parameters(inst, 2**10, require_admissible=False)
-    assert 0.0 < cfg.c < 1.0  # momentum is live
-    got = semi_stochastic_variance(inst, cfg)
-    assert np.array_equal(got.per_direction, variance_step_by_step(inst, cfg))
+    inst, cfg = rotated_momentum_case()
+    _, got = semi_stochastic(inst, cfg)
+    expected = variance_step_by_step(inst, cfg)
+    assert np.array_equal(got.per_direction, expected)
+    assert got.total == float(expected.sum())
 
 
 @pytest.mark.xfail(
@@ -250,7 +302,7 @@ def test_semi_stochastic_variance_matches_extended_precision():
     mpmath = pytest.importorskip("mpmath")
     inst = make_power_law_instance(PowerLawSpec(d=100, a=2.0, s=1.0, r=0.0), seed=0)
     cfg = choose_parameters(inst, 2**12, require_admissible=False)
-    got = semi_stochastic_variance(inst, cfg).per_direction
+    got = semi_stochastic(inst, cfg)[1].per_direction
     dec = eigh(inst.S)
     lam, V = dec.eigenvalues, dec.eigenvectors
     t_diag = np.diag(V.T @ inst.T @ V)
