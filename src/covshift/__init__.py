@@ -54,7 +54,6 @@ from .lowerbound import (
     DegeneratePrior,
     LowerBoundCertificate,
     MaxIterationsError,
-    eval_lower_objective,
     maximize_F,
     prior_from_certificate,
     prior_information_matrix,

@@ -16,7 +16,7 @@ import click
 from . import acceptance, experiments
 from .estimators import DEFAULT_BIAS_COEFF, default_noise_coeff
 from .model import whiten
-from .precond import MaxIterationsError, PrecondProgram, precond_to_json, solve_general
+from .precond import PrecondProgram, precond_to_json, solve_stack
 
 
 def _load_spec(path, out, kind, n=None, seeds=None,
@@ -142,12 +142,7 @@ def precondition(spec_path, out, tol):
     prog = PrecondProgram(
         whiten(inst), DEFAULT_BIAS_COEFF, default_noise_coeff(inst, n)
     )
-    gap_tol = spec.params.get("tol", 1e-4)
-    ok = True
-    try:
-        prec = solve_general(prog, tol=gap_tol)
-    except MaxIterationsError as err:
-        prec, ok = err.best, False
+    [prec] = solve_stack([prog])
     click.echo(
         f"objective={prec.objective_value:.10e} gap={prec.gap:.3e} "
         f"(bias {prec.bias_term:.3e} + variance {prec.variance_term:.3e})"
@@ -156,7 +151,7 @@ def precondition(spec_path, out, tol):
         with open(out, "w") as fh:
             json.dump({**precond_to_json(prec), "n": n}, fh, indent=2)
         click.echo(f"wrote {out}")
-    _finish(ok)
+    _finish(prec.gap <= spec.params.get("tol", 1e-4))
 
 
 @main.command()

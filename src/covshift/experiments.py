@@ -160,12 +160,11 @@ def _check_study(spec: ExperimentSpec, kind: str):
     unread = sorted(set(spec.params) - set(study.reads))
     if spec.kind != kind or unread:
         raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
-    for key, value in spec.params.items():
-        integer = study.reads[key] is int
-        if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if integer else numbers.Real):
-            what = "an integer" if integer else "a real number"
-            raise ValueError(f"params {key} must be {what}, not {value!r}")
+    for key in spec.params:
+        try:
+            _number(spec.params, key, None, integer=study.reads[key] is int)
+        except TypeError as err:
+            raise ValueError(f"params {err}") from err
     if spec.n_grid[0] < study.min_n:
         raise ValueError(f"{kind} needs every n >= {study.min_n}")
     for need in study.needs:
@@ -192,32 +191,44 @@ def _run(kind: str, spec: ExperimentSpec, body):
     return rep
 
 
+def _number(desc: dict, key: str, default, integer: bool = False):
+    """desc[key] (``default`` when absent); TypeError unless it is an
+    integer (``integer``) or a real number. A bool is neither, nor is a
+    string that spells a number."""
+    value = desc.get(key, default)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        what = "an integer" if integer else "a real number"
+        raise TypeError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
 def _power_law_spec(desc: dict) -> model.PowerLawSpec:
     """The PowerLawSpec of a {"type": "powerlaw", ...} instance description
-    (the type defaults to "powerlaw"); ValueError for any other type."""
+    (the type defaults to "powerlaw"); ValueError for any other type, and
+    TypeError unless d, nu and d0 (when set) are integers and a, s and r
+    real numbers (_number)."""
     kind = desc.get("type", "powerlaw")
     if kind != "powerlaw":
         raise ValueError(f"not a power-law instance: type {kind!r}")
     return model.PowerLawSpec(
-        d=int(desc["d"]),
-        a=float(desc["a"]),
-        s=float(desc.get("s", 1.0)),
-        r=float(desc.get("r", 0.0)),
-        nu=int(desc.get("nu", 0)),
-        d0=desc.get("d0"),
+        d=int(_number(desc, "d", None, integer=True)),
+        a=float(_number(desc, "a", None)),
+        s=float(_number(desc, "s", 1.0)),
+        r=float(_number(desc, "r", 0.0)),
+        nu=int(_number(desc, "nu", 0, integer=True)),
+        d0=None if desc.get("d0") is None else int(_number(desc, "d0", None, integer=True)),
     )
 
 
 def _power_law_args(desc: dict) -> dict:
     """make_power_law_instance's arguments for a power-law description;
-    ValueError for a value it would refuse, or a seed that is not an
-    integer."""
-    spec, seed = _power_law_spec(desc), desc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, not {seed!r}")
-    rho, w_profile = float(desc.get("rho", 1.0)), desc.get("w_profile", "spread")
+    ValueError for a value it would refuse, TypeError for a seed that is
+    not an integer or a rho or sigma2 that is not a real number."""
+    spec, seed = _power_law_spec(desc), int(_number(desc, "seed", 0, integer=True))
+    rho, w_profile = float(_number(desc, "rho", 1.0)), desc.get("w_profile", "spread")
     model._check_shell(spec, rho, w_profile)
-    return dict(spec=spec, seed=int(seed), rho=rho, sigma2=float(desc.get("sigma2", 1.0)),
+    return dict(spec=spec, seed=seed, rho=rho, sigma2=float(_number(desc, "sigma2", 1.0)),
                 w_profile=w_profile)
 
 
@@ -233,11 +244,11 @@ _INSTANCE_KEYS = {
 def _check_instance(desc):
     """ValueError, before any matrix is built, unless ``resolve_instance``
     can build the description and reads all of it: an explicit one has the
-    keys it reads, square S, T and M of one size d (the "d" it states, if
-    any) and a w_star of length d; any other makes the arguments
-    make_power_law_instance accepts (_power_law_args); each
-    holds only keys of its type (_INSTANCE_KEYS), states no law but the
-    Gaussian design's, and has sigma2 >= 0."""
+    keys it reads, square S, T and M of one size d (the integer "d" it
+    states, if any) and a w_star of length d; any other makes the arguments
+    make_power_law_instance accepts (_power_law_args); each holds only keys
+    of its type (_INSTANCE_KEYS), states no law but the Gaussian design's,
+    and has a real number sigma2 >= 0 (_number)."""
     if not isinstance(desc, dict):
         raise ValueError("an instance description is a JSON object")
     explicit = desc.get("type") == "explicit"
@@ -252,7 +263,7 @@ def _check_instance(desc):
                          for key in ("S", "T", "M"))
             if not square or len(desc["w_star"]) != d:
                 raise ValueError("S, T, M, w_star dimensions disagree")
-            if desc.get("d", d) != d:
+            if _number(desc, "d", d, integer=True) != d:
                 raise ValueError(f"the instance states d = {desc['d']!r}, its S is {d} x {d}")
         else:
             _power_law_args(desc)
@@ -260,9 +271,9 @@ def _check_instance(desc):
         if unread:
             raise ValueError(f"the instance description has keys nothing reads: {unread}")
         model._check_law(desc)
-        if not float(desc.get("sigma2", 1.0)) >= 0:
+        if not _number(desc, "sigma2", 1.0) >= 0:
             raise ValueError("sigma2 must be >= 0")
-    except TypeError as err:  # e.g. "d": null
+    except TypeError as err:  # e.g. "d": null, "d": 4.7 or "sigma2": "1"
         raise ValueError(f"the instance description has a bad value: {err}") from err
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "CosSquaredPrior",
     "DegeneratePrior",
     "MaxIterationsError",
-    "eval_lower_objective",
     "maximize_F",
     "prior_information_matrix",
     "sample_prior",
@@ -48,6 +47,10 @@ DEFAULT_RADIUS = 1.0 / math.pi**2
 GAP_TOL = 1e-12
 """maximize_F stops once its linear optimality gap is at most
 GAP_TOL * max(1, value); in practice the stall rule usually stops it first."""
+
+MAX_ITER = 5000
+"""maximize_F's FISTA budget: a program still short of GAP_TOL after
+MAX_ITER iterations stops with a "budget" certificate."""
 
 STALL_TOL = 1e-17
 """maximize_F counts a round as stalled unless it ascends by more than
@@ -97,21 +100,6 @@ class LowerBoundCertificate:
                    stop_reason="converged")
 
 
-def eval_lower_objective(triple: SpectralTriple, F, sigma2: float, n: int) -> float:
-    """Risk-floor objective at F, computed as <T', G> with
-
-        G = (I + F S' / nu)^{-1} F,   nu = sigma2 / n,
-
-    which equals the resolvent form (F^{-1} + S'/nu)^{-1} whenever F is
-    invertible and is defined for every PSD F, singular ones included
-    (I + F S'/nu has the eigenvalues of I + F^{1/2} S' F^{1/2}/nu). It is
-    also defined at the slightly indefinite points FISTA extrapolates to.
-    """
-    if sigma2 == 0:
-        return 0.0
-    return float(_value(_DualProgram.of(triple, sigma2, n, None), np.asarray(F, dtype=float))[0])
-
-
 # =====================================================================
 # the dual program and its lockstep ascent
 # =====================================================================
@@ -156,7 +144,14 @@ def _gradient(p, F):
 
 
 def _value(p, F):
-    """(the objective at F,)"""
+    """(the objective at F,), computed as <T', G> with
+
+        G = (I + F S' / nu)^{-1} F,
+
+    which equals the resolvent form (F^{-1} + S'/nu)^{-1} whenever F is
+    invertible and is defined for every PSD F, singular ones included
+    (I + F S'/nu has the eigenvalues of I + F^{1/2} S' F^{1/2}/nu). It is
+    also defined at the slightly indefinite points FISTA extrapolates to."""
     return (_inner(p.Tp, np.linalg.solve(p.I + F @ p.Sp / p.nu, F)),)
 
 
@@ -239,7 +234,6 @@ def maximize_F(
     sigma2: float,
     n: int,
     radius: float = DEFAULT_RADIUS,
-    max_iter: int = 5000,
 ) -> LowerBoundCertificate:
     """Maximize the risk-floor objective over {F PSD, trace F <= radius}.
 
@@ -269,22 +263,23 @@ def maximize_F(
     certifies that the objective is within ``GAP_TOL * max(1, value)`` of its
     maximum (the gap upper-bounds the suboptimality of a concave objective).
     Raises MaxIterationsError carrying the best certificate if the budget
-    runs out first; any returned value is a valid lower bound either way.
+    of MAX_ITER iterations runs out first; any returned value is a valid
+    lower bound either way.
 
     This is the one-program case of ``_maximize_stack``, which steps many
     programs in lockstep and gives each the bits of this call.
     """
-    cert = _maximize_stack([(triple, sigma2, n, radius)], max_iter)[0]
+    cert = _maximize_stack([(triple, sigma2, n, radius)])[0]
     if cert.stop_reason == "budget":
         raise MaxIterationsError(
-            f"optimality gap {cert.gap:.3e} after {max_iter} iterations",
+            f"optimality gap {cert.gap:.3e} after {MAX_ITER} iterations",
             best=cert,
             gap=cert.gap,
         )
     return cert
 
 
-def _maximize_stack(programs, max_iter: int = 5000) -> list:
+def _maximize_stack(programs) -> list:
     """maximize_F of each (triple, sigma2, n, radius) in ``programs``, the
     certificates in order. Zero-noise and water-filled programs are
     finished one by one; the rest run one FISTA each (``_fista``), in
@@ -293,9 +288,10 @@ def _maximize_stack(programs, max_iter: int = 5000) -> list:
     operation, and each program keeps its own curvature estimate,
     momentum, restarts, stall count and iteration count, and leaves the
     stack when it stops. Each certificate has the bits of the program's own
-    maximize_F, whatever the stack's grouping or order. A program whose
-    budget runs out gives its "budget" certificate (maximize_F raises with
-    it); any other exception of a program's operation stops the whole stack.
+    maximize_F, whatever the stack's grouping or order. A program still
+    short of GAP_TOL after MAX_ITER iterations gives its "budget"
+    certificate (maximize_F raises with it); any other exception of a
+    program's operation stops the whole stack.
     """
     certs = [None] * len(programs)
     fistas = {}
@@ -306,19 +302,19 @@ def _maximize_stack(programs, max_iter: int = 5000) -> list:
         if not radius > 0:
             raise ValueError("radius must be positive")
         p = _DualProgram.of(triple, sigma2, n, radius)
-        certs[k] = _water_filled_certificate(p, triple, sigma2, n)
+        certs[k] = _water_filled_certificate(p)
         if certs[k] is None:
             fistas[k] = p
     by_size = {}
     for k, p in fistas.items():
         by_size.setdefault(len(p.I), []).append(k)
     for ks in by_size.values():
-        for k, cert in zip(ks, _lockstep([fistas[k] for k in ks], max_iter)):
+        for k, cert in zip(ks, _lockstep([fistas[k] for k in ks])):
             certs[k] = cert
     return certs
 
 
-def _water_filled_certificate(p: _DualProgram, triple, sigma2, n):
+def _water_filled_certificate(p: _DualProgram):
     """The closed-form certificate of the diagonal program ``p`` (see
     maximize_F), or None where it does not apply or misses the tolerance."""
     if not (_is_diagonal(p.Sp) and _is_diagonal(p.Tp)):
@@ -328,14 +324,14 @@ def _water_filled_certificate(p: _DualProgram, triple, sigma2, n):
         return None
     F = np.diag(f)
     gap = float(_grad_gap(p, F)[1])
-    value = eval_lower_objective(triple, F, sigma2, n)
+    value = float(_value(p, F)[0])
     if gap > GAP_TOL * max(1.0, abs(value)):
         return None
     return LowerBoundCertificate(F=F, value=value, iterations=1, gap=gap,
                                  stop_reason="converged")
 
 
-def _lockstep(programs, max_iter: int) -> list:
+def _lockstep(programs) -> list:
     """Run ``_fista`` on every program (all of one size) in lockstep, the
     certificates in order.
 
@@ -349,7 +345,7 @@ def _lockstep(programs, max_iter: int) -> list:
     the stack.
     """
     everyone = _DualProgram.stack(programs) if len(programs) > 1 else None
-    fistas = [_fista(p, max_iter) for p in programs]
+    fistas = [_fista(p) for p in programs]
     certs = [None] * len(fistas)
     asks = {k: next(fista) for k, fista in enumerate(fistas)}
     while asks:
@@ -389,11 +385,11 @@ def _answer(op, stack, programs, Xs):
         return [_answer(op, p, [p], [X])[0] for p, X in zip(programs, Xs)]
 
 
-def _fista(p: _DualProgram, max_iter: int):
+def _fista(p: _DualProgram):
     """FISTA on one program as a generator: it yields each operation it
     needs as (op, matrix), receives op's results (or, thrown in, the
-    LinAlgError op raised), and returns the certificate, "budget" if the
-    iterations ran out."""
+    LinAlgError op raised), and returns the certificate, "budget" if its
+    MAX_ITER iterations ran out."""
     d = len(p.I)
     radius = p.radius
     F = (radius / d) * p.I
@@ -406,7 +402,7 @@ def _fista(p: _DualProgram, max_iter: int):
     gap = math.inf
     gap_at = None  # the iterate gap was measured at
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if gap_at is not F:  # a restart or a stall that kept F keeps its grad
             grad, gap = yield _grad_gap, F
             gap_at = F

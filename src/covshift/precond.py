@@ -223,8 +223,10 @@ def solve_stack(progs) -> list[Preconditioner]:
     (lowerbound._maximize_stack). Each preconditioner and certificate has
     the bits of its own solve_general, whatever the grouping or order of
     the list. Nothing is raised for a gap above tolerance: each result's
-    ``gap`` reports it, and a dual whose budget ran out gives its "budget"
-    certificate as the floor.
+    ``gap`` reports it, and a dual whose budget (lowerbound.MAX_ITER) ran
+    out gives its "budget" certificate as the floor. This is the path for
+    callers that report the gap rather than fail on it: ``solve_stack([prog])``
+    is the preconditioner solve_general(prog) returns or raises with.
     """
     results = [_dual_triple(prog) for prog in progs]  # triples until solved
     duals = [k for k, r in enumerate(results) if not isinstance(r, Preconditioner)]

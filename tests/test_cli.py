@@ -342,6 +342,43 @@ UNRUNNABLE = {
     "duality-string-seed": ("duality", dict(kind="duality", n_grid=[16],
                                             instance=dict(POWER_LAW, seed="abc")),
                             "seed must be an integer, not 'abc'"),
+    # power-law values of the wrong type, refused rather than coerced
+    "duality-fractional-d": ("duality", dict(kind="duality", n_grid=[16],
+                                             instance=dict(POWER_LAW, d=4.7)),
+                             "d must be an integer, not 4.7"),
+    "duality-string-d": ("duality", dict(kind="duality", n_grid=[16],
+                                         instance=dict(POWER_LAW, d="4")),
+                         "d must be an integer, not '4'"),
+    "duality-bool-d": ("duality", dict(kind="duality", n_grid=[16],
+                                       instance=dict(POWER_LAW, d=True)),
+                       "d must be an integer, not True"),
+    "duality-fractional-nu": ("duality", dict(kind="duality", n_grid=[16],
+                                              instance=dict(POWER_LAW, nu=0.5)),
+                              "nu must be an integer, not 0.5"),
+    "emergence-fractional-d0": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32],
+                                                  instance=dict(POWER_LAW, d0=4.5)),
+                                "d0 must be an integer, not 4.5"),
+    "duality-string-a": ("duality", dict(kind="duality", n_grid=[16],
+                                         instance=dict(POWER_LAW, a="2")),
+                         "a must be a real number, not '2'"),
+    "duality-string-sigma2": ("duality", dict(kind="duality", n_grid=[16],
+                                              instance=dict(POWER_LAW, sigma2="1")),
+                              "sigma2 must be a real number, not '1'"),
+    "duality-bool-rho": ("duality", dict(kind="duality", n_grid=[16],
+                                         instance=dict(POWER_LAW, rho=True)),
+                         "rho must be a real number, not True"),
+    "duality-explicit-string-sigma2": (
+        "duality", dict(kind="duality", n_grid=[16],
+                        instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],
+                                  "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
+                                  "w_star": [0, 0], "sigma2": "1"}),
+        "sigma2 must be a real number, not '1'"),
+    "duality-explicit-fractional-d": (
+        "duality", dict(kind="duality", n_grid=[16],
+                        instance={"type": "explicit", "d": 2.0, "S": [[1, 0], [0, 1]],
+                                  "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
+                                  "w_star": [0, 0], "sigma2": 1.0}),
+        "d must be an integer, not 2.0"),
     # precondition checks params as the duality study does
     "precondition-string-tol": ("precondition", dict(kind="duality", n_grid=[16],
                                                      params={"tol": "loose"}),

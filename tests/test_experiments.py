@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import covshift
-from covshift import asgd, experiments, model, precond
+from covshift import asgd, experiments, lowerbound, model
 from covshift.estimators import DEFAULT_BIAS_COEFF
 from covshift.lowerbound import MaxIterationsError, maximize_F
 from covshift.experiments import (
@@ -305,15 +305,13 @@ def test_run_duality_floors_a_program_out_of_budget_with_its_budget_certificate(
     longest = int(np.argmax(iterations))
     budget = iterations[longest] - 1
     assert sorted(iterations)[-2] <= budget  # the others stop within it
-    real = precond._maximize_stack
-    monkeypatch.setattr(precond, "_maximize_stack",
-                        lambda programs: real(programs, max_iter=budget))
+    monkeypatch.setattr(lowerbound, "MAX_ITER", budget)
     rows = run_duality(spec).rows
     inst = resolve_instance(spec)
     row = full[longest]
     with pytest.raises(MaxIterationsError) as raised:
         maximize_F(whiten(inst).ridged(row["epsilon"]), inst.sigma2 / row["n"], 1,
-                   radius=DEFAULT_BIAS_COEFF, max_iter=budget)
+                   radius=DEFAULT_BIAS_COEFF)
     best = raised.value.best
     assert (rows[longest]["lower_value"], rows[longest]["iterations"],
             rows[longest]["dual_gap"], rows[longest]["stop_reason"]) == (

@@ -20,8 +20,14 @@ its one numerical library.
 
 Read parameters: every parameter of every function or lambda in the package
 is read in that function's body, so no argument is accepted and ignored.
+
+Passed defaults: every defaulted parameter of a function in a module's
+``__all__`` is passed, by keyword or by position, by some call of that
+function's name in the package or in the benchmark's non-test modules. A
+default that no caller changes is a knob that does nothing.
 """
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +161,41 @@ def unread_parameters(source: str) -> list[str]:
     return sorted(unread)
 
 
+def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function in a module's ``__all__`` that no call of the function's name
+    in ``callers`` passes, by keyword or by position; a ``**mapping``
+    argument passes every name, and a ``*args`` one every position."""
+    keywords, positions = {}, {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+            spread = any(isinstance(arg, ast.Starred) for arg in node.args)
+            positions[name] = max(positions.get(name, 0),
+                                  math.inf if spread else len(node.args))
+    unpassed = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        public = set(exported(tree))
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in public):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+            defaulted += [(math.inf, arg) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            passed = keywords.get(node.name, set())
+            if None in passed:  # a **mapping
+                continue
+            unpassed += [f"{module}.{node.name}({arg.arg})" for at, arg in defaulted
+                         if arg.arg not in passed and not at < positions.get(node.name, 0)]
+    return sorted(unpassed)
+
+
 def test_gate_flags_an_unused_name():
     src = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(src) == ["pi (line 2)"]
@@ -194,6 +235,27 @@ def test_every_export_has_a_caller_or_a_reason():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert uncalled_exports(modules, callers) == sorted(PUBLIC_API)
+
+
+def test_gate_flags_an_unpassed_default():
+    lib = ("__all__ = ['fit', 'run', 'spread']\n"
+           "def fit(x, steps=10, *, tol=1e-6, seed=0): pass\n"
+           "def run(a, b=1, c=2): pass\n"
+           "def spread(a, b=1, *, c=2): pass\n"
+           "def _hidden(a, spare=0): pass\n"
+           "def solo(a, spare=0): pass\n")
+    app = ("import lib\n"
+           "lib.fit(1, tol=1e-3)\n"
+           "lib.run(1, 2)\n"
+           "lib.spread(*xs, **opts)\n")
+    assert unpassed_defaults({"lib": lib}, [lib, app]) == [
+        "lib.fit(seed)", "lib.fit(steps)", "lib.run(c)"]
+
+
+def test_every_default_is_passed_by_a_caller():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in CALLERS]
+    assert unpassed_defaults(modules, callers) == []
 
 
 def test_gate_flags_an_eigh_call():

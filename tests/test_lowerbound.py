@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from covshift.lowerbound import (
     MaxIterationsError,
     _cos2_quantile,
     _maximize_stack,
-    eval_lower_objective,
     maximize_F,
     prior_from_certificate,
     prior_information_matrix,
@@ -34,6 +34,16 @@ def make_triple(S, T, sigma2=0.25):
     d = S.shape[0]
     inst = ProblemInstance(S=S, T=T, M=np.eye(d), w_star=np.zeros(d), sigma2=sigma2)
     return whiten(inst)
+
+
+def floor_value(triple, F, sigma2, n):
+    """The dual objective at F, in the one form maximize_F evaluates."""
+    return float(lowerbound._value(lowerbound._DualProgram.of(triple, sigma2, n, None), F)[0])
+
+
+def budget(max_iter):
+    """maximize_F's FISTA budget (MAX_ITER) set to max_iter in a with block."""
+    return mock.patch.object(lowerbound, "MAX_ITER", max_iter)
 
 
 def scalar_closed_form(s, t, m, sigma2, n):
@@ -80,7 +90,7 @@ def test_certificate_feasible_and_consistent():
         assert w.sum() <= RADIUS + 1e-9
         assert cert.value > 0
         assert cert.value == pytest.approx(
-            eval_lower_objective(triple, cert.F, 0.25, 32), rel=1e-10
+            floor_value(triple, cert.F, 0.25, 32), rel=1e-10
         )
 
 
@@ -140,8 +150,8 @@ def test_certificate_reports_stalled_with_gap_at_returned_F():
 def test_max_iterations_error_carries_best_iterate():
     rng = np.random.default_rng(4)
     triple = make_triple(rand_pd(rng, 6), rand_pd(rng, 6, 0.7))
-    with pytest.raises(MaxIterationsError) as exc_info:
-        maximize_F(triple, 0.25, 64, max_iter=2)
+    with budget(2), pytest.raises(MaxIterationsError) as exc_info:
+        maximize_F(triple, 0.25, 64)
     err = exc_info.value
     assert err.best is not None and err.gap > 0
     assert (err.best.stop_reason, err.best.gap) == ("budget", err.gap)
@@ -162,7 +172,7 @@ def test_maximizer_dominates_random_feasible_points(seed):
     cert = maximize_F(triple, 0.25, 32)
     G = rng.normal(size=(d, d))
     F = project_psd_nuclear_ball(G @ G.T / d, RADIUS * rng.uniform(0.1, 1.0))
-    val = eval_lower_objective(triple, F, 0.25, 32)
+    val = floor_value(triple, F, 0.25, 32)
     assert val >= 0
     assert val <= cert.value + 1e-9 * max(1.0, cert.value)
 
@@ -187,7 +197,7 @@ def test_lower_objective_matches_the_square_root_form(d):
         B = rng.normal(size=(d, max(1, d // 3)))
         for F in (RADIUS * rand_pd(rng, d) / d, RADIUS * B @ B.T / np.trace(B @ B.T),
                   np.zeros((d, d))):
-            got = eval_lower_objective(triple, F, sigma2, n)
+            got = floor_value(triple, F, sigma2, n)
             ref = square_root_form(triple, F, sigma2, n)
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -234,10 +244,8 @@ def test_diagonal_program_is_solved_in_closed_form(seed):
     # form lies between its value and its value plus its gap, up to rounding
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     rotated = triple_of(sym((Q * lam) @ Q.T), sym((Q * t) @ Q.T))
-    try:
-        ref = maximize_F(rotated, nu, 1, radius=radius, max_iter=500)
-    except MaxIterationsError as err:
-        ref = err.best
+    with budget(500):
+        ref = alone((rotated, nu, 1, radius))
     kappa = 1.0 + lam.max() * radius / nu
     slack = (1e-12 + np.finfo(float).eps * kappa) * max(1.0, ref.value)
     assert cert.value >= ref.value - slack
@@ -260,10 +268,8 @@ def test_fista_iterate_stays_in_the_nuclear_ball():
     exact = maximize_F(triple_of(np.diag(lam), np.diag(t)), nu, 1, radius=radius)
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     rotated = triple_of(sym((Q * lam) @ Q.T), sym((Q * t) @ Q.T))
-    try:
-        ref = maximize_F(rotated, nu, 1, radius=radius, max_iter=500)
-    except MaxIterationsError as err:
-        ref = err.best
+    with budget(500):
+        ref = alone((rotated, nu, 1, radius))
     assert np.trace(ref.F) <= radius * (1 + 1e-13)
     assert ref.value <= exact.value * (1 + 1e-13)
 
@@ -412,10 +418,10 @@ def stack_programs(d=5, seed=21):
             for n in (16, 256) for eps in (1e-4, 1e-6, 1e-8)]
 
 
-def alone(program, **kw):
+def alone(program):
     """maximize_F of one program; the best certificate if the budget ran out."""
     try:
-        return maximize_F(*program, **kw)
+        return maximize_F(*program)
     except MaxIterationsError as err:
         return err.best
 
@@ -487,11 +493,12 @@ def test_a_program_out_of_budget_gives_its_budget_certificate():
     refs = [alone(p) for p in programs]
     iterations = [cert.iterations for cert in refs]
     longest = int(np.argmax(iterations))
-    budget = iterations[longest] - 1
-    assert sorted(iterations)[-2] <= budget
-    with pytest.raises(MaxIterationsError) as raised:
-        maximize_F(*programs[longest], max_iter=budget)
-    certs = _maximize_stack(programs, max_iter=budget)
+    short = iterations[longest] - 1
+    assert sorted(iterations)[-2] <= short
+    with budget(short):
+        with pytest.raises(MaxIterationsError) as raised:
+            maximize_F(*programs[longest])
+        certs = _maximize_stack(programs)
     assert certs[longest].stop_reason == "budget"
     assert_same_certificate(certs[longest], raised.value.best)
     for k, (cert, ref) in enumerate(zip(certs, refs)):

@@ -334,6 +334,9 @@ def test_general_raises_with_the_recovered_best_above_tol():
     F = program_dual(prog).F
     assert np.array_equal(err.best.certificate.F, F)
     assert np.array_equal(err.best.A, recover_A_from_F(triple, F, 0.01))
+    # solve_stack reports that same preconditioner, gap and all, instead of
+    # raising: the path of callers that read the gap
+    assert_same_preconditioner(solve_stack([prog])[0], err.best)
 
 
 def test_recover_A_attains_dual_value():
