@@ -41,7 +41,7 @@ from .asgd import (
 from .estimators import DEFAULT_BIAS_COEFF
 from .lowerbound import MaxIterationsError, maximize_F
 from .model import ProblemInstance, whiten
-from .precond import PrecondProgram, _target_scale, solve_stack
+from .precond import PrecondProgram, solve_stack
 from .riskoracle import semi_stochastic
 
 __all__ = [
@@ -109,15 +109,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in _STUDIES:
             raise ValueError(f"kind must be one of {tuple(_STUDIES)}")
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(int(_value(n, "an n_grid entry", integer=True)) for n in self.n_grid)
+        seeds = int(_value(self.seeds, "seeds", integer=True))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be sorted strictly ascending")
         if not grid or grid[0] < 1:
             raise ValueError("n_grid must be nonempty, with every n >= 1")
-        if self.seeds < 1:
+        if seeds < 1:
             raise ValueError("seeds must be >= 1")
         _check_instance(self.instance)
         object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "seeds", seeds)
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -136,7 +138,7 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         kind=obj["kind"],
         instance=obj["instance"],
         n_grid=tuple(obj["n_grid"]),
-        seeds=int(obj["seeds"]),
+        seeds=obj["seeds"],
         output_path=obj.get("output_path"),
         params=obj.get("params", {}),
     )
@@ -154,17 +156,14 @@ def spec_hash(spec: ExperimentSpec) -> str:
 def _check_study(spec: ExperimentSpec, kind: str):
     """ValueError unless spec is a `kind` spec, the study reads every one of
     its params (so that a row's spec_hash names the spec behind it), each
-    an integer or a real number as the study reads it (a bool is neither),
-    and the study can run its grid and instance."""
+    an integer or a finite real number as the study reads it (_value), and
+    the study can run its grid and instance."""
     study = _STUDIES[kind]
     unread = sorted(set(spec.params) - set(study.reads))
     if spec.kind != kind or unread:
         raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
-    for key in spec.params:
-        try:
-            _number(spec.params, key, None, integer=study.reads[key] is int)
-        except TypeError as err:
-            raise ValueError(f"params {err}") from err
+    for key, value in spec.params.items():
+        _value(value, f"params {key}", integer=study.reads[key] is int)
     if spec.n_grid[0] < study.min_n:
         raise ValueError(f"{kind} needs every n >= {study.min_n}")
     for need in study.needs:
@@ -192,22 +191,28 @@ def _run(kind: str, spec: ExperimentSpec, body):
 
 
 def _number(desc: dict, key: str, default, integer: bool = False):
-    """desc[key] (``default`` when absent); TypeError unless it is an
-    integer (``integer``) or a real number. A bool is neither, nor is a
-    string that spells a number."""
-    value = desc.get(key, default)
+    """desc[key] (``default`` when absent), checked by _value."""
+    return _value(desc.get(key, default), key, integer)
+
+
+def _value(value, name: str, integer: bool = False):
+    """``value``; ValueError unless it is an integer (``integer``) or a
+    finite real number. A bool is neither, nor is a string that spells a
+    number, NaN or an infinity: a spec's numbers are refused, not coerced."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real):
         what = "an integer" if integer else "a real number"
-        raise TypeError(f"{key} must be {what}, not {value!r}")
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+    if not (integer or isinstance(value, int) or math.isfinite(value)):  # ints are finite
+        raise ValueError(f"{name} must be finite, not {value!r}")
     return value
 
 
 def _power_law_spec(desc: dict) -> model.PowerLawSpec:
     """The PowerLawSpec of a {"type": "powerlaw", ...} instance description
     (the type defaults to "powerlaw"); ValueError for any other type, and
-    TypeError unless d, nu and d0 (when set) are integers and a, s and r
-    real numbers (_number)."""
+    unless d, nu and d0 (when set) are integers and a, s and r finite real
+    numbers (_number)."""
     kind = desc.get("type", "powerlaw")
     if kind != "powerlaw":
         raise ValueError(f"not a power-law instance: type {kind!r}")
@@ -223,8 +228,8 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
 
 def _power_law_args(desc: dict) -> dict:
     """make_power_law_instance's arguments for a power-law description;
-    ValueError for a value it would refuse, TypeError for a seed that is
-    not an integer or a rho or sigma2 that is not a real number."""
+    ValueError for a value it would refuse, a seed that is not an integer
+    or a rho or sigma2 that is not a finite real number."""
     spec, seed = _power_law_spec(desc), int(_number(desc, "seed", 0, integer=True))
     rho, w_profile = float(_number(desc, "rho", 1.0)), desc.get("w_profile", "spread")
     model._check_shell(spec, rho, w_profile)
@@ -245,10 +250,11 @@ def _check_instance(desc):
     """ValueError, before any matrix is built, unless ``resolve_instance``
     can build the description and reads all of it: an explicit one has the
     keys it reads, square S, T and M of one size d (the integer "d" it
-    states, if any) and a w_star of length d; any other makes the arguments
-    make_power_law_instance accepts (_power_law_args); each holds only keys
-    of its type (_INSTANCE_KEYS), states no law but the Gaussian design's,
-    and has a real number sigma2 >= 0 (_number)."""
+    states, if any) and a w_star of length d, every entry a finite real
+    number (_value); any other makes the arguments make_power_law_instance
+    accepts (_power_law_args); each holds only keys of its type
+    (_INSTANCE_KEYS), states no law but the Gaussian design's, and has a
+    finite real number sigma2 >= 0 (_number)."""
     if not isinstance(desc, dict):
         raise ValueError("an instance description is a JSON object")
     explicit = desc.get("type") == "explicit"
@@ -265,6 +271,10 @@ def _check_instance(desc):
                 raise ValueError("S, T, M, w_star dimensions disagree")
             if _number(desc, "d", d, integer=True) != d:
                 raise ValueError(f"the instance states d = {desc['d']!r}, its S is {d} x {d}")
+            for key in ("S", "T", "M", "w_star"):
+                rows = [desc[key]] if key == "w_star" else desc[key]
+                for x in (x for row in rows for x in row):
+                    _value(x, f"an entry of {key}")
         else:
             _power_law_args(desc)
         unread = sorted(set(desc) - _INSTANCE_KEYS["explicit" if explicit else "powerlaw"])
@@ -273,7 +283,7 @@ def _check_instance(desc):
         model._check_law(desc)
         if not _number(desc, "sigma2", 1.0) >= 0:
             raise ValueError("sigma2 must be >= 0")
-    except TypeError as err:  # e.g. "d": null, "d": 4.7 or "sigma2": "1"
+    except TypeError as err:  # e.g. "S": null or "w_star": 0
         raise ValueError(f"the instance description has a bad value: {err}") from err
 
 
@@ -354,8 +364,9 @@ class DualityReport:
 def run_duality(spec: ExperimentSpec) -> DualityReport:
     """Certify that the preconditioner objective meets the lower-bound value
     (coefficients 1/pi^2 and sigma2/n) on each n of the grid. For a singular
-    whitened target the program is solved along a decreasing epsilon-ladder
-    of ridges and the values must decrease monotonically toward the limit.
+    whitened target the study ridges the triple itself, T' + eps I along a
+    decreasing epsilon-ladder (the solvers take a program as given), and the
+    values must decrease monotonically toward the limit.
 
     Every (n, epsilon) program is solved in one ``solve_stack`` call, which
     steps all their dual programs in lockstep; each row has the bits of that
@@ -371,11 +382,12 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
 def _duality(spec, inst):
     tol = float(spec.params.get("tol", 1e-4))
     triple = whiten(inst)
-    t_norm, singular = _target_scale(triple.T_prime)
-    ladder = [e * t_norm for e in EPSILON_LADDER] if singular else [0.0]
+    t_eigs = np.linalg.eigvalsh(triple.T_prime)  # singular: min below 1e-10 |T'|
+    t_norm = float(np.abs(t_eigs).max())
+    ladder = [e * t_norm for e in EPSILON_LADDER] if t_eigs.min() < 1e-10 * t_norm else [0.0]
     grid = [(n, eps) for n in spec.n_grid for eps in ladder]
     precs = solve_stack([
-        PrecondProgram(triple, DEFAULT_BIAS_COEFF, inst.sigma2 / n, epsilon_reg=eps)
+        PrecondProgram(triple.ridged(eps), DEFAULT_BIAS_COEFF, inst.sigma2 / n)
         for n, eps in grid
     ])
     rows = []

@@ -78,17 +78,19 @@ class ProblemInstance:
         d = S.shape[0]
         if not (T.shape == (d, d) and M.shape == (d, d) and w.shape == (d,)):
             raise ValueError("S, T, M, w_star dimensions disagree")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not all(np.isfinite(X).all() for X in (S, T, M, w)):
+            raise ValueError("S, T, M and w_star must have finite entries")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be finite and >= 0")
         eig_S, eig_M = eigh(S), eigh(M)
         for name, eigs in (("S", eig_S.eigenvalues), ("M", eig_M.eigenvalues)):
-            if eigs.min() <= 0:
+            if not eigs.min() > 0:
                 raise NotPSD(f"{name} must be positive definite (min eig {eigs.min():.3e})")
         eigs = np.linalg.eigvalsh(T)
-        if eigs.min() < -1e-12 * max(1.0, np.abs(eigs).max()):
+        if not eigs.min() >= -1e-12 * max(1.0, np.abs(eigs).max()):
             raise NotPSD(f"T must be PSD (min eig {eigs.min():.3e})")
         norm2 = float(w @ M @ w)
-        if norm2 > 1 + 1e-9:
+        if not norm2 <= 1 + 1e-9:
             raise ValueError(f"w_star outside the constraint ellipsoid: |w|_M^2 = {norm2}")
         M_sqrt, M_inv_sqrt = _roots(M, eig_M)
         V = eig_S.eigenvectors
@@ -147,7 +149,7 @@ class PowerLawSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.a <= 1:
+        if not self.a > 1:
             raise ValueError("a must be > 1")
         if self.nu not in (0, 1):
             raise ValueError("only nu = 0 (diagonal T) and nu = 1 (rank-one T) are supported")

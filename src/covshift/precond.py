@@ -19,7 +19,8 @@ in whitened coordinates. This module minimizes that bound over A:
   solves diagonal programs in closed form), recovers the primal A from the
   dual optimum through the KKT map, and certifies the duality gap, raising
   when it exceeds the tolerance. The dual certificate is returned with the
-  preconditioner.
+  preconditioner. A singular T' is solved as given; a caller that wants a
+  ridged target passes ``triple.ridged(eps)`` (the duality study's ladder).
 * ``solve_stack`` — solve_general on a list of programs, their duals
   maximized in one lockstep stack; each result has the bits of its own
   solve_general, and a gap above tolerance is reported, not raised.
@@ -56,27 +57,24 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PrecondProgram:
-    """Objective data: whitened triple plus the two bound coefficients.
+    """The program as solved: whitened triple plus the two bound coefficients.
 
     bias_coeff multiplies the operator-norm bias term (1/pi^2 for the
     lower-bound-matching program); noise_coeff multiplies the variance trace
     (sigma2/n, or the inflated finite-sample (2 sigma2 + 6 |S'|)/n of the
-    Gaussian design, whose fourth-moment constant psi is 3).
-    epsilon_reg = None asks the solver to pick a ridge for singular T'.
+    Gaussian design, whose fourth-moment constant psi is 3). A singular T'
+    is not ridged.
     """
 
     triple: SpectralTriple
     bias_coeff: float
     noise_coeff: float
-    epsilon_reg: float | None = None
 
     def __post_init__(self):
         if not self.bias_coeff > 0:
             raise ValueError("bias_coeff must be positive")
         if self.noise_coeff < 0:
             raise ValueError("noise_coeff must be nonnegative")
-        if self.epsilon_reg is not None and self.epsilon_reg < 0:
-            raise ValueError("epsilon_reg must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +160,6 @@ def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarra
     return I - np.linalg.solve(Sp, inner)
 
 
-def _target_scale(T_prime) -> tuple[float, bool]:
-    """(|T'|_op, singular): T' counts as singular when its smallest
-    eigenvalue is below 1e-10 |T'|_op."""
-    t_eigs = np.linalg.eigvalsh(sym(T_prime))
-    t_norm = float(np.max(np.abs(t_eigs)))
-    return t_norm, float(t_eigs.min()) < 1e-10 * t_norm
-
-
 def _preconditioner(prog, A, val, gap, cert) -> Preconditioner:
     """Package A, its ObjectiveValue ``val`` and its certificate."""
     return Preconditioner(
@@ -195,21 +185,15 @@ def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
     and noise_coeff = 0), so callers read the dual value instead of solving
     the dual again. Raises MaxIterationsError (carrying that preconditioner,
     with its certificate, and its gap) if the relative duality gap exceeds
-    ``tol``.
-
-    Singular T' is ridged to T' + eps I with eps = epsilon_reg, defaulting
-    to 1e-8 |T'|_op; the reported objective is for the ridged program.
+    ``tol``. The program is solved as given, a singular T' included.
     """
-    triple_eff = _dual_triple(prog)
-    if isinstance(triple_eff, Preconditioner):
-        return triple_eff
-    try:
-        cert = maximize_F(
-            triple_eff, sigma2=prog.noise_coeff, n=1, radius=prog.bias_coeff
-        )
-    except MaxIterationsError as err:  # keep the best floor we got
-        cert = err.best
-    prec = _from_floor(prog, triple_eff, cert)
+    prec = _degenerate(prog)
+    if prec is None:
+        try:
+            cert = maximize_F(prog.triple, prog.noise_coeff, 1, radius=prog.bias_coeff)
+        except MaxIterationsError as err:  # keep the best floor we got
+            cert = err.best
+        prec = _from_floor(prog, cert)
     if prec.gap > tol:
         raise MaxIterationsError(
             f"duality gap {prec.gap:.3e} above tol {tol:.1e}", best=prec, gap=prec.gap
@@ -228,51 +212,48 @@ def solve_stack(progs) -> list[Preconditioner]:
     callers that report the gap rather than fail on it: ``solve_stack([prog])``
     is the preconditioner solve_general(prog) returns or raises with.
     """
-    results = [_dual_triple(prog) for prog in progs]  # triples until solved
-    duals = [k for k, r in enumerate(results) if not isinstance(r, Preconditioner)]
+    results = [_degenerate(prog) for prog in progs]  # None until solved
+    duals = [k for k, r in enumerate(results) if r is None]
     certs = _maximize_stack(
-        [(results[k], progs[k].noise_coeff, 1, progs[k].bias_coeff) for k in duals]
+        [(progs[k].triple, progs[k].noise_coeff, 1, progs[k].bias_coeff) for k in duals]
     )
     for k, cert in zip(duals, certs):
-        results[k] = _from_floor(progs[k], results[k], cert)
+        results[k] = _from_floor(progs[k], cert)
     return results
 
 
-def _dual_triple(prog: PrecondProgram):
-    """The triple whose dual solve_general maximizes: T' ridged when singular
-    (see solve_general); or, for a degenerate program (T' = 0, or no noise),
-    its finished Preconditioner: A = 0 or I meets the zero floor."""
+def _degenerate(prog: PrecondProgram) -> Preconditioner | None:
+    """The finished Preconditioner of a degenerate program, T' = 0 or no
+    noise, where A = 0 or I meets the zero floor; None for any other."""
     triple = prog.triple
     d = triple.d
-    t_norm, singular = _target_scale(triple.T_prime)
-    if t_norm == 0.0 or prog.noise_coeff == 0.0:
-        A = np.zeros((d, d)) if t_norm == 0.0 else np.eye(d)
-        val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
-        return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
-    eps = prog.epsilon_reg
-    if eps is None:
-        eps = 1e-8 * t_norm if singular else 0.0
-    return triple.ridged(eps)
+    zero_target = not triple.T_prime.any()
+    if not (zero_target or prog.noise_coeff == 0.0):
+        return None
+    A = np.zeros((d, d)) if zero_target else np.eye(d)
+    val = eval_upper_objective(triple, A, prog.noise_coeff, prog.bias_coeff)
+    return _preconditioner(prog, A, val, 0.0, LowerBoundCertificate.zero_floor(d))
 
 
-def _from_floor(prog: PrecondProgram, triple_eff, cert) -> Preconditioner:
+def _from_floor(prog: PrecondProgram, cert) -> Preconditioner:
     """The preconditioner of ``prog`` recovered from its dual certificate
-    ``cert`` on the (ridged) ``triple_eff``, with its relative duality gap."""
-    d = triple_eff.d
-    T_eff = triple_eff.T_prime
-    Sp = triple_eff.S_prime
+    ``cert``, with its relative duality gap."""
+    triple = prog.triple
+    d = triple.d
+    T_prime = triple.T_prime
+    Sp = triple.S_prime
     _require_pd(Sp)  # S' is fixed for the whole solve: check it once
 
     # -------- primal candidates --------
-    candidates = [recover_A_from_F(triple_eff, cert.F, prog.noise_coeff)]
-    comm = np.linalg.norm(Sp @ T_eff - T_eff @ Sp)
-    scale = np.linalg.norm(Sp) * np.linalg.norm(T_eff)
+    candidates = [recover_A_from_F(triple, cert.F, prog.noise_coeff)]
+    comm = np.linalg.norm(Sp @ T_prime - T_prime @ Sp)
+    scale = np.linalg.norm(Sp) * np.linalg.norm(T_prime)
     if comm <= 1e-10 * max(scale, 1.0):
         # simultaneously diagonalizable: rotate to S' eigenbasis, already
         # whitened there (m = 1), and reuse the exact water-filling solution
         dec = eigh(Sp)
         U, lam_w = dec.eigenvectors, dec.eigenvalues
-        t_diag = np.maximum(np.einsum("ij,jk,ki->i", U.T, T_eff, U), 0.0)
+        t_diag = np.maximum(np.einsum("ij,jk,ki->i", U.T, T_prime, U), 0.0)
         diag = solve_diagonal(
             lam_w, np.ones(d), t_diag, prog.bias_coeff, prog.noise_coeff
         )
@@ -280,7 +261,7 @@ def _from_floor(prog: PrecondProgram, triple_eff, cert) -> Preconditioner:
 
     # each candidate scored once; ties go to the smaller norm, then list order
     val, A = min(
-        ((_upper_objective(triple_eff, C, prog.noise_coeff, prog.bias_coeff), C)
+        ((_upper_objective(triple, C, prog.noise_coeff, prog.bias_coeff), C)
          for C in candidates),
         key=lambda item: (item[0].objective, float(np.linalg.norm(item[1]))),
     )

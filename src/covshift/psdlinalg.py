@@ -79,8 +79,8 @@ def eigh(X) -> EigenDecomposition:
     # squared Frobenius norms: residual <= 1e-9 max(1, |Xs|) in each slice
     resid2 = _frobenius2((U * w[..., None, :]) @ _T(U) - Xs)
     tol2 = 1e-18 * np.maximum(1.0, _frobenius2(Xs))
-    if (resid2 > tol2).any():
-        k = np.unravel_index(np.argmax(resid2 > tol2), resid2.shape)
+    if not (resid2 <= tol2).all():  # a NaN residual misses too
+        k = np.unravel_index(np.argmin(resid2 <= tol2), resid2.shape)
         raise EigenSolverError(
             f"eigendecomposition residual {np.sqrt(resid2[k]):.3e} exceeds "
             f"tolerance {np.sqrt(tol2[k]):.3e}"

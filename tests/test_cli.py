@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,7 +16,8 @@ from covshift.experiments import (
     spec_hash,
     spec_to_json,
 )
-from covshift.model import PowerLawSpec, instance_to_json, make_power_law_instance
+from covshift.estimators import default_noise_coeff, eval_upper_objective
+from covshift.model import PowerLawSpec, instance_to_json, make_power_law_instance, whiten
 
 
 def write_spec(path, **kw):
@@ -85,6 +87,26 @@ def test_precondition_writes_json(tmp_path):
     ]
     assert len(doc["A"]) == 3
     assert doc["n"] == 16  # the first n of the spec's grid, which was solved
+
+
+def test_precondition_solves_a_singular_target_as_given(tmp_path):
+    # the rank-one nu = 1 target: no ridge, so the reported objective is the
+    # given program's at the written A
+    instance = {"type": "powerlaw", "d": 8, "a": 2.0, "nu": 1, "sigma2": 0.5}
+    spec = write_spec(tmp_path / "rank_one.json", kind="duality", instance=instance,
+                      n_grid=[64], seeds=1)
+    out = tmp_path / "A.json"
+    res = CliRunner().invoke(main, ["precondition", "--spec", spec, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    inst = make_power_law_instance(PowerLawSpec(d=8, a=2.0, s=1.0, r=0.0, nu=1), seed=0,
+                                   sigma2=0.5)
+    triple = whiten(inst)
+    assert np.linalg.matrix_rank(triple.T_prime) == 1
+    assert doc["noise_coeff"] == default_noise_coeff(inst, 64)
+    ref = eval_upper_objective(triple, np.array(doc["A"]), doc["noise_coeff"],
+                               doc["bias_coeff"])
+    assert doc["objective"] == ref.objective and doc["gap"] <= 1e-6
 
 
 def test_asgd_overrides_and_bound(tmp_path):
@@ -263,6 +285,13 @@ def test_spec_file_that_is_not_a_json_object_is_a_usage_error(tmp_path, text):
     assert f"spec {path}: " in res.output and res.exc_info[0] is SystemExit
 
 
+def explicit(**entries):
+    """A 2 x 2 explicit instance description with ``entries`` replaced."""
+    eye = [[1, 0], [0, 1]]
+    return dict({"type": "explicit", "S": eye, "T": eye, "M": eye, "w_star": [0, 0],
+                 "sigma2": 1.0}, **entries)
+
+
 UNRUNNABLE = {
     "sweep-3-point-grid": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 128]),
                            "rate sweep needs an n-grid spanning >= 3 octaves"),
@@ -328,7 +357,7 @@ UNRUNNABLE = {
         "S, T, M, w_star dimensions disagree"),
     "duality-d-null": ("duality", dict(kind="duality", n_grid=[16],
                                        instance=dict(POWER_LAW, d=None)),
-                       "the instance description has a bad value"),
+                       "d must be an integer, not None"),
     # power-law values make_power_law_instance would refuse
     "duality-rho-2": ("duality", dict(kind="duality", n_grid=[16],
                                       instance=dict(POWER_LAW, rho=2)),
@@ -379,6 +408,43 @@ UNRUNNABLE = {
                                   "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
                                   "w_star": [0, 0], "sigma2": 1.0}),
         "d must be an integer, not 2.0"),
+    # matrix entries, grid entries, seed counts and numbers that are not
+    # finite reals or integers, refused rather than coerced
+    "duality-explicit-string-entry": (
+        "duality", dict(kind="duality", n_grid=[16], instance=explicit(S=[["1", 0], [0, 1]])),
+        "an entry of S must be a real number, not '1'"),
+    "duality-explicit-bool-entry": (
+        "duality", dict(kind="duality", n_grid=[16], instance=explicit(T=[[1, 0], [0, True]])),
+        "an entry of T must be a real number, not True"),
+    "duality-explicit-nan-entry": (
+        "duality", dict(kind="duality", n_grid=[16],
+                        instance=explicit(M=[[1, 0], [0, float("nan")]])),
+        "an entry of M must be finite, not nan"),
+    "duality-explicit-string-w-star": (
+        "duality", dict(kind="duality", n_grid=[16], instance=explicit(w_star=[0, "0"])),
+        "an entry of w_star must be a real number, not '0'"),
+    "duality-explicit-infinite-sigma2": (
+        "duality", dict(kind="duality", n_grid=[16], instance=explicit(sigma2=float("inf"))),
+        "sigma2 must be finite, not inf"),
+    "duality-fractional-n": ("duality", dict(kind="duality", n_grid=[64.7]),
+                             "an n_grid entry must be an integer, not 64.7"),
+    "duality-string-n": ("duality", dict(kind="duality", n_grid=["64"]),
+                         "an n_grid entry must be an integer, not '64'"),
+    "duality-bool-n": ("duality", dict(kind="duality", n_grid=[True]),
+                       "an n_grid entry must be an integer, not True"),
+    "duality-fractional-seeds": ("duality", dict(kind="duality", n_grid=[16], seeds=2.5),
+                                 "seeds must be an integer, not 2.5"),
+    "duality-string-seeds": ("duality", dict(kind="duality", n_grid=[16], seeds="2"),
+                             "seeds must be an integer, not '2'"),
+    "duality-infinite-sigma2": ("duality", dict(kind="duality", n_grid=[16],
+                                                instance=dict(POWER_LAW, sigma2=float("inf"))),
+                                "sigma2 must be finite, not inf"),
+    "duality-nan-a": ("duality", dict(kind="duality", n_grid=[16],
+                                      instance=dict(POWER_LAW, a=float("nan"))),
+                      "a must be finite, not nan"),
+    "duality-infinite-tol": ("duality", dict(kind="duality", n_grid=[16],
+                                             params={"tol": float("inf")}),
+                             "params tol must be finite, not inf"),
     # precondition checks params as the duality study does
     "precondition-string-tol": ("precondition", dict(kind="duality", n_grid=[16],
                                                      params={"tol": "loose"}),

@@ -8,7 +8,7 @@ import pytest
 
 import covshift
 from covshift import asgd, experiments, lowerbound, model
-from covshift.estimators import DEFAULT_BIAS_COEFF
+from covshift.estimators import DEFAULT_BIAS_COEFF, default_noise_coeff, eval_upper_objective
 from covshift.lowerbound import MaxIterationsError, maximize_F
 from covshift.experiments import (
     ExperimentSpec,
@@ -22,7 +22,7 @@ from covshift.experiments import (
     spec_to_json,
 )
 from covshift.model import instance_to_json, make_power_law_instance, PowerLawSpec, whiten
-from covshift.precond import PrecondProgram, solve_general
+from covshift.precond import PrecondProgram, solve_general, solve_stack
 
 
 def powerlaw_desc(**over):
@@ -269,8 +269,9 @@ def record_solve_stack(monkeypatch):
 
 @pytest.mark.parametrize("kind,d", [("rank_deficient", 10), ("dense", 20)])
 def test_run_duality_rows_equal_one_solve_general_per_program(monkeypatch, kind, d):
-    # the (n, epsilon) programs are solved in one lockstep stack; every row
-    # and certificate keeps the bits of that program's own solve_general
+    # the (n, epsilon) programs, each with its triple ridged by the study,
+    # are solved in one lockstep stack; every row and certificate keeps the
+    # bits of that program's own solve_general
     spec = ExperimentSpec(kind="duality", instance=certify_instance(kind, d, seed=3),
                           n_grid=(64, 1024), seeds=1)
     solved = record_solve_stack(monkeypatch)
@@ -279,8 +280,8 @@ def test_run_duality_rows_equal_one_solve_general_per_program(monkeypatch, kind,
     inst = resolve_instance(spec)
     triple = whiten(inst)
     for row, prec in zip(rep.rows, solved):
-        prog = PrecondProgram(triple, DEFAULT_BIAS_COEFF, inst.sigma2 / row["n"],
-                              epsilon_reg=row["epsilon"])
+        prog = PrecondProgram(triple.ridged(row["epsilon"]), DEFAULT_BIAS_COEFF,
+                              inst.sigma2 / row["n"])
         try:
             ref = solve_general(prog, tol=1e-4)
         except MaxIterationsError as err:
@@ -292,6 +293,28 @@ def test_run_duality_rows_equal_one_solve_general_per_program(monkeypatch, kind,
                 row["stop_reason"]) == (cert.value, ref.objective_value, cert.iterations,
                                         cert.gap, cert.stop_reason)
         assert row["relative_gap"] == (ref.objective_value - cert.value) / cert.value
+
+
+def test_solve_stack_solves_singular_targets_as_given():
+    # no ridge: certify's rank-deficient targets (noise sigma2/n and the CLI's
+    # moment coefficient) and the rank-one nu = 1 family, each within a
+    # relative gap of 1e-6, with the objective of the program as given
+    progs = []
+    for seed in range(3):
+        for d in (2, 5, 10, 20):
+            inst = model.instance_from_json(certify_instance("rank_deficient", d, seed))
+            for n in (64, 1024):
+                progs += [PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF, noise)
+                          for noise in (inst.sigma2 / n, default_noise_coeff(inst, n))]
+    for d in (4, 16, 40):
+        inst = make_power_law_instance(PowerLawSpec(d=d, a=2.0, s=1.0, r=0.0, nu=1), seed=0)
+        progs += [PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF, inst.sigma2 / n)
+                  for n in (64, 1024, 2**14)]
+    for prog, prec in zip(progs, solve_stack(progs)):
+        assert np.linalg.matrix_rank(prog.triple.T_prime) < prog.triple.d
+        assert prec.gap <= 1e-6
+        ref = eval_upper_objective(prog.triple, prec.A, prog.noise_coeff, DEFAULT_BIAS_COEFF)
+        assert prec.objective_value == ref.objective
 
 
 def test_run_duality_floors_a_program_out_of_budget_with_its_budget_certificate(monkeypatch):

@@ -21,10 +21,11 @@ its one numerical library.
 Read parameters: every parameter of every function or lambda in the package
 is read in that function's body, so no argument is accepted and ignored.
 
-Passed defaults: every defaulted parameter of a function in a module's
-``__all__`` is passed, by keyword or by position, by some call of that
-function's name in the package or in the benchmark's non-test modules. A
-default that no caller changes is a knob that does nothing.
+Passed defaults: every defaulted parameter of a function, and every
+defaulted field of a dataclass, in a module's ``__all__`` is passed, by
+keyword or by position, by some call of that name in the package or in the
+benchmark's non-test modules. A default that no caller changes is a knob
+that does nothing.
 """
 import ast
 import math
@@ -161,11 +162,46 @@ def unread_parameters(source: str) -> list[str]:
     return sorted(unread)
 
 
+def defaulted_parameters(node) -> list[tuple[float, ast.arg]]:
+    """(position, parameter) of each defaulted parameter of a function
+    definition; keyword-only ones have position inf."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+    return defaulted + [(math.inf, arg) for arg, default
+                        in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def defaulted_fields(node) -> list[tuple[float, ast.arg]]:
+    """(position, field) of each defaulted ``__init__`` field of a dataclass
+    definition: an annotated name with a value, unless the value is a
+    ``field(...)`` call with ``init=False`` or with neither ``default`` nor
+    ``default_factory``. The field comes as an ``ast.arg`` of its name."""
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            value = options.get("default", options.get("default_factory"))
+        fields.append((ast.arg(arg=item.target.id), value is not None))
+    return [(at, arg) for at, (arg, defaulted) in enumerate(fields) if defaulted]
+
+
+def is_dataclass(node) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.function(parameter)`` for each defaulted parameter of a
-    function in a module's ``__all__`` that no call of the function's name
-    in ``callers`` passes, by keyword or by position; a ``**mapping``
-    argument passes every name, and a ``*args`` one every position."""
+    """``module.name(parameter)`` for each defaulted parameter of a function,
+    or defaulted field of a dataclass, in a module's ``__all__`` that no call
+    of that name in ``callers`` passes, by keyword or by position; a
+    ``**mapping`` argument passes every name, and a ``*args`` one every
+    position."""
     keywords, positions = {}, {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -181,13 +217,14 @@ def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
         tree = ast.parse(source)
         public = set(exported(tree))
         for node in tree.body:
-            if not (isinstance(node, ast.FunctionDef) and node.name in public):
+            if getattr(node, "name", None) not in public:
                 continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
-            defaulted += [(math.inf, arg) for arg, default
-                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            if isinstance(node, ast.FunctionDef):
+                defaulted = defaulted_parameters(node)
+            elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                defaulted = defaulted_fields(node)
+            else:
+                continue
             passed = keywords.get(node.name, set())
             if None in passed:  # a **mapping
                 continue
@@ -250,6 +287,30 @@ def test_gate_flags_an_unpassed_default():
            "lib.spread(*xs, **opts)\n")
     assert unpassed_defaults({"lib": lib}, [lib, app]) == [
         "lib.fit(seed)", "lib.fit(steps)", "lib.run(c)"]
+
+
+def test_gate_flags_an_unpassed_field_default():
+    lib = ("from dataclasses import dataclass, field\n"
+           "__all__ = ['Prog', 'Spec', 'Plain']\n"
+           "@dataclass(frozen=True)\n"
+           "class Prog:\n"
+           "    triple: object\n"
+           "    shown: int = field(repr=False)\n"
+           "    coeff: float = 1.0\n"
+           "    ridge: float | None = None\n"
+           "    size: int = field(init=False)\n"
+           "    cache: dict = field(default_factory=dict)\n"
+           "    scale = 3.0\n"
+           "@dataclass\n"
+           "class Spec:\n"
+           "    n: int = 1\n"
+           "class Plain:\n"
+           "    x: int = 0\n")
+    app = ("import lib\n"
+           "lib.Prog(t, 1, 2.0)\n"
+           "lib.Spec(**opts)\n"
+           "lib.Plain()\n")
+    assert unpassed_defaults({"lib": lib}, [lib, app]) == ["lib.Prog(cache)", "lib.Prog(ridge)"]
 
 
 def test_every_default_is_passed_by_a_caller():

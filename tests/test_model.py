@@ -366,6 +366,29 @@ def test_instance_validation():
         )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("S", [[NAN, 0.0], [0.0, 1.0]], "finite entries"),
+    ("T", [[1.0, NAN], [NAN, 1.0]], "finite entries"),
+    ("M", [[1.0, 0.0], [0.0, INF]], "finite entries"),
+    ("w_star", [NAN, 0.0], "finite entries"),
+    ("sigma2", NAN, "sigma2 must be finite and >= 0"),
+    ("sigma2", INF, "sigma2 must be finite and >= 0"),
+], ids=["nan-S", "nan-T", "infinite-M", "nan-w_star", "nan-sigma2", "infinite-sigma2"])
+def test_instance_refuses_nan_and_infinite_values(field, value, message):
+    args = dict(S=np.eye(2), T=np.eye(2), M=np.eye(2), w_star=np.zeros(2), sigma2=1.0)
+    args[field] = np.array(value) if field != "sigma2" else value
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(**args)
+
+
+def test_power_law_spec_refuses_a_nan_exponent():
+    with pytest.raises(ValueError, match="a must be > 1"):
+        PowerLawSpec(d=4, a=NAN, s=1.0, r=0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.floats(1.1, 3.0), st.floats(0.0, 2.0))
 def test_power_law_spectra_monotone(d, a, r):

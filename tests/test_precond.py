@@ -241,11 +241,9 @@ def test_general_degenerate_cases():
     assert_zero_floor(prec.certificate, d)
 
 
-def program_dual(prog, eps=0.0, **kw):
+def program_dual(prog, **kw):
     """The dual solve solve_general runs as its floor, called directly."""
-    return maximize_F(
-        prog.triple.ridged(eps), prog.noise_coeff, 1, radius=prog.bias_coeff, **kw
-    )
+    return maximize_F(prog.triple, prog.noise_coeff, 1, radius=prog.bias_coeff, **kw)
 
 
 @pytest.mark.parametrize("rank", [5, 2], ids=["dense", "singular_T"])
@@ -254,19 +252,20 @@ def test_general_returns_its_dual_certificate(rank):
     d = 5
     G = rng.normal(size=(d, rank))
     triple = make_triple(rand_pd(rng, d), G @ G.T)
+    # a rank-deficient target, ridged here by 1e-8 |T'|: the solver takes
+    # the program as given
+    triple = triple.ridged(1e-8 * spectral_norm(triple.T_prime) if rank < d else 0.0)
     prog = PrecondProgram(triple, bias_coeff=B, noise_coeff=0.02)
     prec = solve_general(prog, tol=1e-5)
-    # a rank-deficient target is ridged by the solver's default 1e-8 |T'|
-    eps = 1e-8 * spectral_norm(triple.T_prime) if rank < d else 0.0
-    cert = program_dual(prog, eps)
+    cert = program_dual(prog)
     assert np.array_equal(prec.certificate.F, cert.F)
     assert prec.certificate.iterations == cert.iterations
     assert prec.certificate.value == cert.value
     assert prec.gap == pytest.approx(
         (prec.objective_value - cert.value) / cert.value, rel=1e-12, abs=1e-15
     )
-    # the recorded terms are the (ridged) program's objective at the returned A
-    ref = eval_upper_objective(triple.ridged(eps), prec.A, 0.02, bias_coeff=B)
+    # the recorded terms are the program's objective at the returned A
+    ref = eval_upper_objective(triple, prec.A, 0.02, bias_coeff=B)
     assert (prec.objective_value, prec.bias_term, prec.variance_term) == (
         ref.objective, ref.bias_term, ref.variance_term
     )
@@ -376,15 +375,16 @@ def assert_same_preconditioner(got, ref):
 def test_solve_stack_is_invariant_to_grouping_and_order():
     # programs never interact in the lockstep stack, so how they are grouped
     # into calls, and in which order, may not change a bit; the list mixes
-    # sizes, a ridge ladder, a commuting and a degenerate program
+    # sizes, a ridge ladder down to the singular target as given, a
+    # commuting and a degenerate program
     rng = np.random.default_rng(12)
     G = rng.normal(size=(6, 3))
     singular = make_triple(rand_pd(rng, 6), G @ G.T)
     dense = make_triple(rand_pd(rng, 4), rand_pd(rng, 4, 0.7))
     lam, U = np.linalg.eigvalsh(rand_pd(rng, 4)), np.linalg.qr(rng.normal(size=(4, 4)))[0]
     commuting = make_triple((U * lam) @ U.T, (U * lam[::-1]) @ U.T)
-    progs = [PrecondProgram(singular, B, 0.02 / k, epsilon_reg=eps)
-             for k in (1, 8) for eps in (1e-4, 1e-7, None)]
+    progs = [PrecondProgram(singular.ridged(eps), B, 0.02 / k)
+             for k in (1, 8) for eps in (1e-4, 1e-7, 0.0)]
     progs += [PrecondProgram(dense, B, 0.01), PrecondProgram(commuting, B, 0.01),
               PrecondProgram(dense, B, 0.0)]
     refs = []

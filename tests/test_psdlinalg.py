@@ -332,3 +332,13 @@ def test_a_failed_reconstruction_in_one_slice_fails_the_stack(monkeypatch):
     X = random_stack(np.random.default_rng(10), 5, 4)
     with pytest.raises(EigenSolverError, match="residual"):
         eigh(X)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+def test_eigh_fails_on_a_nan_entry(stacked):
+    # NaN compares false with everything: the reconstruction check fails it
+    X = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    if stacked:
+        X = np.stack([np.eye(2), X, np.eye(2)])
+    with pytest.raises(EigenSolverError, match="residual nan"):
+        eigh(X)
