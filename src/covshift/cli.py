@@ -19,18 +19,15 @@ from .model import whiten
 from .precond import PrecondProgram, precond_to_json, solve_stack
 
 
-def _load_spec(path, out, kind, n=None, seeds=None,
-               **params) -> experiments.ExperimentSpec:
+def _load_spec(path, out, kind, n=None, seeds=None, **params):
     """The spec at ``path`` with the command-line overrides applied (each
-    of ``params`` that is not None sets that params key); a spec that is
-    malformed, or that a ``kind`` study cannot run, is a usage error
-    (exit 2), not a failed study."""
+    of ``params`` that is not None sets that params key), and its instance.
+    A spec that its tables, its ``kind`` study or building the instance
+    refuses (ValueError) is a usage error (exit 2), not a failed study."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("a spec is a JSON object")
-        if "kind" not in obj:  # bare instance description: wrap it
+        if isinstance(obj, dict) and "kind" not in obj:  # bare instance description
             inst = obj.get("instance", obj)
             obj = {"kind": "duality", "instance": inst, "n_grid": [256], "seeds": 1}
         spec = experiments.spec_from_json(obj)
@@ -39,9 +36,9 @@ def _load_spec(path, out, kind, n=None, seeds=None,
                        n_grid=spec.n_grid if n is None else (n,),
                        seeds=spec.seeds if seeds is None else seeds)
         experiments._check_study(spec, kind)
-    except (KeyError, TypeError, ValueError) as err:
+        return spec, experiments.resolve_instance(spec)
+    except ValueError as err:
         raise click.UsageError(f"spec {path}: {err}") from err
-    return spec
 
 
 def _finish(ok: bool):
@@ -81,7 +78,7 @@ def study_command(*options):
         options_read = [option for key, option in PARAM_OPTIONS.items() if key in reads]
 
         def command(spec_path, out, **overrides):
-            spec = _load_spec(spec_path, out, kind, **overrides)
+            spec, _ = _load_spec(spec_path, out, kind, **overrides)
             rep = getattr(experiments, f"run_{kind}")(spec)
             click.echo("\n".join(lines(rep)))
             _finish(rep.ok)
@@ -136,8 +133,7 @@ def emergence(rep):
 @tol_option
 def precondition(spec_path, out, tol):
     """Write the certified preconditioner of a duality spec's first n as JSON."""
-    spec = _load_spec(spec_path, out, "duality", tol=tol)
-    inst = experiments.resolve_instance(spec)
+    spec, inst = _load_spec(spec_path, out, "duality", tol=tol)
     n = int(spec.n_grid[0])
     prog = PrecondProgram(
         whiten(inst), DEFAULT_BIAS_COEFF, default_noise_coeff(inst, n)
@@ -151,7 +147,7 @@ def precondition(spec_path, out, tol):
         with open(out, "w") as fh:
             json.dump({**precond_to_json(prec), "n": n}, fh, indent=2)
         click.echo(f"wrote {out}")
-    _finish(prec.gap <= spec.params.get("tol", 1e-4))
+    _finish(prec.gap <= experiments._param(spec, "tol"))
 
 
 @main.command()

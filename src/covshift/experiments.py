@@ -13,11 +13,13 @@ determined by (spec, seed policy = seeds 0..n_seeds-1):
                  (most negative discrete second difference of log risk) and
                  plateau/drop assertions.
 
-``_STUDIES`` registers each kind: the params it reads, its CSV title, and
-what a spec must satisfy before any work starts. Every ``run_<kind>(spec)``
-is one call of ``_run``, which checks the spec (ValueError), resolves the
-instance, runs the study's body, ends every row with the spec's hash, and
-writes the CSV: a gnuplot-friendly '#' header, then the rows.
+A spec is checked when it is made, by one walker over declarative tables
+(``_walk``). ``_STUDIES`` registers each kind: the table of params it reads,
+its CSV title, and what a spec must satisfy before any work starts. Every
+``run_<kind>(spec)`` is one call of ``_run``, which checks the spec
+(ValueError), resolves the instance, runs the study's body, ends every row
+with the spec's hash, and writes the CSV: a gnuplot-friendly '#' header,
+then the rows.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ import hashlib
 import json
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +65,109 @@ __all__ = [
     "run_emergence",
 ]
 
+# The tables map each key to (kind, default), ... for a key a description
+# must hold. Rules that need several keys or a built matrix are the model's.
+_WHAT = {int: "an integer >= 0", float: "a finite real number", str: "a string",
+         dict: "a JSON object"}
+
+
+def _refuse(name, what, value):
+    raise ValueError(f"{name} must be {what}, not {reprlib.repr(value)}")
+
+
+def _check(kind, value, name):
+    """ValueError unless ``value`` is of ``kind``: int, float (finite: no
+    larger than the largest float), str, dict, a tuple of the values it may
+    take, [kind] (a nonempty list of kind, whose length it returns; a list
+    of lists is square) or a function that checks it. No bool is any."""
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            _refuse(name, "a nonempty list", value)
+        for i, x in enumerate(value):  # the fast path passes a finite float
+            if kind[0] is not float or type(x) is not float or not math.isfinite(x):
+                if _check(kind[0], x, f"{name}[{i}]") not in (None, len(value)):
+                    _refuse(name, "a square matrix", value)
+        return len(value)
+    if isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral) and value >= 0
+    elif kind is float:
+        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    elif kind in _WHAT:
+        ok = isinstance(value, kind)
+    else:
+        return kind(value, name)
+    if type(value) is bool or not ok:
+        _refuse(name, _WHAT.get(kind) or " or ".join(map(repr, kind)), value)
+
+
+def _count(value, name):
+    if type(value) is bool or not isinstance(value, numbers.Integral) or value < 1:
+        _refuse(name, "an integer >= 1", value)
+
+
+def _grid(value, name):
+    _check([_count], value, name)
+    if any(b <= a for a, b in zip(value, value[1:])):
+        _refuse(name, "sorted strictly ascending", value)
+
+
+def _walk(table, desc, name):
+    """ValueError, before anything is built, unless description ``desc``
+    (at path ``name``, "" for a spec) is a dict with every key ``table``
+    requires and no other, each value of its kind or null where the
+    default is None."""
+    _check(dict, desc, name or "the spec")
+    unknown = [key for key in desc if key not in table]
+    missing = [key for key, (_, default) in table.items() if default is ... and key not in desc]
+    if unknown or missing:
+        raise ValueError(f"{name or 'the spec'} has keys nothing reads: {unknown}" if unknown
+                         else f"{name or 'the spec'} lacks the keys {missing}")
+    for key, (kind, default) in table.items():
+        if key in desc and not (desc[key] is None and default is None):
+            _check(kind, desc[key], f"{name}.{key}" if name else key)
+
+
+def _read(table, desc):
+    return {key: desc.get(key, default) for key, (_, default) in table.items()}
+
+
+_INSTANCES = {"powerlaw": model.POWER_LAW_KEYS, "explicit": model.EXPLICIT_KEYS}
+
+
+def _instance(desc, name):
+    """Walk the table of its type (power-law if it states none); then S, T,
+    M, w_star and d agree in size, or the PowerLawSpec passes _check_shell."""
+    _check(dict, desc, name)
+    kind = desc.get("type", "powerlaw")
+    _check(tuple(_INSTANCES), kind, f"{name}.type")
+    _walk(_INSTANCES[kind], desc, name)
+    if kind == "explicit":
+        sizes = {key: desc[key] if key == "d" else len(desc[key])
+                 for key in ("d", "S", "T", "M", "w_star") if desc.get(key) is not None}
+        if len(set(sizes.values())) > 1:
+            raise ValueError(f"{name} sizes disagree: {sizes}")
+    else:
+        read = _read(model.POWER_LAW_KEYS, desc)
+        model._check_shell(_power_law_spec(desc), float(read["rho"]), read["w_profile"])
+
+
+def _power_law_spec(desc: dict) -> model.PowerLawSpec:
+    """The PowerLawSpec (a, s, r, nu, d0) of a power-law description;
+    ValueError for any other type."""
+    kind = desc.get("type", "powerlaw")
+    if kind != "powerlaw":
+        raise ValueError(f"not a power-law instance: type {kind!r}")
+    read = _read(model.POWER_LAW_KEYS, desc)
+    return model.PowerLawSpec(
+        d=int(read["d"]), a=float(read["a"]), s=float(read["s"]), r=float(read["r"]),
+        nu=int(read["nu"]), d0=None if read["d0"] is None else int(read["d0"]))
+
 
 @dataclass(frozen=True)
 class _Study:
-    reads: dict  # the params keys the study reads, each to int or float (any real)
+    reads: dict  # the table of the params it reads
     title: str  # the first line of its CSV
     min_n: int  # the smallest n of a grid it can run
     needs: tuple = ()  # checks that raise ValueError for a spec it cannot run
@@ -81,23 +184,30 @@ def _plateau(spec):
         raise ValueError("emergence needs a plateau width d0")
 
 
+# None: choose_parameters' kappa_tilde, choose_rate_parameters' stability
+# cap as step_base, and emergence's -1/(a+1) and knee d0^(a+1)
 _STUDIES = {
-    "duality": _Study({"tol": float}, "duality certification", 1),
-    "rate_sweep": _Study({"tol": float, "seed_base": int, "step_base": float},
+    "duality": _Study({"tol": (float, 1e-4)}, "duality certification", 1),
+    "rate_sweep": _Study({"tol": (float, 0.15), "seed_base": (int, 0), "step_base": (float, None)},
                          "rate sweep", 2, (_sweep_grid,)),
-    "emergence": _Study({"seed_base": int, "step_base": float, "step_exponent": float,
-                         "step_n_ref": int}, "emergence curve", 2, (_plateau,)),
-    "bound_check": _Study({"seed_base": int, "kappa_tilde": int}, "risk bound check", 16),
+    "emergence": _Study({"seed_base": (int, 0), "step_base": (float, None),
+                         "step_exponent": (float, None), "step_n_ref": (_count, None)},
+                        "emergence curve", 2, (_plateau,)),
+    "bound_check": _Study({"seed_base": (int, 0), "kappa_tilde": (int, None)},
+                          "risk bound check", 16),
 }
+_SPEC = {"kind": (tuple(_STUDIES), ...), "instance": (_instance, ...),
+         "n_grid": (_grid, ...), "seeds": (_count, ...),
+         "output_path": (str, None), "params": (dict, {})}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: a study kind, an instance description (power-law family
     or explicit matrices; the noise level sigma2 is an instance key), the
-    sample-size grid, and the seed count. Extra numeric knobs ride in
-    params; each study accepts only the keys it reads (_STUDIES).
-    """
+    sample-size grid, the seed count, and the study's params. Making one
+    walks _SPEC, the instance's table and the study's params table, with
+    ValueError for what they do not admit; the dicts are kept as given."""
 
     kind: str
     instance: dict
@@ -107,41 +217,20 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _STUDIES:
-            raise ValueError(f"kind must be one of {tuple(_STUDIES)}")
-        grid = tuple(int(_value(n, "an n_grid entry", integer=True)) for n in self.n_grid)
-        seeds = int(_value(self.seeds, "seeds", integer=True))
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be sorted strictly ascending")
-        if not grid or grid[0] < 1:
-            raise ValueError("n_grid must be nonempty, with every n >= 1")
-        if seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        _check_instance(self.instance)
-        object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "seeds", seeds)
+        _walk(_SPEC, vars(self), "")
+        _walk(_STUDIES[self.kind].reads, self.params, "params")
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "seeds", int(self.seeds))
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "instance": spec.instance,
-        "n_grid": list(spec.n_grid),
-        "seeds": spec.seeds,
-        "output_path": spec.output_path,
-        "params": spec.params,
-    }
+    return {**vars(spec), "n_grid": list(spec.n_grid)}
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
-    return ExperimentSpec(
-        kind=obj["kind"],
-        instance=obj["instance"],
-        n_grid=tuple(obj["n_grid"]),
-        seeds=obj["seeds"],
-        output_path=obj.get("output_path"),
-        params=obj.get("params", {}),
-    )
+    """The spec of a JSON object; ValueError for anything _SPEC refuses."""
+    _walk({**_SPEC, "instance": (dict, ...)}, obj, "")  # its keys: no TypeError below
+    return ExperimentSpec(**obj)  # which walks the instance
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
@@ -154,20 +243,22 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def _check_study(spec: ExperimentSpec, kind: str):
-    """ValueError unless spec is a `kind` spec, the study reads every one of
-    its params (so that a row's spec_hash names the spec behind it), each
-    an integer or a finite real number as the study reads it (_value), and
-    the study can run its grid and instance."""
+    """ValueError unless spec is a `kind` spec, whose params the study
+    reads (so a row's spec_hash names the spec behind it), and the study
+    can run its grid and instance."""
     study = _STUDIES[kind]
-    unread = sorted(set(spec.params) - set(study.reads))
-    if spec.kind != kind or unread:
-        raise ValueError(f"a {kind} study got a {spec.kind!r} spec, unread params {unread}")
-    for key, value in spec.params.items():
-        _value(value, f"params {key}", integer=study.reads[key] is int)
+    if spec.kind != kind:
+        raise ValueError(f"a {kind} study got a {spec.kind!r} spec")
     if spec.n_grid[0] < study.min_n:
         raise ValueError(f"{kind} needs every n >= {study.min_n}")
     for need in study.needs:
         need(spec)
+
+
+def _param(spec: ExperimentSpec, key: str, derived=None):
+    """params[key], else the study's default, else (None) ``derived``."""
+    value = spec.params.get(key, _STUDIES[spec.kind].reads[key][1])
+    return derived if value is None else value
 
 
 def _run(kind: str, spec: ExperimentSpec, body):
@@ -190,103 +281,6 @@ def _run(kind: str, spec: ExperimentSpec, body):
     return rep
 
 
-def _number(desc: dict, key: str, default, integer: bool = False):
-    """desc[key] (``default`` when absent), checked by _value."""
-    return _value(desc.get(key, default), key, integer)
-
-
-def _value(value, name: str, integer: bool = False):
-    """``value``; ValueError unless it is an integer (``integer``) or a
-    finite real number. A bool is neither, nor is a string that spells a
-    number, NaN or an infinity: a spec's numbers are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integer else numbers.Real):
-        what = "an integer" if integer else "a real number"
-        raise ValueError(f"{name} must be {what}, not {value!r}")
-    if not (integer or isinstance(value, int) or math.isfinite(value)):  # ints are finite
-        raise ValueError(f"{name} must be finite, not {value!r}")
-    return value
-
-
-def _power_law_spec(desc: dict) -> model.PowerLawSpec:
-    """The PowerLawSpec of a {"type": "powerlaw", ...} instance description
-    (the type defaults to "powerlaw"); ValueError for any other type, and
-    unless d, nu and d0 (when set) are integers and a, s and r finite real
-    numbers (_number)."""
-    kind = desc.get("type", "powerlaw")
-    if kind != "powerlaw":
-        raise ValueError(f"not a power-law instance: type {kind!r}")
-    return model.PowerLawSpec(
-        d=int(_number(desc, "d", None, integer=True)),
-        a=float(_number(desc, "a", None)),
-        s=float(_number(desc, "s", 1.0)),
-        r=float(_number(desc, "r", 0.0)),
-        nu=int(_number(desc, "nu", 0, integer=True)),
-        d0=None if desc.get("d0") is None else int(_number(desc, "d0", None, integer=True)),
-    )
-
-
-def _power_law_args(desc: dict) -> dict:
-    """make_power_law_instance's arguments for a power-law description;
-    ValueError for a value it would refuse, a seed that is not an integer
-    or a rho or sigma2 that is not a finite real number."""
-    spec, seed = _power_law_spec(desc), int(_number(desc, "seed", 0, integer=True))
-    rho, w_profile = float(_number(desc, "rho", 1.0)), desc.get("w_profile", "spread")
-    model._check_shell(spec, rho, w_profile)
-    return dict(spec=spec, seed=seed, rho=rho, sigma2=float(_number(desc, "sigma2", 1.0)),
-                w_profile=w_profile)
-
-
-# the keys an instance description may hold, by type: those resolve_instance
-# reads, and "psi" and "noise", which may state the law (model._check_law)
-_INSTANCE_KEYS = {
-    "explicit": {"type", "d", "S", "T", "M", "w_star", "sigma2", "psi", "noise"},
-    "powerlaw": {"type", "d", "a", "s", "r", "sigma2", "seed", "nu", "d0", "rho",
-                 "w_profile", "psi", "noise"},
-}
-
-
-def _check_instance(desc):
-    """ValueError, before any matrix is built, unless ``resolve_instance``
-    can build the description and reads all of it: an explicit one has the
-    keys it reads, square S, T and M of one size d (the integer "d" it
-    states, if any) and a w_star of length d, every entry a finite real
-    number (_value); any other makes the arguments make_power_law_instance
-    accepts (_power_law_args); each holds only keys of its type
-    (_INSTANCE_KEYS), states no law but the Gaussian design's, and has a
-    finite real number sigma2 >= 0 (_number)."""
-    if not isinstance(desc, dict):
-        raise ValueError("an instance description is a JSON object")
-    explicit = desc.get("type") == "explicit"
-    needs = ("S", "T", "M", "w_star", "sigma2") if explicit else ("d", "a")
-    missing = [key for key in needs if key not in desc]
-    if missing:
-        raise ValueError(f"the instance description lacks the keys {missing}")
-    try:
-        if explicit:  # lengths only: no matrix is built here
-            d = len(desc["S"])
-            square = all(len(desc[key]) == d and all(len(row) == d for row in desc[key])
-                         for key in ("S", "T", "M"))
-            if not square or len(desc["w_star"]) != d:
-                raise ValueError("S, T, M, w_star dimensions disagree")
-            if _number(desc, "d", d, integer=True) != d:
-                raise ValueError(f"the instance states d = {desc['d']!r}, its S is {d} x {d}")
-            for key in ("S", "T", "M", "w_star"):
-                rows = [desc[key]] if key == "w_star" else desc[key]
-                for x in (x for row in rows for x in row):
-                    _value(x, f"an entry of {key}")
-        else:
-            _power_law_args(desc)
-        unread = sorted(set(desc) - _INSTANCE_KEYS["explicit" if explicit else "powerlaw"])
-        if unread:
-            raise ValueError(f"the instance description has keys nothing reads: {unread}")
-        model._check_law(desc)
-        if not _number(desc, "sigma2", 1.0) >= 0:
-            raise ValueError("sigma2 must be >= 0")
-    except TypeError as err:  # e.g. "S": null or "w_star": 0
-        raise ValueError(f"the instance description has a bad value: {err}") from err
-
-
 def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
     """Materialize the instance description: {"type": "powerlaw", ...} maps
     to the power-law family (deterministic given its "seed" entry, default
@@ -294,11 +288,14 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
     desc = spec.instance
     if desc.get("type") == "explicit":
         return model.instance_from_json(desc)
-    return model.make_power_law_instance(**_power_law_args(desc))
+    read = _read(model.POWER_LAW_KEYS, desc)
+    return model.make_power_law_instance(
+        _power_law_spec(desc), seed=int(read["seed"]), rho=float(read["rho"]),
+        sigma2=float(read["sigma2"]), w_profile=read["w_profile"])
 
 
 def _seed_range(spec: ExperimentSpec) -> range:
-    base = int(spec.params.get("seed_base", 0))
+    base = int(_param(spec, "seed_base"))
     return range(base, base + spec.seeds)
 
 
@@ -380,7 +377,7 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
 
 
 def _duality(spec, inst):
-    tol = float(spec.params.get("tol", 1e-4))
+    tol = float(_param(spec, "tol"))
     triple = whiten(inst)
     t_eigs = np.linalg.eigvalsh(triple.T_prime)  # singular: min below 1e-10 |T'|
     t_norm = float(np.abs(t_eigs).max())
@@ -440,7 +437,7 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
 
 
 def _bound_check(spec, inst):
-    kappa_tilde = spec.params.get("kappa_tilde")
+    kappa_tilde = _param(spec, "kappa_tilde")
     seeds = _seed_range(spec)
     rows = []
     ok = True
@@ -499,8 +496,8 @@ def _rate_sweep(spec, inst):
     a, s, r = pl.a, pl.s, pl.r
     predicted = -(r + s) * a / (s * a + 1.0)
     log_exp = 3.0 * ((1.0 + r) * a - 1.0) / a
-    tol = float(spec.params.get("tol", 0.15))
-    base = spec.params.get("step_base")
+    tol = float(_param(spec, "tol"))
+    base = _param(spec, "step_base")
     triple = whiten(inst)
     rows = []
     cfgs = [
@@ -599,11 +596,11 @@ def _emergence(spec, inst):
     pl = _power_law_spec(spec.instance)
     a, d0 = pl.a, int(pl.d0)
     n_knee = d0 ** (a + 1.0)
-    base = spec.params.get("step_base")
-    exponent = float(spec.params.get("step_exponent", -1.0 / (a + 1.0)))
+    base = _param(spec, "step_base")
+    exponent = float(_param(spec, "step_exponent", -1.0 / (a + 1.0)))
     # anchor the schedule at the theoretical knee: constant base step while
     # n < n_ref (the plateau has nothing more to resolve), decaying after
-    n_ref = int(spec.params.get("step_n_ref", round(n_knee)))
+    n_ref = int(_param(spec, "step_n_ref", round(n_knee)))
     cfgs = [
         choose_rate_parameters(inst, n, n_ref=n_ref, base=base, exponent=exponent)
         for n in spec.n_grid

@@ -293,6 +293,21 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
 # serialization
 # =====================================================================
 
+# The keys of each instance description type, as (kind, default) for
+# experiments._walk. Either type may state the Gaussian design.
+_LAW = {"psi": ((ProblemInstance.psi,), ProblemInstance.psi), "noise": (("gaussian",), "gaussian")}
+POWER_LAW_KEYS = {
+    "type": (("powerlaw",), "powerlaw"), "d": (int, ...), "a": (float, ...), "s": (float, 1.0),
+    "r": (float, 0.0), "nu": (int, 0), "d0": (int, None), "seed": (int, 0), "rho": (float, 1.0),
+    "sigma2": (float, 1.0), "w_profile": (str, "spread"), **_LAW,
+}
+EXPLICIT_KEYS = {
+    "type": (("explicit",), ...), "d": (int, None), "S": ([[float]], ...),
+    "T": ([[float]], ...), "M": ([[float]], ...), "w_star": ([float], ...),
+    "sigma2": (float, ...), **_LAW,
+}
+
+
 def instance_to_json(inst: ProblemInstance) -> dict:
     """The "explicit" instance description that specs and the CLI read."""
     return {
@@ -306,20 +321,11 @@ def instance_to_json(inst: ProblemInstance) -> dict:
     }
 
 
-def _check_law(doc: dict):
-    """ValueError unless the description's "psi" and "noise", where it
-    states them, are those of the Gaussian design the sampler draws."""
-    if doc.get("psi", ProblemInstance.psi) != ProblemInstance.psi:
-        raise ValueError(f"psi is {ProblemInstance.psi} for the Gaussian design, "
-                         f"not {doc['psi']!r}")
-    if doc.get("noise", "gaussian") != "gaussian":
-        raise ValueError(f"noise is 'gaussian', not {doc['noise']!r}")
-
-
 def instance_from_json(doc) -> ProblemInstance:
+    """The instance of an explicit description (a dict or its JSON text); an
+    ``ExperimentSpec`` checks the whole description against EXPLICIT_KEYS."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    _check_law(doc)
     return ProblemInstance(
         S=np.array(doc["S"], dtype=float),
         T=np.array(doc["T"], dtype=float),

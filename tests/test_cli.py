@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from covshift import acceptance, cli, experiments
+from covshift import acceptance, cli, experiments, model
 from covshift.cli import main
 from covshift.experiments import (
     ExperimentSpec,
@@ -303,61 +304,61 @@ UNRUNNABLE = {
     "asgd-n-8": ("asgd", dict(kind="bound_check", n_grid=[8]),
                  "bound_check needs every n >= 16"),
     "duality-n-0": ("duality", dict(kind="duality", n_grid=[0, 16]),
-                    "n_grid must be nonempty, with every n >= 1"),
+                    "n_grid[0] must be an integer >= 1, not 0"),
     # instance descriptions that cannot be built
     "duality-powerlaw-without-a": ("duality", dict(kind="duality", n_grid=[16],
                                                    instance={"type": "powerlaw", "d": 3}),
-                                   "the instance description lacks the keys ['a']"),
+                                   "instance lacks the keys ['a']"),
     "precondition-powerlaw-without-a": ("precondition",
                                         dict(kind="duality", n_grid=[16],
                                              instance={"type": "powerlaw", "d": 3}),
-                                        "the instance description lacks the keys ['a']"),
+                                        "instance lacks the keys ['a']"),
     "asgd-a-below-1": ("asgd", dict(kind="bound_check", n_grid=[16],
                                     instance=dict(POWER_LAW, a=0.5)),
                        "a must be > 1"),
     "duality-unknown-type": ("duality", dict(kind="duality", n_grid=[16],
                                              instance=dict(POWER_LAW, type="powrlaw")),
-                             "not a power-law instance: type 'powrlaw'"),
+                             "instance.type must be 'powerlaw' or 'explicit', not 'powrlaw'"),
     "duality-explicit-without-matrices": (
         "duality", dict(kind="duality", n_grid=[16], instance={"type": "explicit", "d": 2}),
-        "the instance description lacks the keys ['S', 'T', 'M', 'w_star', 'sigma2']"),
+        "instance lacks the keys ['S', 'T', 'M', 'w_star', 'sigma2']"),
     # every key present, a value the instance would refuse
     "duality-unknown-noise": ("duality", dict(kind="duality", n_grid=[16],
                                               instance=dict(POWER_LAW, noise="gauss")),
-                              "noise is 'gaussian', not 'gauss'"),
+                              "instance.noise must be 'gaussian', not 'gauss'"),
     "duality-rademacher-noise": ("duality", dict(kind="duality", n_grid=[16],
                                                  instance=dict(POWER_LAW, noise="rademacher")),
-                                 "noise is 'gaussian', not 'rademacher'"),
+                                 "instance.noise must be 'gaussian', not 'rademacher'"),
     "duality-psi-below-1": ("duality", dict(kind="duality", n_grid=[16],
                                             instance=dict(POWER_LAW, psi=0.5)),
-                            "psi is 3.0 for the Gaussian design, not 0.5"),
+                            "instance.psi must be 3.0, not 0.5"),
     "duality-psi-2": ("duality", dict(kind="duality", n_grid=[16],
                                       instance=dict(POWER_LAW, psi=2)),
-                      "psi is 3.0 for the Gaussian design, not 2"),
+                      "instance.psi must be 3.0, not 2"),
     "duality-misspelled-sigma2": ("duality", dict(kind="duality", n_grid=[16],
                                                   instance=dict(POWER_LAW, sigma=0.25)),
-                                  "the instance description has keys nothing reads: ['sigma']"),
+                                  "instance has keys nothing reads: ['sigma']"),
     "duality-explicit-d-disagrees": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 7, "S": [[1, 0], [0, 1]],
                                   "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
                                   "w_star": [0, 0], "sigma2": 1.0}),
-        "the instance states d = 7, its S is 2 x 2"),
+        "instance sizes disagree: {'d': 7, 'S': 2, 'T': 2, 'M': 2, 'w_star': 2}"),
     # params of a type the study cannot read
     "asgd-fractional-kappa-tilde": ("asgd", dict(kind="bound_check", n_grid=[16],
                                                  params={"kappa_tilde": 2.5}),
-                                    "params kappa_tilde must be an integer, not 2.5"),
+                                    "params.kappa_tilde must be an integer >= 0, not 2.5"),
     "duality-string-tol": ("duality", dict(kind="duality", n_grid=[16], params={"tol": "loose"}),
-                           "params tol must be a real number, not 'loose'"),
+                           "params.tol must be a finite real number, not 'loose'"),
     "duality-explicit-w-star-too-long": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],
                                   "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
                                   "w_star": [0, 0, 0], "sigma2": 1.0}),
-        "S, T, M, w_star dimensions disagree"),
+        "instance sizes disagree: {'d': 2, 'S': 2, 'T': 2, 'M': 2, 'w_star': 3}"),
     "duality-d-null": ("duality", dict(kind="duality", n_grid=[16],
                                        instance=dict(POWER_LAW, d=None)),
-                       "d must be an integer, not None"),
+                       "instance.d must be an integer >= 0, not None"),
     # power-law values make_power_law_instance would refuse
     "duality-rho-2": ("duality", dict(kind="duality", n_grid=[16],
                                       instance=dict(POWER_LAW, rho=2)),
@@ -370,88 +371,88 @@ UNRUNNABLE = {
                                 "w_profile='tail' needs d0"),
     "duality-string-seed": ("duality", dict(kind="duality", n_grid=[16],
                                             instance=dict(POWER_LAW, seed="abc")),
-                            "seed must be an integer, not 'abc'"),
+                            "instance.seed must be an integer >= 0, not 'abc'"),
     # power-law values of the wrong type, refused rather than coerced
     "duality-fractional-d": ("duality", dict(kind="duality", n_grid=[16],
                                              instance=dict(POWER_LAW, d=4.7)),
-                             "d must be an integer, not 4.7"),
+                             "instance.d must be an integer >= 0, not 4.7"),
     "duality-string-d": ("duality", dict(kind="duality", n_grid=[16],
                                          instance=dict(POWER_LAW, d="4")),
-                         "d must be an integer, not '4'"),
+                         "instance.d must be an integer >= 0, not '4'"),
     "duality-bool-d": ("duality", dict(kind="duality", n_grid=[16],
                                        instance=dict(POWER_LAW, d=True)),
-                       "d must be an integer, not True"),
+                       "instance.d must be an integer >= 0, not True"),
     "duality-fractional-nu": ("duality", dict(kind="duality", n_grid=[16],
                                               instance=dict(POWER_LAW, nu=0.5)),
-                              "nu must be an integer, not 0.5"),
+                              "instance.nu must be an integer >= 0, not 0.5"),
     "emergence-fractional-d0": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32],
                                                   instance=dict(POWER_LAW, d0=4.5)),
-                                "d0 must be an integer, not 4.5"),
+                                "instance.d0 must be an integer >= 0, not 4.5"),
     "duality-string-a": ("duality", dict(kind="duality", n_grid=[16],
                                          instance=dict(POWER_LAW, a="2")),
-                         "a must be a real number, not '2'"),
+                         "instance.a must be a finite real number, not '2'"),
     "duality-string-sigma2": ("duality", dict(kind="duality", n_grid=[16],
                                               instance=dict(POWER_LAW, sigma2="1")),
-                              "sigma2 must be a real number, not '1'"),
+                              "instance.sigma2 must be a finite real number, not '1'"),
     "duality-bool-rho": ("duality", dict(kind="duality", n_grid=[16],
                                          instance=dict(POWER_LAW, rho=True)),
-                         "rho must be a real number, not True"),
+                         "instance.rho must be a finite real number, not True"),
     "duality-explicit-string-sigma2": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],
                                   "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
                                   "w_star": [0, 0], "sigma2": "1"}),
-        "sigma2 must be a real number, not '1'"),
+        "instance.sigma2 must be a finite real number, not '1'"),
     "duality-explicit-fractional-d": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 2.0, "S": [[1, 0], [0, 1]],
                                   "T": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]],
                                   "w_star": [0, 0], "sigma2": 1.0}),
-        "d must be an integer, not 2.0"),
+        "instance.d must be an integer >= 0, not 2.0"),
     # matrix entries, grid entries, seed counts and numbers that are not
     # finite reals or integers, refused rather than coerced
     "duality-explicit-string-entry": (
         "duality", dict(kind="duality", n_grid=[16], instance=explicit(S=[["1", 0], [0, 1]])),
-        "an entry of S must be a real number, not '1'"),
+        "instance.S[0][0] must be a finite real number, not '1'"),
     "duality-explicit-bool-entry": (
         "duality", dict(kind="duality", n_grid=[16], instance=explicit(T=[[1, 0], [0, True]])),
-        "an entry of T must be a real number, not True"),
+        "instance.T[1][1] must be a finite real number, not True"),
     "duality-explicit-nan-entry": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance=explicit(M=[[1, 0], [0, float("nan")]])),
-        "an entry of M must be finite, not nan"),
+        "instance.M[1][1] must be a finite real number, not nan"),
     "duality-explicit-string-w-star": (
         "duality", dict(kind="duality", n_grid=[16], instance=explicit(w_star=[0, "0"])),
-        "an entry of w_star must be a real number, not '0'"),
+        "instance.w_star[1] must be a finite real number, not '0'"),
     "duality-explicit-infinite-sigma2": (
         "duality", dict(kind="duality", n_grid=[16], instance=explicit(sigma2=float("inf"))),
-        "sigma2 must be finite, not inf"),
+        "instance.sigma2 must be a finite real number, not inf"),
     "duality-fractional-n": ("duality", dict(kind="duality", n_grid=[64.7]),
-                             "an n_grid entry must be an integer, not 64.7"),
+                             "n_grid[0] must be an integer >= 1, not 64.7"),
     "duality-string-n": ("duality", dict(kind="duality", n_grid=["64"]),
-                         "an n_grid entry must be an integer, not '64'"),
+                         "n_grid[0] must be an integer >= 1, not '64'"),
     "duality-bool-n": ("duality", dict(kind="duality", n_grid=[True]),
-                       "an n_grid entry must be an integer, not True"),
+                       "n_grid[0] must be an integer >= 1, not True"),
     "duality-fractional-seeds": ("duality", dict(kind="duality", n_grid=[16], seeds=2.5),
-                                 "seeds must be an integer, not 2.5"),
+                                 "seeds must be an integer >= 1, not 2.5"),
     "duality-string-seeds": ("duality", dict(kind="duality", n_grid=[16], seeds="2"),
-                             "seeds must be an integer, not '2'"),
+                             "seeds must be an integer >= 1, not '2'"),
     "duality-infinite-sigma2": ("duality", dict(kind="duality", n_grid=[16],
                                                 instance=dict(POWER_LAW, sigma2=float("inf"))),
-                                "sigma2 must be finite, not inf"),
+                                "instance.sigma2 must be a finite real number, not inf"),
     "duality-nan-a": ("duality", dict(kind="duality", n_grid=[16],
                                       instance=dict(POWER_LAW, a=float("nan"))),
-                      "a must be finite, not nan"),
+                      "instance.a must be a finite real number, not nan"),
     "duality-infinite-tol": ("duality", dict(kind="duality", n_grid=[16],
                                              params={"tol": float("inf")}),
-                             "params tol must be finite, not inf"),
+                             "params.tol must be a finite real number, not inf"),
     # precondition checks params as the duality study does
     "precondition-string-tol": ("precondition", dict(kind="duality", n_grid=[16],
                                                      params={"tol": "loose"}),
-                                "params tol must be a real number, not 'loose'"),
+                                "params.tol must be a finite real number, not 'loose'"),
     "precondition-unread-param": ("precondition", dict(kind="duality", n_grid=[16],
                                                        params={"tolerance": 1e-3}),
-                                  "unread params ['tolerance']"),
+                                  "params has keys nothing reads: ['tolerance']"),
 }
 
 
@@ -471,3 +472,111 @@ def test_spec_a_study_cannot_run_is_refused_before_any_work(tmp_path, monkeypatc
     assert message in res.output and res.exc_info[0] is SystemExit
     with pytest.raises(ValueError, match=re.escape(message)):
         getattr(experiments, f"run_{payload['kind']}")(ExperimentSpec(**payload))
+
+
+@pytest.mark.parametrize("instance, message", [
+    (explicit(S=[[1, 0], [0, -1]]), "S must be positive definite"),
+    (explicit(M=[[1, 0], [0, 0]]), "M must be positive definite"),
+    (explicit(T=[[1, 0], [0, -1]]), "T must be PSD"),
+    (explicit(w_star=[2, 0]), "w_star outside the constraint ellipsoid"),
+    (dict(POWER_LAW, seed=-1), "instance.seed must be an integer >= 0, not -1"),
+], ids=["S-not-positive-definite", "M-not-positive-definite", "T-not-psd",
+        "w-star-outside-the-ellipsoid", "negative-power-law-seed"])
+@pytest.mark.parametrize("command", ["duality", "precondition"])
+def test_an_instance_that_cannot_be_built_is_a_usage_error(tmp_path, command, instance, message):
+    # the load step builds the instance, so what only the model refuses
+    # exits 2 like every other spec error, without a traceback
+    spec = write_spec(tmp_path / "s.json", kind="duality", instance=instance, n_grid=[16],
+                      seeds=1)
+    res = CliRunner().invoke(main, [command, "--spec", spec])
+    assert res.exit_code == 2, res.output
+    assert message in res.output and res.exc_info[0] is SystemExit
+
+
+def json_values():
+    """Arbitrary JSON values, with the numbers a float cannot hold."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from([10**400, -10**400, 2**63, -(2**63)]))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                        max_leaves=8)
+
+
+FUZZ_BASES = {  # a valid spec of each instance type, every optional key stated
+    "sweep": dict(kind="rate_sweep", n_grid=[16, 32, 64, 128], seeds=2, output_path=None,
+                  instance=dict(POWER_LAW, d=8, nu=0, d0=2, rho=1.0, w_profile="spread",
+                                psi=3, noise="gaussian"),
+                  params={"tol": 0.15, "seed_base": 0, "step_base": 0.01}),
+    "duality": dict(kind="duality", n_grid=[16], seeds=1,
+                    instance=explicit(d=2, w_star=[0.5, -0.5], psi=3.0, noise="gaussian"),
+                    params={"tol": 1e-4}),
+}
+
+
+def json_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(item, path + (key,))
+
+
+def with_value(base, path, value):
+    """FUZZ_BASES[base] with the value at ``path`` replaced."""
+    spec = json.loads(json.dumps(FUZZ_BASES[base]))
+    if not path:
+        return value
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return spec
+
+
+@st.composite
+def malformed_specs(draw):
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    path = draw(st.sampled_from(list(json_paths(FUZZ_BASES[base]))))
+    return with_value(base, path, draw(json_values()))
+
+
+HUGE = 10**400
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=malformed_specs(), via_cli=st.just(False))
+@example(obj=with_value("sweep", ("kind",), {"a": 1}), via_cli=False)
+@example(obj=with_value("sweep", ("n_grid",), 64), via_cli=False)
+@example(obj=with_value("sweep", ("params",), []), via_cli=False)
+@example(obj=with_value("duality", ("output_path",), 1), via_cli=False)
+@example(obj=with_value("duality", ("instance", "S", 0, 0), HUGE), via_cli=False)
+@example(obj=with_value("sweep", ("instance", "a"), HUGE), via_cli=False)
+@example(obj=with_value("sweep", ("instance", "s"), HUGE), via_cli=False)
+@example(obj=with_value("sweep", ("instance", "r"), -HUGE), via_cli=False)
+@example(obj=with_value("sweep", ("instance", "rho"), HUGE), via_cli=True)
+@example(obj=with_value("sweep", ("instance", "sigma2"), HUGE), via_cli=True)
+@example(obj=with_value("sweep", ("instance", "seed"), -1), via_cli=True)
+@example(obj=with_value("duality", ("instance", "w_star"), [2, 0]), via_cli=True)
+@example(obj=with_value("duality", ("instance", "S"), [[1, 0], [0, -1]]), via_cli=True)
+def test_a_spec_with_one_malformed_value_is_refused_or_built(obj, via_cli):
+    # one path of a valid spec holds an arbitrary JSON value: the checks and
+    # the build either raise ValueError or make the instance (a d above 64
+    # is admitted but not built here: it may ask numpy for terabytes); the
+    # CLI exits 2 on what they refuse
+    try:
+        spec = experiments.spec_from_json(obj)
+        experiments._check_study(spec, spec.kind)
+        assert spec.output_path is None or isinstance(spec.output_path, str)  # not a descriptor
+        if (spec.instance.get("d") or 0) <= 64:
+            assert isinstance(experiments.resolve_instance(spec), model.ProblemInstance)
+        return
+    except ValueError:
+        if not via_cli:
+            return
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("spec.json", "w") as fh:
+            json.dump(obj, fh)
+        command = {"duality": "duality", "rate_sweep": "sweep"}[obj["kind"]]
+        res = runner.invoke(main, [command, "--spec", "spec.json"])
+    assert res.exit_code == 2, res.output
+    assert res.exc_info[0] is SystemExit

@@ -43,6 +43,14 @@ def test_spec_validation():
         ExperimentSpec(kind="duality", instance=powerlaw_desc(), n_grid=(), seeds=2)
     with pytest.raises(ValueError):
         ExperimentSpec(kind="duality", instance=powerlaw_desc(), n_grid=(8,), seeds=0)
+    for path in (1, True, 5):  # open() would take an int for a file descriptor
+        with pytest.raises(ValueError, match="output_path must be a string"):
+            ExperimentSpec(kind="duality", instance=powerlaw_desc(), n_grid=(8,), seeds=1,
+                           output_path=path)
+    obj = spec_to_json(ExperimentSpec(kind="duality", instance=powerlaw_desc(), n_grid=(8,),
+                                      seeds=1))
+    with pytest.raises(ValueError, match=r"the spec has keys nothing reads: \['parmas'\]"):
+        spec_from_json({**obj, "parmas": {"tol": 0.5}})  # not run with the default tol
 
 
 def test_spec_json_round_trip():
@@ -103,7 +111,7 @@ def test_study_runs_only_its_own_kind_with_params_it_reads(monkeypatch, kind):
         with pytest.raises(ValueError, match=f"a {kind} study got a '{other}' spec"):
             run(spec(kind=other))
     for key in set().union(*READS.values(), {"sigma2"}) - set(READS[kind]):
-        with pytest.raises(ValueError, match=f"unread params \\['{key}'\\]"):
+        with pytest.raises(ValueError, match=f"params has keys nothing reads: \\['{key}'\\]"):
             run(spec(**{key: 1}))
 
 

@@ -48,7 +48,7 @@ CALLERS = MODULES + sorted(
 
 PUBLIC_API = {
     "model.instance_to_json": "writes the explicit instance format the CLI reads",
-    "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 6)",
+    "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 17)",
     "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 3",
 }
 

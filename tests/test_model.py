@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from covshift import asgd, riskoracle
 from covshift.estimators import estimate, mc_risk
+from covshift.experiments import ExperimentSpec
 from covshift.model import (
     SAMPLE_TILE,
     PowerLawSpec,
@@ -339,9 +340,9 @@ def test_the_data_law_is_the_gaussian_design_and_not_settable():
     with pytest.raises(TypeError):
         make_power_law_instance(PowerLawSpec(d=3, a=2.0, s=1.0, r=0.0), seed=0,
                                 noise="rademacher")
-    for stated, message in (({"psi": 2.0}, "psi is 3.0"), ({"noise": "rademacher"}, "noise")):
+    for stated, message in (({"psi": 2.0}, "psi must be 3.0"), ({"noise": "rademacher"}, "noise")):
         with pytest.raises(ValueError, match=message):
-            instance_from_json(json.dumps({**doc, **stated}))
+            ExperimentSpec(kind="duality", instance={**doc, **stated}, n_grid=(8,), seeds=1)
     back = instance_from_json(json.dumps({**doc, "psi": 3, "noise": "gaussian"}))
     assert np.array_equal(sample_source(back, 8, 0).y, sample_source(inst, 8, 0).y)
 
