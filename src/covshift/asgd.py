@@ -94,7 +94,7 @@ class ASGDConfig:
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValueError("n must be an integer >= 2")
+            raise ValueError(f"n must be an integer >= 2, not {self.n}")
         if not 0 < self.delta0 <= self.gamma0:
             raise ValueError("need gamma0 >= delta0 > 0")
         if not 0 < self.beta <= 1:
@@ -143,45 +143,45 @@ class Trajectory:
 def choose_parameters(
     inst: ProblemInstance,
     n: int,
-    kappa_tilde: int | None = None,
     require_admissible: bool = True,
 ) -> ASGDConfig:
     """Schedule constants from the source spectrum.
 
-    With lambda the eigenvalues of S and kt = kappa_tilde:
+    With lambda the eigenvalues of S, largest first, and kt = min(10, d - 1)
+    (the distribution's kappa-tilde, fixed here by d):
 
         delta' = 1/(psi tr S),  gamma' = 1/(psi sum_{i>kt} lambda_i)
         beta   = delta'/(4376 psi kt gamma' ln n),  alpha = 1/(1+beta)
         delta0 = delta'/(2188 ln n),     gamma0 = gamma'/(2188 ln n)
 
-    The contraction analysis behind the risk bound additionally demands
+    ValueError for n < 16 or d < 2. The contraction analysis behind the
+    risk bound additionally demands
     n(1-c)/(log2 n * ln n) >= 16 with c = alpha(1-beta), which for these
     beta values is out of reach below n ~ 1e8 on typical spectra; pass
     require_admissible=False to use the schedule anyway (the bound can still
     be evaluated, it is just not certified by the admissibility lemma).
     """
     if n < 16:
-        raise ValueError("need n >= 16")
+        raise ValueError(f"the momentum schedule needs n >= 16, not n = {n}")
     # not inst.eig_S: on dense S its eigenvalues differ from eigvalsh's in the
     # last bits, and delta' and gamma' are sums of them
     lam = np.sort(np.linalg.eigvalsh(inst.S))[::-1]
     d = lam.size
-    if kappa_tilde is None:
-        kappa_tilde = min(10, d - 1)
-    if not 1 <= kappa_tilde < d:
-        raise ValueError("need 1 <= kappa_tilde < d")
+    if d < 2:
+        raise ValueError(f"the momentum schedule needs d >= 2, not d = {d}")
+    kt = min(10, d - 1)
     psi = inst.psi
     ln_n = math.log(n)
     delta_prime = 1.0 / (psi * float(lam.sum()))
-    tail = float(lam[kappa_tilde:].sum())
+    tail = float(lam[kt:].sum())
     if tail <= 0:
-        raise ValueError("source spectrum vanishes beyond kappa_tilde")
+        raise ValueError(f"source spectrum vanishes beyond its {kt} leading eigenvalues")
     gamma_prime = 1.0 / (psi * tail)
     cfg = ASGDConfig(
         n=n,
         delta0=delta_prime / (2188.0 * ln_n),
         gamma0=gamma_prime / (2188.0 * ln_n),
-        beta=delta_prime / (4376.0 * psi * kappa_tilde * gamma_prime * ln_n),
+        beta=delta_prime / (4376.0 * psi * kt * gamma_prime * ln_n),
     )
     if require_admissible and not cfg.admissible:
         raise InfeasibleSchedule(
@@ -209,13 +209,17 @@ def choose_rate_parameters(
     ``exponent`` overrides the n-scaling (e.g. -1/(a+1) for plateau targets).
     The step never exceeds ``base``: for n below n_ref a decaying schedule
     would extrapolate above the stability region, so it saturates there.
+    ValueError where (1+r)a = nu - 1 or (n/n_ref)^exponent overflows.
     """
     if base is None:
         base = 1.0 / (inst.psi * float(np.trace(inst.S)))
-    if exponent is None:
-        b = (1.0 + r) * a
-        exponent = (a - b + nu - 1.0) / (b - nu + 1.0)
-    step = base * min(1.0, (n / n_ref) ** exponent)
+    try:
+        if exponent is None:
+            b = (1.0 + r) * a
+            exponent = (a - b + nu - 1.0) / (b - nu + 1.0)
+        step = base * min(1.0, (n / n_ref) ** exponent)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise ValueError(f"no rate schedule at n = {n}, n_ref = {n_ref}: {err}") from None
     return ASGDConfig(n=n, delta0=step, gamma0=step, beta=1.0)
 
 

@@ -22,8 +22,9 @@ from .precond import PrecondProgram, precond_to_json, solve_stack
 def _load_spec(path, out, kind, n=None, seeds=None, **params):
     """The spec at ``path`` with the command-line overrides applied (each
     of ``params`` that is not None sets that params key), and its instance.
-    A spec that its tables, its ``kind`` study or building the instance
-    refuses (ValueError) is a usage error (exit 2), not a failed study."""
+    A spec that its tables, its ``kind`` study, building the instance or
+    the study's plan refuses (ValueError) is a usage error (exit 2), not a
+    failed study."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -36,7 +37,9 @@ def _load_spec(path, out, kind, n=None, seeds=None, **params):
                        n_grid=spec.n_grid if n is None else (n,),
                        seeds=spec.seeds if seeds is None else seeds)
         experiments._check_study(spec, kind)
-        return spec, experiments.resolve_instance(spec)
+        inst = experiments.resolve_instance(spec)
+        experiments._STUDIES[kind].plan(spec, inst)
+        return spec, inst
     except ValueError as err:
         raise click.UsageError(f"spec {path}: {err}") from err
 

@@ -15,11 +15,11 @@ determined by (spec, seed policy = seeds 0..n_seeds-1):
 
 A spec is checked when it is made, by one walker over declarative tables
 (``_walk``). ``_STUDIES`` registers each kind: the table of params it reads,
-its CSV title, and what a spec must satisfy before any work starts. Every
-``run_<kind>(spec)`` is one call of ``_run``, which checks the spec
-(ValueError), resolves the instance, runs the study's body, ends every row
-with the spec's hash, and writes the CSV: a gnuplot-friendly '#' header,
-then the rows.
+its CSV title, its plan and what a spec must satisfy before any work. Every
+``run_<kind>(spec)`` is one call of ``_run``, which checks the spec,
+resolves the instance, plans (each may raise ValueError), runs the study's
+body, ends every row with the spec's hash, and writes the CSV: a
+gnuplot-friendly '#' header, then the rows.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import math
 import numbers
 import reprlib
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,8 @@ def _check(kind, value, name):
 def _count(value, name):
     if type(value) is bool or not isinstance(value, numbers.Integral) or value < 1:
         _refuse(name, "an integer >= 1", value)
+    if value > sys.float_info.max:  # the studies divide by n and n_ref
+        _refuse(name, "at most the largest float", value)
 
 
 def _grid(value, name):
@@ -167,10 +170,12 @@ def _power_law_spec(desc: dict) -> model.PowerLawSpec:
 
 @dataclass(frozen=True)
 class _Study:
+    """A study kind; its needs and then its plan refuse what it cannot run."""
+
     reads: dict  # the table of the params it reads
     title: str  # the first line of its CSV
-    min_n: int  # the smallest n of a grid it can run
-    needs: tuple = ()  # checks that raise ValueError for a spec it cannot run
+    plan: Callable  # plan(spec, inst): what its body computes with
+    needs: tuple = ()  # checks of the spec before the instance is built
 
 
 def _sweep_grid(spec):
@@ -184,17 +189,52 @@ def _plateau(spec):
         raise ValueError("emergence needs a plateau width d0")
 
 
-# None: choose_parameters' kappa_tilde, choose_rate_parameters' stability
-# cap as step_base, and emergence's -1/(a+1) and knee d0^(a+1)
+EPSILON_LADDER = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+
+
+def _duality_plan(spec, inst):
+    triple = whiten(inst)
+    t_eigs = np.linalg.eigvalsh(triple.T_prime)  # singular: min below 1e-10 |T'|
+    t_norm = float(np.abs(t_eigs).max())
+    ladder = [e * t_norm for e in EPSILON_LADDER] if t_eigs.min() < 1e-10 * t_norm else [0.0]
+    return [(n, eps, PrecondProgram(triple.ridged(eps), DEFAULT_BIAS_COEFF, inst.sigma2 / n))
+            for n in spec.n_grid for eps in ladder]
+
+
+def _bound_plan(spec, inst):
+    return inst, [choose_parameters(inst, n, require_admissible=False) for n in spec.n_grid]
+
+
+def _sweep_plan(spec, inst):
+    pl = _power_law_spec(spec.instance)
+    return inst, [choose_rate_parameters(inst, n, a=pl.a, r=pl.r, nu=pl.nu, n_ref=spec.n_grid[0])
+                  for n in spec.n_grid]
+
+
+def _emergence_plan(spec, inst):
+    """The knee d0^(a+1), and steps that hold while n < n_ref (the plateau
+    has nothing more to resolve) and decay as n^(-1/(a+1)) after."""
+    pl = _power_law_spec(spec.instance)
+    try:
+        n_knee = pl.d0 ** (pl.a + 1.0)
+    except OverflowError:
+        raise ValueError(f"the knee d0^(a+1) = {pl.d0}^{pl.a + 1.0} overflows a float") from None
+    n_ref = int(_param(spec, "step_n_ref", round(n_knee)))
+    base, exponent = _param(spec, "step_base"), -1.0 / (pl.a + 1.0)
+    return inst, n_knee, [choose_rate_parameters(inst, n, n_ref=n_ref, base=base,
+                                                 exponent=exponent) for n in spec.n_grid]
+
+
+# None: choose_rate_parameters' stability cap as step_base, and the knee
+# d0^(a+1), rounded, as step_n_ref
 _STUDIES = {
-    "duality": _Study({"tol": (float, 1e-4)}, "duality certification", 1),
-    "rate_sweep": _Study({"tol": (float, 0.15), "seed_base": (int, 0), "step_base": (float, None)},
-                         "rate sweep", 2, (_sweep_grid,)),
+    "duality": _Study({"tol": (float, 1e-4)}, "duality certification", _duality_plan),
+    "rate_sweep": _Study({"tol": (float, 0.15), "seed_base": (int, 0)}, "rate sweep",
+                         _sweep_plan, (_sweep_grid,)),
     "emergence": _Study({"seed_base": (int, 0), "step_base": (float, None),
-                         "step_exponent": (float, None), "step_n_ref": (_count, None)},
-                        "emergence curve", 2, (_plateau,)),
-    "bound_check": _Study({"seed_base": (int, 0), "kappa_tilde": (int, None)},
-                          "risk bound check", 16),
+                         "step_n_ref": (_count, None)},
+                        "emergence curve", _emergence_plan, (_plateau,)),
+    "bound_check": _Study({"seed_base": (int, 0)}, "risk bound check", _bound_plan),
 }
 _SPEC = {"kind": (tuple(_STUDIES), ...), "instance": (_instance, ...),
          "n_grid": (_grid, ...), "seeds": (_count, ...),
@@ -244,14 +284,11 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def _check_study(spec: ExperimentSpec, kind: str):
     """ValueError unless spec is a `kind` spec, whose params the study
-    reads (so a row's spec_hash names the spec behind it), and the study
-    can run its grid and instance."""
-    study = _STUDIES[kind]
+    reads (so a row's spec_hash names the spec behind it), and it meets the
+    study's needs, checked before the instance is built."""
     if spec.kind != kind:
         raise ValueError(f"a {kind} study got a {spec.kind!r} spec")
-    if spec.n_grid[0] < study.min_n:
-        raise ValueError(f"{kind} needs every n >= {study.min_n}")
-    for need in study.needs:
+    for need in _STUDIES[kind].needs:
         need(spec)
 
 
@@ -262,13 +299,14 @@ def _param(spec: ExperimentSpec, key: str, derived=None):
 
 
 def _run(kind: str, spec: ExperimentSpec, body):
-    """The frame of every study: check the spec, resolve its instance, run
-    ``body(spec, inst)``, end each row of its report with the spec's hash,
+    """The frame of every study: check the spec, resolve its instance and
+    plan (each ValueError before any Monte-Carlo or dual work), run
+    ``body(spec, plan)``, end each row of its report with the spec's hash,
     and write the CSV to ``spec.output_path`` when one is set."""
     _check_study(spec, kind)
-    inst = resolve_instance(spec)
+    plan = _STUDIES[kind].plan(spec, resolve_instance(spec))
     h = spec_hash(spec)
-    rep = body(spec, inst)
+    rep = body(spec, plan)
     for row in rep.rows:
         row["spec_hash"] = h
     if spec.output_path:
@@ -347,9 +385,6 @@ def _fit(n_grid, values, predicted):
 # duality
 # =====================================================================
 
-EPSILON_LADDER = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
-
-
 @dataclass(frozen=True, eq=False)
 class DualityReport:
     rows: list
@@ -376,22 +411,14 @@ def run_duality(spec: ExperimentSpec) -> DualityReport:
     return _run("duality", spec, _duality)
 
 
-def _duality(spec, inst):
+def _duality(spec, plan):
     tol = float(_param(spec, "tol"))
-    triple = whiten(inst)
-    t_eigs = np.linalg.eigvalsh(triple.T_prime)  # singular: min below 1e-10 |T'|
-    t_norm = float(np.abs(t_eigs).max())
-    ladder = [e * t_norm for e in EPSILON_LADDER] if t_eigs.min() < 1e-10 * t_norm else [0.0]
-    grid = [(n, eps) for n in spec.n_grid for eps in ladder]
-    precs = solve_stack([
-        PrecondProgram(triple.ridged(eps), DEFAULT_BIAS_COEFF, inst.sigma2 / n)
-        for n, eps in grid
-    ])
+    precs = solve_stack([prog for _, _, prog in plan])
     rows = []
     worst = 0.0
     ladder_monotone = True
     prev_upper = {}  # the last rung's upper value at each n
-    for (n, eps), prec in zip(grid, precs):
+    for (n, eps, _), prec in zip(plan, precs):
         cert = prec.certificate
         gap = (prec.objective_value - cert.value) / max(cert.value, 1e-300)
         worst = max(worst, abs(gap))
@@ -436,15 +463,12 @@ def run_bound_check(spec: ExperimentSpec) -> BoundCheckReport:
     return _run("bound_check", spec, _bound_check)
 
 
-def _bound_check(spec, inst):
-    kappa_tilde = _param(spec, "kappa_tilde")
+def _bound_check(spec, plan):
+    inst, cfgs = plan
     seeds = _seed_range(spec)
     rows = []
     ok = True
-    for n in spec.n_grid:
-        cfg = choose_parameters(
-            inst, n, kappa_tilde=kappa_tilde, require_admissible=False
-        )
+    for n, cfg in zip(spec.n_grid, cfgs):
         mc = _mc_summary(run_batch(inst, cfg, seeds))
         bound = risk_bound(inst, cfg)
         semi_bias, semi_variance = semi_stochastic(inst, cfg)
@@ -491,21 +515,15 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     return _run("rate_sweep", spec, _rate_sweep)
 
 
-def _rate_sweep(spec, inst):
+def _rate_sweep(spec, plan):
+    inst, cfgs = plan
     pl = _power_law_spec(spec.instance)
     a, s, r = pl.a, pl.s, pl.r
     predicted = -(r + s) * a / (s * a + 1.0)
     log_exp = 3.0 * ((1.0 + r) * a - 1.0) / a
     tol = float(_param(spec, "tol"))
-    base = _param(spec, "step_base")
     triple = whiten(inst)
     rows = []
-    cfgs = [
-        choose_rate_parameters(
-            inst, n, a=a, r=r, nu=pl.nu, n_ref=spec.n_grid[0], base=base
-        )
-        for n in spec.n_grid
-    ]
     risks = run_grid(inst, cfgs, _seed_range(spec))
     for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
         mc = _mc_summary(mc_risks)
@@ -587,24 +605,15 @@ def run_emergence(spec: ExperimentSpec) -> EmergenceReport:
       isotonic-fit residual within 2 stderr).
 
     As in ``run_rate_sweep``, the grid runs in one ``run_grid`` call. Needs
-    a power-law instance with a plateau width d0 (ValueError otherwise).
+    a power-law instance with a plateau width d0 and a knee d0^(a+1) that a
+    float holds (ValueError otherwise).
     """
     return _run("emergence", spec, _emergence)
 
 
-def _emergence(spec, inst):
-    pl = _power_law_spec(spec.instance)
-    a, d0 = pl.a, int(pl.d0)
-    n_knee = d0 ** (a + 1.0)
-    base = _param(spec, "step_base")
-    exponent = float(_param(spec, "step_exponent", -1.0 / (a + 1.0)))
-    # anchor the schedule at the theoretical knee: constant base step while
-    # n < n_ref (the plateau has nothing more to resolve), decaying after
-    n_ref = int(_param(spec, "step_n_ref", round(n_knee)))
-    cfgs = [
-        choose_rate_parameters(inst, n, n_ref=n_ref, base=base, exponent=exponent)
-        for n in spec.n_grid
-    ]
+def _emergence(spec, plan):
+    inst, n_knee, cfgs = plan
+    d0 = _power_law_spec(spec.instance).d0
     risks = run_grid(inst, cfgs, _seed_range(spec))
     rows = [{"n": n, **_mc_summary(mc_risks), "step": cfg.delta0}
             for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks)]

@@ -107,9 +107,9 @@ def test_stage_ladder():
 
 def test_choose_parameters_pinned_values():
     # frozen from an independent flat recomputation of the schedule
-    # constants at d=100, a=2, n=2^10, kappa_tilde=10
+    # constants at d=100, a=2, n=2^10, kappa-tilde min(10, d - 1) = 10
     inst = power_law()
-    cfg = choose_parameters(inst, 2**10, kappa_tilde=10, require_admissible=False)
+    cfg = choose_parameters(inst, 2**10, require_admissible=False)
     assert cfg.delta0 == pytest.approx(1.344288508368828e-05, rel=1e-12)
     assert cfg.gamma0 == pytest.approx(0.00025791937066699873, rel=1e-12)
     assert cfg.beta == pytest.approx(5.72775583692933e-08, rel=1e-12)
@@ -121,7 +121,7 @@ def test_choose_parameters_pinned_values():
 def test_choose_parameters_admissibility_gate():
     inst = power_law()
     with pytest.raises(InfeasibleSchedule) as exc_info:
-        choose_parameters(inst, 2**10, kappa_tilde=10)
+        choose_parameters(inst, 2**10)
     assert exc_info.value.ratio == pytest.approx(1.6923452350336718e-06, rel=1e-9)
 
 
@@ -158,13 +158,29 @@ def test_choose_rate_parameters_is_flat_for_a_rank_one_target():
         assert cfg.delta0 == cfg.gamma0 == base
 
 
+def test_choose_parameters_refuses_one_direction():
+    # kappa-tilde is min(10, d - 1): at d = 1 no direction is left for gamma'
+    inst = make_power_law_instance(PowerLawSpec(d=1, a=2.0, s=1.0, r=0.0), seed=0)
+    with pytest.raises(ValueError, match=r"the momentum schedule needs d >= 2, not d = 1"):
+        choose_parameters(inst, 2**6, require_admissible=False)
+
+
+@pytest.mark.parametrize("r", [-1.5, -1.5 + 1e-12], ids=["zero-denominator", "overflow"])
+def test_choose_rate_parameters_refuses_a_schedule_it_cannot_scale(r):
+    # a = 2, nu = 0: the exponent's denominator (1 + r)a + 1 is 0, then
+    # 2e-12, so (64/16)^(1e12) overflows a float
+    inst = power_law(d=10)
+    with pytest.raises(ValueError, match="no rate schedule at n = 64, n_ref = 16: "):
+        choose_rate_parameters(inst, 64, a=2.0, r=r, nu=0, n_ref=16)
+
+
 # ------------------------------------------------------------- risk bound
 
 
 def test_risk_bound_pinned_values():
     # frozen from the same flat recomputation as the parameter pins
     inst = power_law()
-    cfg = choose_parameters(inst, 2**10, kappa_tilde=10, require_admissible=False)
+    cfg = choose_parameters(inst, 2**10, require_admissible=False)
     rb = risk_bound(inst, cfg)
     assert rb.k_star == 0
     assert (cfg.stage_len, cfg.stages) == (102, 10)
@@ -176,7 +192,7 @@ def test_risk_bound_pinned_values():
 
 def test_risk_bound_is_sum_of_terms():
     inst = power_law(d=30)
-    cfg = choose_parameters(inst, 2**9, kappa_tilde=5, require_admissible=False)
+    cfg = choose_parameters(inst, 2**9, require_admissible=False)
     rb = risk_bound(inst, cfg)
     assert rb.effective_variance == pytest.approx(
         rb.variance_head + rb.variance_tail, rel=1e-12
@@ -188,7 +204,7 @@ def test_risk_bound_is_sum_of_terms():
 
 def test_risk_bound_dominates_population_run():
     inst = power_law(d=30)
-    cfg = choose_parameters(inst, 2**9, kappa_tilde=5, require_admissible=False)
+    cfg = choose_parameters(inst, 2**9, require_admissible=False)
     rb = risk_bound(inst, cfg)
     traj = run(inst, cfg, population=True)
     assert excess_risk(inst, traj.final_w) <= rb.total

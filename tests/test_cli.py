@@ -298,11 +298,6 @@ UNRUNNABLE = {
                            "rate sweep needs an n-grid spanning >= 3 octaves"),
     "emergence-without-d0": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32]),
                              "emergence needs a plateau width d0"),
-    "emergence-n-1": ("emergence", dict(kind="emergence", n_grid=[1, 16, 32],
-                                        instance=dict(POWER_LAW, d0=2)),
-                      "emergence needs every n >= 2"),
-    "asgd-n-8": ("asgd", dict(kind="bound_check", n_grid=[8]),
-                 "bound_check needs every n >= 16"),
     "duality-n-0": ("duality", dict(kind="duality", n_grid=[0, 16]),
                     "n_grid[0] must be an integer >= 1, not 0"),
     # instance descriptions that cannot be built
@@ -347,7 +342,21 @@ UNRUNNABLE = {
     # params of a type the study cannot read
     "asgd-fractional-kappa-tilde": ("asgd", dict(kind="bound_check", n_grid=[16],
                                                  params={"kappa_tilde": 2.5}),
-                                    "params.kappa_tilde must be an integer >= 0, not 2.5"),
+                                    "params has keys nothing reads: ['kappa_tilde']"),
+    # params no study reads any more: kappa-tilde is min(10, d - 1), the
+    # sweep's base step the stability cap, emergence's exponent -1/(a + 1)
+    "asgd-kappa-tilde-50": ("asgd", dict(kind="bound_check", n_grid=[16],
+                                         params={"kappa_tilde": 50}),
+                            "params has keys nothing reads: ['kappa_tilde']"),
+    "sweep-negative-step-base": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 64, 128],
+                                               params={"step_base": -1.0}),
+                                 "params has keys nothing reads: ['step_base']"),
+    "emergence-step-exponent": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32],
+                                                  instance=dict(POWER_LAW, d0=2),
+                                                  params={"step_exponent": -0.5}),
+                                "params has keys nothing reads: ['step_exponent']"),
+    "duality-huge-n": ("duality", dict(kind="duality", n_grid=[10**400]),
+                       "n_grid[0] must be at most the largest float, not 1000"),
     "duality-string-tol": ("duality", dict(kind="duality", n_grid=[16], params={"tol": "loose"}),
                            "params.tol must be a finite real number, not 'loose'"),
     "duality-explicit-w-star-too-long": (
@@ -474,6 +483,49 @@ def test_spec_a_study_cannot_run_is_refused_before_any_work(tmp_path, monkeypatc
         getattr(experiments, f"run_{payload['kind']}")(ExperimentSpec(**payload))
 
 
+UNPLANNABLE = {
+    "asgd-n-8": ("asgd", dict(kind="bound_check", n_grid=[8]),
+                 "the momentum schedule needs n >= 16, not n = 8"),
+    "asgd-d-1": ("asgd", dict(kind="bound_check", n_grid=[16], instance=dict(POWER_LAW, d=1)),
+                 "the momentum schedule needs d >= 2, not d = 1"),
+    "emergence-n-1": ("emergence", dict(kind="emergence", n_grid=[1, 16, 32],
+                                        instance=dict(POWER_LAW, d0=2)),
+                      "n must be an integer >= 2, not 1"),
+    "emergence-knee-overflow": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32],
+                                                  instance=dict(POWER_LAW, d=8, d0=8, a=350)),
+                                "the knee d0^(a+1) = 8^351.0 overflows a float"),
+    "emergence-negative-step-base": ("emergence", dict(kind="emergence", n_grid=[8, 16, 32],
+                                                       instance=dict(POWER_LAW, d0=2),
+                                                       params={"step_base": -1.0}),
+                                     "need gamma0 >= delta0 > 0"),
+    "sweep-n-1": ("sweep", dict(kind="rate_sweep", n_grid=[1, 2, 4, 8]),
+                  "n must be an integer >= 2, not 1"),
+    "sweep-rate-exponent-pole": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 64, 128],
+                                               instance=dict(POWER_LAW, r=-1.5)),
+                                 "no rate schedule at n = 16, n_ref = 16: float division by zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPLANNABLE))
+def test_spec_a_study_cannot_plan_is_refused_before_any_work(tmp_path, monkeypatch, case):
+    # the plan builds every schedule from the spec and the instance, so the
+    # code that owns a schedule rule refuses the spec (ValueError, exit 2)
+    # before any Monte-Carlo or dual work
+    command, payload, message = UNPLANNABLE[case]
+    payload = dict(dict(instance=POWER_LAW, seeds=2), **payload)
+
+    def work(*args):
+        raise AssertionError("the study started")
+
+    for name in ("run_batch", "run_grid", "solve_stack"):
+        monkeypatch.setattr(experiments, name, work)
+    res = CliRunner().invoke(main, [command, "--spec", write_spec(tmp_path / "s.json", **payload)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output and res.exc_info[0] is SystemExit
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(experiments, f"run_{payload['kind']}")(ExperimentSpec(**payload))
+
+
 @pytest.mark.parametrize("instance, message", [
     (explicit(S=[[1, 0], [0, -1]]), "S must be positive definite"),
     (explicit(M=[[1, 0], [0, 0]]), "M must be positive definite"),
@@ -506,7 +558,7 @@ FUZZ_BASES = {  # a valid spec of each instance type, every optional key stated
     "sweep": dict(kind="rate_sweep", n_grid=[16, 32, 64, 128], seeds=2, output_path=None,
                   instance=dict(POWER_LAW, d=8, nu=0, d0=2, rho=1.0, w_profile="spread",
                                 psi=3, noise="gaussian"),
-                  params={"tol": 0.15, "seed_base": 0, "step_base": 0.01}),
+                  params={"tol": 0.15, "seed_base": 0}),
     "duality": dict(kind="duality", n_grid=[16], seeds=1,
                     instance=explicit(d=2, w_star=[0.5, -0.5], psi=3.0, noise="gaussian"),
                     params={"tol": 1e-4}),
@@ -557,17 +609,24 @@ HUGE = 10**400
 @example(obj=with_value("sweep", ("instance", "seed"), -1), via_cli=True)
 @example(obj=with_value("duality", ("instance", "w_star"), [2, 0]), via_cli=True)
 @example(obj=with_value("duality", ("instance", "S"), [[1, 0], [0, -1]]), via_cli=True)
+@example(obj=with_value("duality", ("n_grid", 0), HUGE), via_cli=True)
+@example(obj=with_value("sweep", ("n_grid", 3), HUGE), via_cli=False)
+@example(obj=with_value("sweep", ("instance", "r"), -1.5), via_cli=True)
+@example(obj=with_value("sweep", ("instance", "r"), -1.5 + 1e-12), via_cli=False)
+@example(obj=with_value("sweep", ("n_grid", 0), 1), via_cli=False)
 def test_a_spec_with_one_malformed_value_is_refused_or_built(obj, via_cli):
-    # one path of a valid spec holds an arbitrary JSON value: the checks and
-    # the build either raise ValueError or make the instance (a d above 64
-    # is admitted but not built here: it may ask numpy for terabytes); the
-    # CLI exits 2 on what they refuse
+    # one path of a valid spec holds an arbitrary JSON value: the checks,
+    # the build and the study's plan either raise ValueError or make the
+    # instance and the plan (a d above 64 is admitted but not built here: it
+    # may ask numpy for terabytes); the CLI exits 2 on what they refuse
     try:
         spec = experiments.spec_from_json(obj)
         experiments._check_study(spec, spec.kind)
         assert spec.output_path is None or isinstance(spec.output_path, str)  # not a descriptor
         if (spec.instance.get("d") or 0) <= 64:
-            assert isinstance(experiments.resolve_instance(spec), model.ProblemInstance)
+            inst = experiments.resolve_instance(spec)
+            assert isinstance(inst, model.ProblemInstance)
+            experiments._STUDIES[spec.kind].plan(spec, inst)
         return
     except ValueError:
         if not via_cli:

@@ -26,6 +26,12 @@ defaulted field of a dataclass, in a module's ``__all__`` is passed, by
 keyword or by position, by some call of that name in the package or in the
 benchmark's non-test modules. A default that no caller changes is a knob
 that does nothing.
+
+Set params: the spec-level twin of passed defaults. Every params key a study
+reads (``experiments._STUDIES``) is set by a ``params`` dict literal of a
+spec of that kind (a call or dict with a literal ``kind``; a literal without
+one counts for every kind) in the package or the benchmark, or by a CLI
+option (``cli.PARAM_OPTIONS``).
 """
 import ast
 import math
@@ -36,7 +42,7 @@ from pathlib import Path
 
 import pytest
 
-from covshift import experiments
+from covshift import cli, experiments
 from covshift.experiments import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,6 +239,30 @@ def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     return sorted(unpassed)
 
 
+def unset_params(reads: dict[str, dict], callers: list[str], options) -> list[str]:
+    """``kind.key`` for each key of ``reads[kind]`` that no ``params`` dict
+    literal of a ``kind`` spec in ``callers`` sets and ``options`` lacks. A
+    spec is a call with ``kind=`` and ``params=`` keywords or a dict with
+    "kind" and "params" keys; a kind that is not a string literal sets the
+    key for every kind."""
+    set_by = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                fields = {kw.arg: kw.value for kw in node.keywords}
+            elif isinstance(node, ast.Dict):
+                fields = {getattr(k, "value", None): v for k, v in zip(node.keys, node.values)}
+            else:
+                continue
+            kind, params = fields.get("kind"), fields.get("params")
+            if isinstance(params, ast.Dict):
+                kind = kind.value if isinstance(kind, ast.Constant) else None
+                set_by |= {(kind, key.value) for key in params.keys
+                           if isinstance(key, ast.Constant)}
+    return sorted(f"{kind}.{key}" for kind, table in reads.items() for key in table
+                  if key not in options and not {(kind, key), (None, key)} & set_by)
+
+
 def test_gate_flags_an_unused_name():
     src = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(src) == ["pi (line 2)"]
@@ -317,6 +347,24 @@ def test_every_default_is_passed_by_a_caller():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert unpassed_defaults(modules, callers) == []
+
+
+def test_gate_flags_an_unset_param():
+    reads = {"sweep": {"tol": 0, "base": 0, "seed": 0},
+             "curve": {"base": 0, "ref": 0, "exponent": 0, "seed": 0},
+             "bound": {"kappa": 0, "width": 0}}
+    lib = ("SPEC = Spec(kind='curve', grid=(8,), params={'base': 0.5, 'ref': 64})\n"
+           "DOC = {'kind': 'bound', 'params': {'width': 2}}\n"
+           "spec = replace(spec, params=params)\n")
+    app = "def f(kind):\n    return Spec(kind=kind, params={'tol': 0.1})\n"
+    assert unset_params(reads, [lib, app], {"seed": None}) == [
+        "bound.kappa", "curve.exponent", "sweep.base"]
+
+
+def test_every_study_param_is_set_by_a_spec_or_an_option():
+    reads = {kind: study.reads for kind, study in experiments._STUDIES.items()}
+    callers = [p.read_text() for p in CALLERS]
+    assert unset_params(reads, callers, cli.PARAM_OPTIONS) == []
 
 
 def test_gate_flags_an_eigh_call():
