@@ -195,30 +195,20 @@ def choose_parameters(
 def choose_rate_parameters(
     inst: ProblemInstance,
     n: int,
-    a: float = 2.0,
-    r: float = 0.0,
-    nu: int = 0,
-    n_ref: int = 256,
+    n_ref: int,
+    exponent: float,
     base: float | None = None,
-    exponent: float | None = None,
 ) -> ASGDConfig:
-    """Plain-SGD schedule (gamma = delta, momentum inert) whose base step
-    scales as n^((a-b+nu-1)/(b-nu+1)) with b = (1+r)a — the step-size
-    scaling under which the power-law excess risk follows its minimax-rate
-    power law. Default base is the stability cap 1/(psi tr S) at n = n_ref;
-    ``exponent`` overrides the n-scaling (e.g. -1/(a+1) for plateau targets).
-    The step never exceeds ``base``: for n below n_ref a decaying schedule
-    would extrapolate above the stability region, so it saturates there.
-    ValueError where (1+r)a = nu - 1 or (n/n_ref)^exponent overflows.
-    """
+    """Plain-SGD schedule (gamma = delta, momentum inert) with the step
+    base * min(1, (n/n_ref)^exponent), base by default the stability cap
+    1/(psi tr S): below n_ref a decaying schedule would extrapolate above
+    the stability region, so the step saturates at base. The studies choose
+    the exponent. ValueError where (n/n_ref)^exponent overflows."""
     if base is None:
         base = 1.0 / (inst.psi * float(np.trace(inst.S)))
     try:
-        if exponent is None:
-            b = (1.0 + r) * a
-            exponent = (a - b + nu - 1.0) / (b - nu + 1.0)
         step = base * min(1.0, (n / n_ref) ** exponent)
-    except (ZeroDivisionError, OverflowError) as err:
+    except OverflowError as err:
         raise ValueError(f"no rate schedule at n = {n}, n_ref = {n_ref}: {err}") from None
     return ASGDConfig(n=n, delta0=step, gamma0=step, beta=1.0)
 

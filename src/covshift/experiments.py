@@ -152,8 +152,7 @@ def _instance(desc, name):
         if len(set(sizes.values())) > 1:
             raise ValueError(f"{name} sizes disagree: {sizes}")
     else:
-        read = _read(model.POWER_LAW_KEYS, desc)
-        model._check_shell(_power_law_spec(desc), float(read["rho"]), read["w_profile"])
+        model._check_shell(_power_law_spec(desc), _read(model.POWER_LAW_KEYS, desc)["w_profile"])
 
 
 def _power_law_spec(desc: dict) -> model.PowerLawSpec:
@@ -206,9 +205,27 @@ def _bound_plan(spec, inst):
 
 
 def _sweep_plan(spec, inst):
+    """Steps scaling as n^((a-b+nu-1)/(b-nu+1)), b = (1+r)a, from the grid's
+    first n; the predicted exponent -(r+s)a/(sa+1); e = 3(b-1)/a and each
+    n's deflation factor (ln n)^e. ValueError at a pole of a rate exponent,
+    or where a step or a factor is not a positive finite float."""
     pl = _power_law_spec(spec.instance)
-    return inst, [choose_rate_parameters(inst, n, a=pl.a, r=pl.r, nu=pl.nu, n_ref=spec.n_grid[0])
-                  for n in spec.n_grid]
+    a, s, r, nu = pl.a, pl.s, pl.r, pl.nu
+    b = (1.0 + r) * a
+    if b - nu + 1.0 == 0.0 or s * a + 1.0 == 0.0:
+        raise ValueError(f"a rate exponent has a pole at a = {a}, s = {s}, r = {r}, nu = {nu}")
+    exponent = (a - b + nu - 1.0) / (b - nu + 1.0)
+    predicted = -(r + s) * a / (s * a + 1.0)
+    cfgs = [choose_rate_parameters(inst, n, spec.n_grid[0], exponent) for n in spec.n_grid]
+    log_exp = 3.0 * ((1.0 + r) * a - 1.0) / a
+    try:
+        factors = [math.log(n) ** log_exp for n in spec.n_grid]
+    except OverflowError:
+        factors = [math.inf]
+    if not all(0.0 < f < math.inf for f in factors):
+        raise ValueError(f"a deflation factor (ln n)^{log_exp} on n_grid {list(spec.n_grid)} "
+                         "is not a positive finite float")
+    return inst, cfgs, predicted, log_exp, factors
 
 
 def _emergence_plan(spec, inst):
@@ -328,8 +345,8 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
         return model.instance_from_json(desc)
     read = _read(model.POWER_LAW_KEYS, desc)
     return model.make_power_law_instance(
-        _power_law_spec(desc), seed=int(read["seed"]), rho=float(read["rho"]),
-        sigma2=float(read["sigma2"]), w_profile=read["w_profile"])
+        _power_law_spec(desc), seed=int(read["seed"]), sigma2=float(read["sigma2"]),
+        w_profile=read["w_profile"])
 
 
 def _seed_range(spec: ExperimentSpec) -> range:
@@ -509,23 +526,19 @@ def run_rate_sweep(spec: ExperimentSpec) -> RateSweepReport:
     The certified lower-bound value is fitted on the same grid for scale.
     The whole grid runs in one ``run_grid`` call, on one sample stream per
     seed; each grid point's risks are the bits of its own ``run_batch``.
-    Needs a power-law instance, whose (a, s, r, nu) the prediction reads,
-    and a grid spanning >= 3 octaves (ValueError otherwise).
+    Needs a power-law instance and a grid spanning >= 3 octaves on which
+    ``_sweep_plan`` finds the rate theory finite (ValueError otherwise).
     """
     return _run("rate_sweep", spec, _rate_sweep)
 
 
 def _rate_sweep(spec, plan):
-    inst, cfgs = plan
-    pl = _power_law_spec(spec.instance)
-    a, s, r = pl.a, pl.s, pl.r
-    predicted = -(r + s) * a / (s * a + 1.0)
-    log_exp = 3.0 * ((1.0 + r) * a - 1.0) / a
+    inst, cfgs, predicted, log_exp, factors = plan
     tol = float(_param(spec, "tol"))
     triple = whiten(inst)
     rows = []
     risks = run_grid(inst, cfgs, _seed_range(spec))
-    for n, cfg, mc_risks in zip(spec.n_grid, cfgs, risks):
+    for n, cfg, mc_risks, factor in zip(spec.n_grid, cfgs, risks, factors):
         mc = _mc_summary(mc_risks)
         try:
             lower = maximize_F(triple, inst.sigma2, n).value
@@ -535,7 +548,7 @@ def _rate_sweep(spec, plan):
             {
                 "n": n,
                 **mc,
-                "deflated_mean": mc["mc_mean"] / math.log(n) ** log_exp,
+                "deflated_mean": mc["mc_mean"] / factor,
                 "lower_value": lower,
                 "step": cfg.delta0,
             }

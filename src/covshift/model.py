@@ -172,11 +172,8 @@ class Samples:
 # construction
 # =====================================================================
 
-def _check_shell(spec: PowerLawSpec, rho: float, w_profile: str):
-    """ValueError unless make_power_law_instance can place w* on the shell
-    |w*|_M = rho with this profile."""
-    if not 0 < rho <= 1:
-        raise ValueError("rho must be in (0, 1]")
+def _check_shell(spec: PowerLawSpec, w_profile: str):
+    """ValueError unless make_power_law_instance can use this w* profile."""
     if w_profile not in ("spread", "tail"):
         raise ValueError(f"unknown w_profile {w_profile!r}")
     if w_profile == "tail" and spec.d0 is None:
@@ -186,14 +183,13 @@ def _check_shell(spec: PowerLawSpec, rho: float, w_profile: str):
 def make_power_law_instance(
     spec: PowerLawSpec,
     seed: int,
-    rho: float = 1.0,
     sigma2: float = 1.0,
     w_profile: str = "spread",
 ) -> ProblemInstance:
     """Build the canonical synthetic instance for a power-law spec.
 
     The ground truth is placed deterministically (given seed) on the shell
-    |w*|_M = rho. Profile "spread" uses coordinate magnitudes
+    |w*|_M = 1. Profile "spread" uses coordinate magnitudes
     ~ m_i^{-1/2} i^{-1/2-0.01} with random signs, spreading mass across the
     whole spectrum. Profile "tail" (requires d0) puts mass only on
     coordinates i >= d0 with magnitudes ~ m_i^{-1/2} i^{-1/2}: nothing the
@@ -202,7 +198,7 @@ def make_power_law_instance(
     resolving up to direction k leaves Sum_{i>k} t_ii w_i^2 ~ t_kk k — the
     worst-case profile whose post-plateau decay follows the power-law rate.
     """
-    _check_shell(spec, rho, w_profile)
+    _check_shell(spec, w_profile)
     d, a, s, r = spec.d, spec.a, spec.s, spec.r
     i = np.arange(1, d + 1, dtype=float)
     lam = i ** (-a)
@@ -222,7 +218,7 @@ def make_power_law_instance(
     else:
         mags = m ** -0.5 * i ** (-0.5 - 0.01)
     w = rng.choice([-1.0, 1.0], size=d) * mags
-    w *= rho / np.sqrt(np.sum(m * w * w))
+    w *= 1.0 / np.sqrt(np.sum(m * w * w))  # not /=, which rounds otherwise
     return ProblemInstance(
         S=np.diag(lam), T=T, M=np.diag(m), w_star=w, sigma2=sigma2
     )
@@ -298,7 +294,7 @@ def sample_source(inst: ProblemInstance, n: int, seed) -> Samples:
 _LAW = {"psi": ((ProblemInstance.psi,), ProblemInstance.psi), "noise": (("gaussian",), "gaussian")}
 POWER_LAW_KEYS = {
     "type": (("powerlaw",), "powerlaw"), "d": (int, ...), "a": (float, ...), "s": (float, 1.0),
-    "r": (float, 0.0), "nu": (int, 0), "d0": (int, None), "seed": (int, 0), "rho": (float, 1.0),
+    "r": (float, 0.0), "nu": (int, 0), "d0": (int, None), "seed": (int, 0),
     "sigma2": (float, 1.0), "w_profile": (str, "spread"), **_LAW,
 }
 EXPLICIT_KEYS = {

@@ -368,10 +368,11 @@ UNRUNNABLE = {
     "duality-d-null": ("duality", dict(kind="duality", n_grid=[16],
                                        instance=dict(POWER_LAW, d=None)),
                        "instance.d must be an integer >= 0, not None"),
-    # power-law values make_power_law_instance would refuse
+    # w* is on the boundary |w*|_M = 1: no key scales it
     "duality-rho-2": ("duality", dict(kind="duality", n_grid=[16],
                                       instance=dict(POWER_LAW, rho=2)),
-                      "rho must be in (0, 1]"),
+                      "instance has keys nothing reads: ['rho']"),
+    # power-law values make_power_law_instance would refuse
     "duality-unknown-w-profile": ("duality", dict(kind="duality", n_grid=[16],
                                                   instance=dict(POWER_LAW, w_profile="flat")),
                                   "unknown w_profile 'flat'"),
@@ -403,9 +404,9 @@ UNRUNNABLE = {
     "duality-string-sigma2": ("duality", dict(kind="duality", n_grid=[16],
                                               instance=dict(POWER_LAW, sigma2="1")),
                               "instance.sigma2 must be a finite real number, not '1'"),
-    "duality-bool-rho": ("duality", dict(kind="duality", n_grid=[16],
-                                         instance=dict(POWER_LAW, rho=True)),
-                         "instance.rho must be a finite real number, not True"),
+    "duality-bool-s": ("duality", dict(kind="duality", n_grid=[16],
+                                       instance=dict(POWER_LAW, s=True)),
+                       "instance.s must be a finite real number, not True"),
     "duality-explicit-string-sigma2": (
         "duality", dict(kind="duality", n_grid=[16],
                         instance={"type": "explicit", "d": 2, "S": [[1, 0], [0, 1]],
@@ -500,9 +501,23 @@ UNPLANNABLE = {
                                      "need gamma0 >= delta0 > 0"),
     "sweep-n-1": ("sweep", dict(kind="rate_sweep", n_grid=[1, 2, 4, 8]),
                   "n must be an integer >= 2, not 1"),
+    # the sweep's rate theory: the step exponent's pole (1 + r)a = nu - 1,
+    # the prediction's pole sa = -1, and deflation factors (ln n)^3001.5
+    # that overflow at n = 16 and underflow to 0 at n = 2
     "sweep-rate-exponent-pole": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 64, 128],
                                                instance=dict(POWER_LAW, r=-1.5)),
-                                 "no rate schedule at n = 16, n_ref = 16: float division by zero"),
+                                 "a rate exponent has a pole at a = 2.0, s = 1.0, r = -1.5"),
+    "sweep-predicted-exponent-pole": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 64, 128],
+                                                    instance=dict(POWER_LAW, s=-0.5)),
+                                      "a rate exponent has a pole at a = 2.0, s = -0.5, r = 0.0"),
+    "sweep-deflation-overflow": ("sweep", dict(kind="rate_sweep", n_grid=[16, 32, 64, 128],
+                                               instance=dict(POWER_LAW, r=1000)),
+                                 "a deflation factor (ln n)^3001.5 on n_grid [16, 32, 64, 128] "
+                                 "is not a positive finite float"),
+    "sweep-deflation-underflow": ("sweep", dict(kind="rate_sweep", n_grid=[2, 4, 8, 16],
+                                                instance=dict(POWER_LAW, r=1000)),
+                                  "a deflation factor (ln n)^3001.5 on n_grid [2, 4, 8, 16] "
+                                  "is not a positive finite float"),
 }
 
 
@@ -556,7 +571,7 @@ def json_values():
 
 FUZZ_BASES = {  # a valid spec of each instance type, every optional key stated
     "sweep": dict(kind="rate_sweep", n_grid=[16, 32, 64, 128], seeds=2, output_path=None,
-                  instance=dict(POWER_LAW, d=8, nu=0, d0=2, rho=1.0, w_profile="spread",
+                  instance=dict(POWER_LAW, d=8, nu=0, d0=2, w_profile="spread",
                                 psi=3, noise="gaussian"),
                   params={"tol": 0.15, "seed_base": 0}),
     "duality": dict(kind="duality", n_grid=[16], seeds=1,
@@ -604,7 +619,7 @@ HUGE = 10**400
 @example(obj=with_value("sweep", ("instance", "a"), HUGE), via_cli=False)
 @example(obj=with_value("sweep", ("instance", "s"), HUGE), via_cli=False)
 @example(obj=with_value("sweep", ("instance", "r"), -HUGE), via_cli=False)
-@example(obj=with_value("sweep", ("instance", "rho"), HUGE), via_cli=True)
+@example(obj=with_value("sweep", ("instance", "d0"), HUGE), via_cli=True)
 @example(obj=with_value("sweep", ("instance", "sigma2"), HUGE), via_cli=True)
 @example(obj=with_value("sweep", ("instance", "seed"), -1), via_cli=True)
 @example(obj=with_value("duality", ("instance", "w_star"), [2, 0]), via_cli=True)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -493,6 +494,27 @@ def test_run_rate_sweep_needs_three_octaves():
     )
     with pytest.raises(ValueError):
         run_rate_sweep(spec)
+
+
+@pytest.mark.parametrize("over, exponent, predicted, log_exp", [
+    (dict(nu=1), 0.0, -2.0 / 3.0, 1.5),
+    (dict(s=0.5, r=0.5), -0.5, -1.0, 3.0),
+], ids=["rank-one-target-is-flat", "diagonal-target"])
+def test_sweep_plan_holds_the_rate_theory(over, exponent, predicted, log_exp):
+    # b = (1 + r)a: steps scale as n^((a-b+nu-1)/(b-nu+1)) from the grid's
+    # first n, the prediction is -(r+s)a/(sa+1) and each n's deflation
+    # factor (ln n)^(3(b-1)/a); at a = 2, r = 0 a rank-one target (nu = 1)
+    # keeps the base step at every n
+    spec = ExperimentSpec(kind="rate_sweep", instance=powerlaw_desc(d=20, **over),
+                          n_grid=(2**4, 2**8, 2**12, 2**16), seeds=1)
+    inst = resolve_instance(spec)
+    _, cfgs, plan_predicted, plan_log_exp, factors = experiments._sweep_plan(spec, inst)
+    assert (plan_predicted, plan_log_exp) == (predicted, log_exp)
+    base = 1.0 / (inst.psi * np.trace(inst.S))
+    for n, cfg, factor in zip(spec.n_grid, cfgs, factors):
+        assert cfg.delta0 == cfg.gamma0 == pytest.approx(base * (n / 2**4) ** exponent,
+                                                         rel=1e-12)
+        assert factor == math.log(n) ** log_exp
 
 
 @pytest.mark.parametrize("kind", ["rate_sweep", "emergence"])

@@ -32,6 +32,12 @@ reads (``experiments._STUDIES``) is set by a ``params`` dict literal of a
 spec of that kind (a call or dict with a literal ``kind``; a literal without
 one counts for every kind) in the package or the benchmark, or by a CLI
 option (``cli.PARAM_OPTIONS``).
+
+Set instance keys: the instance-level twin of set params. Every key of an
+instance description table (``model.POWER_LAW_KEYS``, ``EXPLICIT_KEYS``)
+that accepts more than one value is set by an instance literal of that
+type in the package or the benchmark, or is on INSTANCE_KEYS_KEPT with the
+reason it is kept unset.
 """
 import ast
 import math
@@ -56,6 +62,11 @@ PUBLIC_API = {
     "model.instance_to_json": "writes the explicit instance format the CLI reads",
     "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 17)",
     "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 3",
+}
+
+INSTANCE_KEYS_KEPT = {
+    "powerlaw.nu": "the rank-one target family (nu = 1): only tests run it, and ROADMAP "
+                   "items 19 and 23 use it",
 }
 
 
@@ -263,6 +274,25 @@ def unset_params(reads: dict[str, dict], callers: list[str], options) -> list[st
                   if key not in options and not {(kind, key), (None, key)} & set_by)
 
 
+def unset_instance_keys(tables: dict[str, dict], callers: list[str]) -> list[str]:
+    """``type.key`` for each key of ``tables[type]`` that accepts more than
+    one value (its kind is not a one-value tuple) and that no instance
+    literal of that type in ``callers`` sets. An instance literal is a dict
+    literal whose "type" is a string literal (so the tables, whose "type"
+    is a tuple, are not)."""
+    set_by = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            keys = [getattr(k, "value", None) for k in getattr(node, "keys", [])]
+            if isinstance(node, ast.Dict) and "type" in keys:
+                kind = getattr(node.values[keys.index("type")], "value", None)
+                set_by |= {(kind, key) for key in keys if isinstance(kind, str)}
+    return sorted(f"{kind}.{key}" for kind, table in tables.items()
+                  for key, (value_kind, _) in table.items()
+                  if not (isinstance(value_kind, tuple) and len(value_kind) == 1)
+                  and (kind, key) not in set_by)
+
+
 def test_gate_flags_an_unused_name():
     src = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(src) == ["pi (line 2)"]
@@ -365,6 +395,25 @@ def test_every_study_param_is_set_by_a_spec_or_an_option():
     reads = {kind: study.reads for kind, study in experiments._STUDIES.items()}
     callers = [p.read_text() for p in CALLERS]
     assert unset_params(reads, callers, cli.PARAM_OPTIONS) == []
+
+
+def test_gate_flags_an_unset_instance_key():
+    tables = {"powerlaw": {"type": (("powerlaw",), "powerlaw"), "d": (int, ...),
+                           "rho": (float, 1.0), "psi": ((3.0,), 3.0)},
+              "explicit": {"type": (("explicit",), ...), "S": ([[float]], ...),
+                           "M": ([[float]], ...), "sigma2": (float, ...)}}
+    lib = ("TABLE = {'type': (('powerlaw',), 'powerlaw'), 'rho': (float, 1.0)}\n"
+           "SPEC = Spec(kind='duality', instance={'type': 'powerlaw', 'd': 4})\n"
+           "DOC = {'type': 'explicit', 'S': [[1.0]], **law}\n"
+           "PARAMS = {'M': 2, 'rho': 0.5}\n")
+    app = "def f(t):\n    return {'type': t, 'sigma2': 1.0}\n"
+    assert unset_instance_keys(tables, [lib, app]) == [
+        "explicit.M", "explicit.sigma2", "powerlaw.rho"]
+
+
+def test_every_instance_key_is_set_by_an_instance_or_kept():
+    callers = [p.read_text() for p in CALLERS]
+    assert unset_instance_keys(experiments._INSTANCES, callers) == sorted(INSTANCE_KEYS_KEPT)
 
 
 def test_gate_flags_an_eigh_call():

@@ -45,13 +45,12 @@ def test_rank_one_target_family():
     assert np.linalg.matrix_rank(inst.T) == 1
 
 
-def test_w_star_on_rho_shell():
-    for rho in (0.3, 1.0):
-        inst = make_power_law_instance(
-            PowerLawSpec(d=10, a=2.0, s=1.0, r=0.5, d0=3), seed=7, rho=rho, sigma2=0.5
-        )
-        norm2 = float(inst.w_star @ inst.M @ inst.w_star)
-        assert norm2 == pytest.approx(rho**2, rel=1e-12)
+def test_w_star_on_the_unit_shell():
+    inst = make_power_law_instance(
+        PowerLawSpec(d=10, a=2.0, s=1.0, r=0.5, d0=3), seed=7, sigma2=0.5
+    )
+    norm2 = float(inst.w_star @ inst.M @ inst.w_star)
+    assert norm2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_w_star_deterministic_given_seed():

@@ -153,7 +153,7 @@ def test_semi_stochastic_bias_equals_population_run():
     inst = make_power_law_instance(
         PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=4, sigma2=0.5
     )
-    cfg = choose_rate_parameters(inst, 2**8)
+    cfg = choose_rate_parameters(inst, 2**8, n_ref=256, exponent=-1 / 3)
     bias, _ = semi_stochastic(inst, cfg)
     traj = run(inst, cfg, population=True)
     assert bias.total == pytest.approx(excess_risk(inst, traj.final_w), abs=1e-12)
@@ -176,7 +176,7 @@ def test_semi_stochastic_variance_decomposition_and_bound():
     inst = make_power_law_instance(
         PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=6, sigma2=0.8
     )
-    cfg = choose_rate_parameters(inst, 2**8)
+    cfg = choose_rate_parameters(inst, 2**8, n_ref=256, exponent=-1 / 3)
     _, var = semi_stochastic(inst, cfg)
     assert np.all(var.per_direction >= 0)
     assert var.total == pytest.approx(float(np.sum(var.per_direction)), rel=1e-10)
@@ -190,7 +190,7 @@ def test_semi_stochastic_variance_scales_with_noise():
     inst1 = make_power_law_instance(
         PowerLawSpec(d=10, a=2.0, s=1.0, r=0.0), seed=7, sigma2=1.0
     )
-    cfg = choose_rate_parameters(inst0, 2**7)
+    cfg = choose_rate_parameters(inst0, 2**7, n_ref=256, exponent=-1 / 3)
     _, v0 = semi_stochastic(inst0, cfg)
     _, v1 = semi_stochastic(inst1, cfg)
     assert v0.total == pytest.approx(0.0, abs=1e-15)
@@ -220,7 +220,7 @@ def plain_sgd_case(sigma2=0.5):
     inst = make_power_law_instance(
         PowerLawSpec(d=12, a=2.0, s=1.0, r=0.0), seed=4, sigma2=sigma2
     )
-    cfg = choose_rate_parameters(inst, 2**8)
+    cfg = choose_rate_parameters(inst, 2**8, n_ref=256, exponent=-1 / 3)
     assert cfg.c == 0.0
     return inst, cfg
 
