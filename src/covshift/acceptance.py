@@ -52,8 +52,9 @@ CAPS_SECONDS = {
 
 @dataclass(frozen=True)
 class CriterionResult:
-    number: int
-    name: str
+    """A criterion's verdict, wall time and detail string (its number and
+    name are its CRITERIA entry's)."""
+
     passed: bool
     seconds: float
     detail: str
@@ -476,10 +477,10 @@ def selected_criteria(selected=None):
 
 
 def run_criterion(number: int) -> CriterionResult:
-    [(num, name, fn)] = selected_criteria([number])
+    [(_, _, fn)] = selected_criteria([number])
     start = time.perf_counter()
     passed, detail = fn()
-    return CriterionResult(num, name, passed, time.perf_counter() - start, detail)
+    return CriterionResult(passed, time.perf_counter() - start, detail)
 
 
 def run_all(selected=None) -> bool:

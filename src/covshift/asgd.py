@@ -66,11 +66,8 @@ parallel draws and steps save."""
 
 class InfeasibleSchedule(ValueError):
     """The chosen parameters violate the schedule admissibility requirement
-    n (1 - c) / (log2 n * ln n) >= 16; carries ``ratio``."""
-
-    def __init__(self, message, ratio):
-        super().__init__(message)
-        self.ratio = ratio
+    n (1 - c) / (log2 n * ln n) >= 16; the message states the ratio
+    (``admissibility_ratio`` of the schedule)."""
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,7 @@ def choose_parameters(
     if require_admissible and not cfg.admissible:
         raise InfeasibleSchedule(
             f"admissibility ratio {admissibility_ratio(cfg):.3e} < "
-            f"{ADMISSIBILITY_FLOOR}; increase n or pass require_admissible=False",
-            ratio=admissibility_ratio(cfg),
+            f"{ADMISSIBILITY_FLOOR}; increase n or pass require_admissible=False"
         )
     return cfg
 
@@ -398,16 +394,14 @@ class RiskBound:
     term on the k* well-conditioned directions plus step-size-squared tail
     variance, and a bias term split into a rapidly-contracted head and a
     4 |T'_tail| remainder. total == effective_variance + effective_bias.
-    The schedule's K, stages and admissibility are read from its config."""
+    risk_bound sums each term's head and tail parts and keeps only the
+    sums; the schedule's K, stages and admissibility are read from its
+    config."""
 
     k_star: int
     effective_variance: float
     effective_bias: float
     total: float
-    variance_head: float
-    variance_tail: float
-    bias_head: float
-    bias_tail: float
 
 
 def _masked_whitened_norm(inst: ProblemInstance, keep) -> float:
@@ -451,13 +445,5 @@ def risk_bound(inst: ProblemInstance, cfg: ASGDConfig) -> RiskBound:
     bias_tail = 4.0 * _masked_whitened_norm(inst, ~head)
     variance = variance_head + variance_tail
     bias = bias_head + bias_tail
-    return RiskBound(
-        k_star=k_star,
-        effective_variance=variance,
-        effective_bias=bias,
-        total=variance + bias,
-        variance_head=variance_head,
-        variance_tail=variance_tail,
-        bias_head=bias_head,
-        bias_tail=bias_tail,
-    )
+    return RiskBound(k_star=k_star, effective_variance=variance, effective_bias=bias,
+                     total=variance + bias)

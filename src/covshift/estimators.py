@@ -44,10 +44,12 @@ class ObjectiveValue:
 
 @dataclass(frozen=True)
 class RiskEstimate:
+    """Mean, standard error and median of the per-seed risks (the seed count
+    is the caller's)."""
+
     mean: float
     stderr: float
     median: float
-    n_seeds: int
 
 
 DEFAULT_BIAS_COEFF = DEFAULT_RADIUS
@@ -117,5 +119,4 @@ def mc_risk(inst: ProblemInstance, A, n: int, seeds) -> RiskEstimate:
                       for seed in seeds])
     mean = float(np.mean(risks))
     stderr = float(np.std(risks, ddof=1) / np.sqrt(len(seeds)))
-    return RiskEstimate(mean=mean, stderr=stderr, median=float(np.median(risks)),
-                        n_seeds=len(seeds))
+    return RiskEstimate(mean=mean, stderr=stderr, median=float(np.median(risks)))

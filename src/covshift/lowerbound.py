@@ -67,13 +67,12 @@ class DegeneratePrior(ValueError):
 
 class MaxIterationsError(RuntimeError):
     """A solver stopped short of its tolerance (an iteration budget ran out,
-    or a duality gap exceeds tol); carries the best iterate found (``best``)
-    and, where meaningful, the residual ``gap``."""
+    or a duality gap exceeds tol); carries the best iterate found
+    (``best``), whose own ``gap`` is the residual gap."""
 
-    def __init__(self, message, best=None, gap=None):
+    def __init__(self, message, best):
         super().__init__(message)
         self.best = best
-        self.gap = gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +114,6 @@ class _DualProgram:
     def __init__(self, Sp, Tp, nu, radius):
         self.Sp, self.Tp, self.nu, self.radius = Sp, Tp, nu, radius
         self.I = np.eye(Sp.shape[-1])
-
-    @classmethod
-    def of(cls, triple: SpectralTriple, sigma2: float, n: int, radius: float):
-        return cls(triple.S_prime, triple.T_prime, sigma2 / n, radius)
 
     @classmethod
     def stack(cls, programs):
@@ -269,23 +264,22 @@ def maximize_F(
     This is the one-program case of ``_maximize_stack``, which steps many
     programs in lockstep and gives each the bits of this call.
     """
-    cert = _maximize_stack([(triple, sigma2, n, radius)])[0]
+    cert = _maximize_stack([(triple, sigma2 / n, radius)])[0]
     if cert.stop_reason == "budget":
         raise MaxIterationsError(
-            f"optimality gap {cert.gap:.3e} after {MAX_ITER} iterations",
-            best=cert,
-            gap=cert.gap,
+            f"optimality gap {cert.gap:.3e} after {MAX_ITER} iterations", best=cert
         )
     return cert
 
 
 def _maximize_stack(programs) -> list:
-    """maximize_F of each (triple, sigma2, n, radius) in ``programs``, the
-    certificates in order. Zero-noise and water-filled programs are
-    finished one by one; the rest run one FISTA each (``_fista``), in
-    lockstep (``_lockstep``) with the others of their size: a round makes
-    one stacked LAPACK call for the programs that ask for the same
-    operation, and each program keeps its own curvature estimate,
+    """The floor certificate of each program (triple, nu, radius) in
+    ``programs``, in order, nu the noise level sigma2 / n (maximize_F
+    passes sigma2 / n, precond.solve_stack each program's noise_coeff).
+    Zero-noise (nu == 0) and water-filled programs are finished one by
+    one; the rest run one FISTA each (``_fista``), in lockstep
+    (``_lockstep``) with the others of their size: a round makes one
+    stacked LAPACK call for the programs that ask for the same operation, and each program keeps its own curvature estimate,
     momentum, restarts, stall count and iteration count, and leaves the
     stack when it stops. Each certificate has the bits of the program's own
     maximize_F, whatever the stack's grouping or order. A program still
@@ -295,13 +289,13 @@ def _maximize_stack(programs) -> list:
     """
     certs = [None] * len(programs)
     fistas = {}
-    for k, (triple, sigma2, n, radius) in enumerate(programs):
-        if sigma2 == 0:
+    for k, (triple, nu, radius) in enumerate(programs):
+        if nu == 0:
             certs[k] = LowerBoundCertificate.zero_floor(triple.d)
             continue
         if not radius > 0:
             raise ValueError("radius must be positive")
-        p = _DualProgram.of(triple, sigma2, n, radius)
+        p = _DualProgram(triple.S_prime, triple.T_prime, nu, radius)
         certs[k] = _water_filled_certificate(p)
         if certs[k] is None:
             fistas[k] = p

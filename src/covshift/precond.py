@@ -95,12 +95,10 @@ class Preconditioner:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalSolution:
-    """Water-filling solution: threshold tau, shrinkage factors a (diagonal of
-    A), the active coordinate set, and the attained objective value."""
+    """Water-filling solution: the shrinkage factors a (the diagonal of A,
+    zero off the active set) and the attained objective value."""
 
-    tau: float
     a: np.ndarray
-    active_set: np.ndarray
     value: float
 
 
@@ -142,7 +140,7 @@ def solve_diagonal(lam, m, t, bias_coeff: float, noise_coeff: float) -> Diagonal
     active = s > tau
     a = np.where(active, 1.0 - tau / np.where(active, s, 1.0), 0.0)
     value = float(bias_coeff * tau**2 + noise_coeff * np.sum(a**2 * c))
-    return DiagonalSolution(tau=tau, a=a, active_set=np.flatnonzero(active), value=value)
+    return DiagonalSolution(a=a, value=value)
 
 
 def recover_A_from_F(triple: SpectralTriple, F, noise_coeff: float) -> np.ndarray:
@@ -195,9 +193,7 @@ def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
             cert = err.best
         prec = _from_floor(prog, cert)
     if prec.gap > tol:
-        raise MaxIterationsError(
-            f"duality gap {prec.gap:.3e} above tol {tol:.1e}", best=prec, gap=prec.gap
-        )
+        raise MaxIterationsError(f"duality gap {prec.gap:.3e} above tol {tol:.1e}", best=prec)
     return prec
 
 
@@ -215,7 +211,7 @@ def solve_stack(progs) -> list[Preconditioner]:
     results = [_degenerate(prog) for prog in progs]  # None until solved
     duals = [k for k, r in enumerate(results) if r is None]
     certs = _maximize_stack(
-        [(progs[k].triple, progs[k].noise_coeff, 1, progs[k].bias_coeff) for k in duals]
+        [(progs[k].triple, progs[k].noise_coeff, progs[k].bias_coeff) for k in duals]
     )
     for k, cert in zip(duals, certs):
         results[k] = _from_floor(progs[k], cert)

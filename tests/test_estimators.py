@@ -156,7 +156,6 @@ def test_mc_risk_matches_estimate_loop():
     assert est.mean == pytest.approx(risks.mean(), rel=1e-12)
     assert est.median == pytest.approx(np.median(risks), rel=1e-12)
     assert est.stderr == pytest.approx(risks.std(ddof=1) / np.sqrt(len(risks)), rel=1e-9)
-    assert est.n_seeds == 10
 
 
 def test_mc_risk_deterministic():

@@ -434,7 +434,7 @@ def test_run_rate_sweep_structure():
     assert rep.predicted_exponent == pytest.approx(-2.0 / 3.0)
     assert len(rep.rows) == 4
     for fit in (rep.fit_raw, rep.fit_deflated, rep.fit_lower):
-        assert np.isfinite(fit.slope) and np.isfinite(fit.intercept)
+        assert np.isfinite(fit.slope)
         assert 0 <= fit.r2 <= 1
     assert rep.fit_deflated.gap == pytest.approx(
         abs(rep.fit_deflated.slope - rep.predicted_exponent)
@@ -508,13 +508,28 @@ def test_sweep_plan_holds_the_rate_theory(over, exponent, predicted, log_exp):
     spec = ExperimentSpec(kind="rate_sweep", instance=powerlaw_desc(d=20, **over),
                           n_grid=(2**4, 2**8, 2**12, 2**16), seeds=1)
     inst = resolve_instance(spec)
-    _, cfgs, plan_predicted, plan_log_exp, factors = experiments._sweep_plan(spec, inst)
-    assert (plan_predicted, plan_log_exp) == (predicted, log_exp)
+    _, cfgs, plan_predicted, factors = experiments._sweep_plan(spec, inst)
+    assert plan_predicted == predicted
     base = 1.0 / (inst.psi * np.trace(inst.S))
     for n, cfg, factor in zip(spec.n_grid, cfgs, factors):
         assert cfg.delta0 == cfg.gamma0 == pytest.approx(base * (n / 2**4) ** exponent,
                                                          rel=1e-12)
         assert factor == math.log(n) ** log_exp
+
+
+def test_rate_sweep_fits_the_deflated_means_in_logs():
+    # r = -120 plans (every factor (ln n)^-361.5 is finite), but mc_mean is
+    # about 1e71, so mc_mean / factor overflows at n = 128: the column says
+    # inf, and the fit, made from log2(mc_mean) - log2(factor), stays finite
+    spec = ExperimentSpec(kind="rate_sweep", instance=powerlaw_desc(d=2, r=-120.0),
+                          n_grid=(16, 32, 64, 128), seeds=4)
+    rep = run_rate_sweep(spec)
+    assert rep.rows[-1]["deflated_mean"] == math.inf
+    assert np.isfinite(rep.fit_deflated.slope) and np.isfinite(rep.fit_deflated.gap)
+    factors = experiments._sweep_plan(spec, resolve_instance(spec))[-1]
+    logs = [math.log2(row["mc_mean"]) - math.log2(f) for row, f in zip(rep.rows, factors)]
+    slope = np.polyfit(np.log2(spec.n_grid), logs, 1)[0]
+    assert rep.fit_deflated.slope == pytest.approx(slope, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["rate_sweep", "emergence"])

@@ -9,7 +9,11 @@ Uncalled exports: every name in a module's ``__all__``, and every public
 method or property defined in the body of a public class, is read (as a name
 or an attribute) somewhere in the package outside ``__init__.py`` or in the
 benchmark's non-test modules, or is on PUBLIC_API with the reason it is kept
-without a caller.
+without a caller. So is every public field of a public dataclass and every
+public attribute a public class's ``__init__`` sets on ``self``, except
+that a member counts as read only where it is loaded as an attribute: a
+result carries no value that nothing reads. The gate goes by last name, so
+a member that shares its name with an attribute read elsewhere passes it.
 
 One eigensolver: the package calls ``np.linalg.eigh`` exactly once, inside
 ``psdlinalg.eigh``, so every eigendecomposition goes through that function
@@ -62,6 +66,9 @@ PUBLIC_API = {
     "model.instance_to_json": "writes the explicit instance format the CLI reads",
     "estimators.mc_risk": "Monte-Carlo risk of w_hat(A) (ROADMAP item 17)",
     "riskoracle.semi_stochastic_variance_bound": "kept or deleted by ROADMAP item 3",
+    "riskoracle.SemiStochastic.per_direction": "the strict xfail "
+        "test_semi_stochastic_variance_matches_extended_precision replays three of its "
+        "directions in 40 digits (ROADMAP item 12)",
 }
 
 INSTANCE_KEYS_KEPT = {
@@ -107,19 +114,47 @@ def public_names(tree) -> list[str]:
     return names
 
 
+def public_members(tree) -> list[str]:
+    """``Class.member`` for each public field of a public dataclass and each
+    public attribute that a public class's ``__init__`` sets on ``self``."""
+    members = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        names = [item.target.id for item in node.body if is_dataclass(node)
+                 and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                names += [target.attr for target in ast.walk(item)
+                          if isinstance(target, ast.Attribute)
+                          and isinstance(target.ctx, ast.Store)
+                          and getattr(target.value, "id", None) == "self"]
+        members += [f"{node.name}.{name}" for name in names if not name.startswith("_")]
+    return members
+
+
 def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
     """``module.name`` for each public name of a module (see public_names)
-    whose last part no caller source reads as a name or an attribute."""
-    read = set()
+    whose last part no caller source reads as a name or an attribute, and
+    ``module.Class.member`` for each public member (see public_members) that
+    no caller source loads as an attribute."""
+    read, loaded = set(), set()
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{module}.{name}" for module, source in modules.items()
-                  for name in public_names(ast.parse(source))
-                  if name.rsplit(".", 1)[-1] not in read)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    unread = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        unread += [f"{module}.{name}" for name in public_names(tree)
+                   if name.rsplit(".", 1)[-1] not in read]
+        unread += [f"{module}.{name}" for name in public_members(tree)
+                   if name.rsplit(".", 1)[-1] not in loaded]
+    return sorted(unread)
 
 
 def eigh_calls(source: str) -> list[tuple[int, str]]:
@@ -326,6 +361,40 @@ def test_gate_flags_an_uncalled_method():
            "    def spare(self): pass\n")
     app = "import lib\nbox = lib.Box()\nbox.grow()\nprint(box.size)\n"
     assert uncalled_exports({"lib": lib}, [lib, app]) == ["lib.Box.spare"]
+
+
+def test_gate_flags_an_unread_field_or_attribute():
+    lib = ("from dataclasses import dataclass, field\n"
+           "__all__ = ['Fit', 'Stop']\n"
+           "@dataclass(frozen=True)\n"
+           "class Fit:\n"
+           "    slope: float\n"
+           "    r2: float\n"
+           "    gap: float = field(init=False)\n"
+           "    intercept: float = 0.0\n"
+           "    _cache: dict = None\n"
+           "class Stop(Exception):\n"
+           "    def __init__(self, message, best, ratio):\n"
+           "        super().__init__(message)\n"
+           "        self.best = best\n"
+           "        self.ratio = ratio\n"
+           "        self._seen = 0\n"
+           "class Plain:\n"
+           "    width: int = 0\n"
+           "@dataclass\n"
+           "class _Hidden:\n"
+           "    spare: int = 0\n")
+    app = ("import lib\n"
+           "fit = lib.Fit(1.0, 0.9)\n"
+           "print(fit.slope, fit.gap)\n"
+           "r2 = 0.5\n"
+           "fit.intercept = r2\n"
+           "try:\n"
+           "    raise lib.Stop('', best=fit, ratio=2.0)\n"
+           "except lib.Stop as err:\n"
+           "    print(err.best)\n")
+    assert uncalled_exports({"lib": lib}, [lib, app]) == [
+        "lib.Fit.intercept", "lib.Fit.r2", "lib.Stop.ratio"]
 
 
 def test_every_export_has_a_caller_or_a_reason():

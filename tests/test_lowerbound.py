@@ -38,7 +38,8 @@ def make_triple(S, T, sigma2=0.25):
 
 def floor_value(triple, F, sigma2, n):
     """The dual objective at F, in the one form maximize_F evaluates."""
-    return float(lowerbound._value(lowerbound._DualProgram.of(triple, sigma2, n, None), F)[0])
+    p = lowerbound._DualProgram(triple.S_prime, triple.T_prime, sigma2 / n, None)
+    return float(lowerbound._value(p, F)[0])
 
 
 def budget(max_iter):
@@ -153,9 +154,8 @@ def test_max_iterations_error_carries_best_iterate():
     with budget(2), pytest.raises(MaxIterationsError) as exc_info:
         maximize_F(triple, 0.25, 64)
     err = exc_info.value
-    assert err.best is not None and err.gap > 0
-    assert (err.best.stop_reason, err.best.gap) == ("budget", err.gap)
-    assert err.gap == linear_gap(triple, err.best.F, 0.25, 64)
+    assert err.best.stop_reason == "budget" and err.best.gap > 0
+    assert err.best.gap == linear_gap(triple, err.best.F, 0.25, 64)
     full = maximize_F(triple, 0.25, 64).value
     # the interrupted iterate is still a feasible point, so still a lower bound
     assert err.best.value <= full + 1e-12
@@ -426,6 +426,14 @@ def alone(program):
         return err.best
 
 
+def stacked(programs):
+    """_maximize_stack of maximize_F argument tuples (triple, sigma2, n,
+    radius), each passed as (triple, sigma2 / n, radius) as maximize_F
+    passes it."""
+    return _maximize_stack([(triple, sigma2 / n, radius)
+                            for triple, sigma2, n, radius in programs])
+
+
 def assert_same_certificate(got, ref):
     assert np.array_equal(got.F, ref.F)
     assert (got.value, got.iterations, got.gap, got.stop_reason) == (
@@ -442,10 +450,10 @@ def test_stacked_programs_keep_the_bits_of_their_own_solves():
     assert refs[-3].iterations == 1 and refs[-1].value == 0.0  # closed form, zero floor
     for order in (range(len(programs)), range(len(programs) - 1, -1, -1)):
         order = list(order)
-        certs = _maximize_stack([programs[k] for k in order])
+        certs = stacked([programs[k] for k in order])
         for k, cert in zip(order, certs):
             assert_same_certificate(cert, refs[k])
-    parts = _maximize_stack(programs[:2]) + _maximize_stack(programs[2:])
+    parts = stacked(programs[:2]) + stacked(programs[2:])
     for cert, ref in zip(parts, refs):
         assert_same_certificate(cert, ref)
 
@@ -480,7 +488,7 @@ def test_a_failed_extrapolation_restarts_only_its_program(monkeypatch):
     assert not np.array_equal(restarted[4].F, refs[4].F)
     for k in (0, 1, 2, 3, 5):
         assert_same_certificate(restarted[k], refs[k])
-    for cert, ref in zip(_maximize_stack(programs), restarted):
+    for cert, ref in zip(stacked(programs), restarted):
         assert_same_certificate(cert, ref)
     assert raised[1] > 1 and raised[2:] == [1]  # the stacked call, then its own
 
@@ -498,7 +506,7 @@ def test_a_program_out_of_budget_gives_its_budget_certificate():
     with budget(short):
         with pytest.raises(MaxIterationsError) as raised:
             maximize_F(*programs[longest])
-        certs = _maximize_stack(programs)
+        certs = stacked(programs)
     assert certs[longest].stop_reason == "budget"
     assert_same_certificate(certs[longest], raised.value.best)
     for k, (cert, ref) in enumerate(zip(certs, refs)):

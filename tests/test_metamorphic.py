@@ -3,6 +3,11 @@
 * Target scaling T -> 2^k T: every risk and floor is linear in T, and a
   power of two scales each float operation exactly, so the scaled number
   is 2^k times the unscaled one, bit for bit.
+* Source and noise scaling (S, sigma2) -> (2^k S, 2^k sigma2): the program
+  sees S'/nu alone, so the preconditioner, its objective and gap and the
+  dual certificate keep their bits; the schedule choose_parameters picks
+  for the scaled instance has steps 2^-k times as long, under which the
+  semi-stochastic risks and the bound keep theirs too.
 * Joint rotation (S, T, M, w*) -> (QSQ', QTQ', QMQ', Qw*): the risks are
   invariant. The rotated instance is decomposed in another basis, so the
   test allows the rounding error of that eigendecomposition, stated below
@@ -95,3 +100,49 @@ def test_scaling_the_target_scales_the_floor_exactly():
              for scale in (1.0, 2.0**-10)]
     floor, scaled = (prec.certificate.value for prec in solve_stack(progs))
     assert scaled == 2.0**-10 * floor
+
+
+def with_source_and_noise_scaled(inst, scale):
+    return ProblemInstance(S=scale * inst.S, T=inst.T, M=inst.M, w_star=inst.w_star,
+                           sigma2=scale * inst.sigma2)
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("n", sorted(SCHEDULES))
+def test_scaling_the_source_and_the_noise_keeps_the_oracle_and_the_bound(n, k):
+    scaled = with_source_and_noise_scaled(BASE, 2.0**k)
+    cfg = choose_parameters(scaled, n, require_admissible=False)
+    assert cfg.delta0 == 2.0**-k * SCHEDULES[n].delta0
+    assert reported(scaled, cfg) == reported(BASE, SCHEDULES[n])
+
+
+def dense_program():
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((2, 8, 8))
+    return A @ A.T / 8 + 0.1 * np.eye(8), B @ B.T / 8
+
+
+def commuting_program():
+    # S and T share a rotated eigenbasis, so the water-filling candidate
+    # competes with the dual's recovery
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    return (Q * rng.uniform(0.1, 2.0, 6)) @ Q.T, (Q * rng.uniform(0.0, 1.0, 6)) @ Q.T
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("n", [16, 2**16])
+@pytest.mark.parametrize("program", [dense_program, commuting_program],
+                         ids=["dense", "commuting"])
+def test_scaling_the_source_and_the_noise_keeps_the_preconditioner(program, n, k):
+    S, T = program()
+    sigma2 = 0.25
+    progs = [PrecondProgram(SpectralTriple(scale * S, T), DEFAULT_BIAS_COEFF, scale * sigma2 / n)
+             for scale in (1.0, 2.0**k)]
+    prec, scaled = solve_stack(progs)
+    assert np.array_equal(scaled.A, prec.A)
+    assert (scaled.objective_value, scaled.gap) == (prec.objective_value, prec.gap)
+    cert, cert_scaled = prec.certificate, scaled.certificate
+    assert np.array_equal(cert_scaled.F, cert.F)
+    assert (cert_scaled.value, cert_scaled.iterations, cert_scaled.stop_reason) == (
+        cert.value, cert.iterations, cert.stop_reason)
