@@ -72,10 +72,11 @@ def _rand_orth(rng, d):
 
 # ---------------------------------------------------------------- 1
 def criterion_1():
-    """d=1: both optimizers hit the closed form t' sigma2/(n s' + pi^2 sigma2)."""
+    """d=1: both optimizers hit the closed form t' sigma2/(n s' + pi^2 sigma2),
+    and solve_general's |relative duality gap| is at most 1e-10."""
     rng = np.random.default_rng(101)
     worst = 0.0
-    for _ in range(5):
+    for i in range(5):
         s, t, m = rng.uniform(0.2, 2.0, size=3)
         sigma2 = rng.uniform(0.2, 2.0)
         n = int(rng.integers(8, 512))
@@ -88,9 +89,9 @@ def criterion_1():
             w_star=np.zeros(1),
             sigma2=sigma2,
         )
-        prec = solve_general(
-            PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF, sigma2 / n), tol=1e-10
-        )
+        prec = solve_general(PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF, sigma2 / n))
+        if abs(prec.gap) > 1e-10:
+            return False, f"instance {i}: duality gap {prec.gap:.3e} > 1e-10"
         lower = prec.certificate.value
         worst = max(
             worst,
@@ -102,8 +103,7 @@ def criterion_1():
 
 # ---------------------------------------------------------------- 2
 def criterion_2():
-    """50 random PD instances, d in {2,5,10,20}: relative duality gap <= 1e-4,
-    measured two-sided (solve_stack reports prec.gap clamped at 0)."""
+    """50 random PD instances, d in {2,5,10,20}: |relative duality gap| <= 1e-4."""
     rng = np.random.default_rng(202)
     dims = (2, 5, 10, 20)
     worst = 0.0
@@ -119,11 +119,9 @@ def criterion_2():
         n = int(rng.integers(16, 1024))
         prog = PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF, inst.sigma2 / n)
         [prec] = solve_stack([prog])
-        lower = prec.certificate.value
-        gap = (prec.objective_value - lower) / lower
-        worst = max(worst, abs(gap))
-        if abs(gap) > 1e-4:
-            return False, f"instance {i} (d={d}): gap {gap:.3e} > 1e-4"
+        worst = max(worst, abs(prec.gap))
+        if abs(prec.gap) > 1e-4:
+            return False, f"instance {i} (d={d}): gap {prec.gap:.3e} > 1e-4"
     return True, f"50 instances, worst relative gap {worst:.3e} (tol 1e-4)"
 
 

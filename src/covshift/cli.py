@@ -150,7 +150,7 @@ def precondition(spec_path, out, tol):
         with open(out, "w") as fh:
             json.dump({**precond_to_json(prec), "n": n}, fh, indent=2)
         click.echo(f"wrote {out}")
-    _finish(prec.gap <= experiments._param(spec, "tol"))
+    _finish(abs(prec.gap) <= experiments._param(spec, "tol"))
 
 
 @main.command()

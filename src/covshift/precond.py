@@ -17,13 +17,13 @@ in whitened coordinates. This module minimizes that bound over A:
 
   so the solver maximizes the dual (reusing the lower-bound machinery, which
   solves diagonal programs in closed form), recovers the primal A from the
-  dual optimum through the KKT map, and certifies the duality gap, raising
-  when it exceeds the tolerance. The dual certificate is returned with the
-  preconditioner. A singular T' is solved as given; a caller that wants a
-  ridged target passes ``triple.ridged(eps)`` (the duality study's ladder).
+  dual optimum through the KKT map, and reports the signed relative duality
+  gap with the dual certificate; the caller judges it. A singular T' is
+  solved as given; a caller that wants a ridged target passes
+  ``triple.ridged(eps)`` (the duality study's ladder).
 * ``solve_stack`` — solve_general on a list of programs, their duals
   maximized in one lockstep stack; each result has the bits of its own
-  solve_general, and a gap above tolerance is reported, not raised.
+  solve_general.
 """
 from __future__ import annotations
 
@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _require_pd, _upper_objective, eval_upper_objective
-from .lowerbound import (
-    LowerBoundCertificate,
-    MaxIterationsError,
-    _maximize_stack,
-    _water_level,
-    maximize_F,
-)
+from .lowerbound import LowerBoundCertificate, _maximize_stack, _water_level, maximize_F
 from .model import SpectralTriple
 from .psdlinalg import eigh, sym
 
@@ -46,7 +40,6 @@ __all__ = [
     "PrecondProgram",
     "Preconditioner",
     "DiagonalSolution",
-    "MaxIterationsError",
     "solve_diagonal",
     "solve_general",
     "solve_stack",
@@ -80,8 +73,10 @@ class PrecondProgram:
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
     """A minimizer A of the program with its objective terms, the
-    coefficients they were evaluated at, the relative duality ``gap`` and
-    the dual ``certificate`` that gap is measured to."""
+    coefficients they were evaluated at, the dual ``certificate`` and the
+    relative duality ``gap`` (objective - floor) / floor to its value. The
+    gap is signed: rounding can put the objective a few ulps below the
+    floor, and a reader judges abs(gap)."""
 
     A: np.ndarray
     objective_value: float
@@ -172,7 +167,7 @@ def _preconditioner(prog, A, val, gap, cert) -> Preconditioner:
     )
 
 
-def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
+def solve_general(prog: PrecondProgram) -> Preconditioner:
     """Minimize the preconditioner objective for arbitrary PD S', PSD T'.
 
     Pipeline: the dual solve of maximize_F for a certified floor, primal
@@ -181,19 +176,15 @@ def solve_general(prog: PrecondProgram, tol: float = 1e-6) -> Preconditioner:
     objective (then the smaller norm) is returned with that floor as its
     ``certificate`` (the exact zero floor for the degenerate programs T' = 0
     and noise_coeff = 0), so callers read the dual value instead of solving
-    the dual again. Raises MaxIterationsError (carrying that preconditioner,
-    with its certificate, and its gap) if the relative duality gap exceeds
-    ``tol``. The program is solved as given, a singular T' included.
+    the dual again. Nothing is raised for a large gap: the result reports
+    its signed relative ``gap`` (and the certificate its stop reason, a
+    "budget" one included), for the caller to judge. The program is solved
+    as given, a singular T' included.
     """
     prec = _degenerate(prog)
     if prec is None:
-        try:
-            cert = maximize_F(prog.triple, prog.noise_coeff, 1, radius=prog.bias_coeff)
-        except MaxIterationsError as err:  # keep the best floor we got
-            cert = err.best
+        cert = maximize_F(prog.triple, prog.noise_coeff, 1, radius=prog.bias_coeff)
         prec = _from_floor(prog, cert)
-    if prec.gap > tol:
-        raise MaxIterationsError(f"duality gap {prec.gap:.3e} above tol {tol:.1e}", best=prec)
     return prec
 
 
@@ -202,11 +193,9 @@ def solve_stack(progs) -> list[Preconditioner]:
     order, with every dual maximized in one lockstep stack
     (lowerbound._maximize_stack). Each preconditioner and certificate has
     the bits of its own solve_general, whatever the grouping or order of
-    the list. Nothing is raised for a gap above tolerance: each result's
-    ``gap`` reports it, and a dual whose budget (lowerbound.MAX_ITER) ran
-    out gives its "budget" certificate as the floor. This is the path for
-    callers that report the gap rather than fail on it: ``solve_stack([prog])``
-    is the preconditioner solve_general(prog) returns or raises with.
+    the list: each result's ``gap`` is signed, and a dual whose budget
+    (lowerbound.MAX_ITER) ran out gives its "budget" certificate as the
+    floor.
     """
     results = [_degenerate(prog) for prog in progs]  # None until solved
     duals = [k for k, r in enumerate(results) if r is None]
@@ -233,7 +222,7 @@ def _degenerate(prog: PrecondProgram) -> Preconditioner | None:
 
 def _from_floor(prog: PrecondProgram, cert) -> Preconditioner:
     """The preconditioner of ``prog`` recovered from its dual certificate
-    ``cert``, with its relative duality gap."""
+    ``cert``, with its signed relative duality gap."""
     triple = prog.triple
     d = triple.d
     T_prime = triple.T_prime
@@ -262,7 +251,7 @@ def _from_floor(prog: PrecondProgram, cert) -> Preconditioner:
         key=lambda item: (item[0].objective, float(np.linalg.norm(item[1]))),
     )
     gap = (val.objective - cert.value) / max(cert.value, 1e-300)
-    return _preconditioner(prog, A, val, float(max(gap, 0.0)), cert)
+    return _preconditioner(prog, A, val, float(gap), cert)
 
 
 def precond_to_json(prec: Preconditioner) -> dict:

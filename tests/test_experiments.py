@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import covshift
 from covshift import asgd, experiments, lowerbound, model
 from covshift.estimators import DEFAULT_BIAS_COEFF, default_noise_coeff, eval_upper_objective
-from covshift.lowerbound import MaxIterationsError, maximize_F
+from covshift.lowerbound import maximize_F
 from covshift.experiments import (
     ExperimentSpec,
     resolve_instance,
@@ -315,17 +316,14 @@ def test_run_duality_rows_equal_one_solve_general_per_program(monkeypatch, kind,
     for row, prec in zip(rep.rows, solved):
         prog = PrecondProgram(triple.ridged(row["epsilon"]), DEFAULT_BIAS_COEFF,
                               inst.sigma2 / row["n"])
-        try:
-            ref = solve_general(prog, tol=1e-4)
-        except MaxIterationsError as err:
-            ref = err.best
+        ref = solve_general(prog)
         assert np.array_equal(prec.A, ref.A) and np.array_equal(
             prec.certificate.F, ref.certificate.F)
         cert = ref.certificate
         assert (row["lower_value"], row["upper_value"], row["iterations"], row["dual_gap"],
                 row["stop_reason"]) == (cert.value, ref.objective_value, cert.iterations,
                                         cert.gap, cert.stop_reason)
-        assert row["relative_gap"] == (ref.objective_value - cert.value) / cert.value
+        assert row["relative_gap"] == ref.gap == (ref.objective_value - cert.value) / cert.value
 
 
 def test_solve_stack_solves_singular_targets_as_given():
@@ -352,8 +350,8 @@ def test_solve_stack_solves_singular_targets_as_given():
 
 def test_run_duality_floors_a_program_out_of_budget_with_its_budget_certificate(monkeypatch):
     # the ladder's longest dual runs out of iterations inside the stack; its
-    # row reads the "budget" certificate maximize_F raises with, the others
-    # are unchanged
+    # row reads the "budget" certificate maximize_F returns, the others are
+    # unchanged
     spec = ExperimentSpec(kind="duality", instance=certify_instance("rank_deficient", 5, 4),
                           n_grid=(64,), seeds=1)
     full = run_duality(spec).rows
@@ -365,16 +363,54 @@ def test_run_duality_floors_a_program_out_of_budget_with_its_budget_certificate(
     rows = run_duality(spec).rows
     inst = resolve_instance(spec)
     row = full[longest]
-    with pytest.raises(MaxIterationsError) as raised:
-        maximize_F(whiten(inst).ridged(row["epsilon"]), inst.sigma2 / row["n"], 1,
-                   radius=DEFAULT_BIAS_COEFF)
-    best = raised.value.best
+    best = maximize_F(whiten(inst).ridged(row["epsilon"]), inst.sigma2 / row["n"], 1,
+                      radius=DEFAULT_BIAS_COEFF)
     assert (rows[longest]["lower_value"], rows[longest]["iterations"],
             rows[longest]["dual_gap"], rows[longest]["stop_reason"]) == (
         best.value, budget, best.gap, "budget")
     for k, (got, ref) in enumerate(zip(rows, full)):
         if k != longest:
             assert got == ref
+
+
+def test_run_duality_flags_no_ladder_rise_within_its_gaps():
+    # each rung's objective is known only to within its duality gap (up to
+    # 1.7e-7 here): the last rung at n = 64 reads an upper value 4.5e-9 above
+    # the previous rung's, but its floor lies below that objective, so no
+    # rise is certified and the ladder stands
+    spec = ExperimentSpec(kind="duality", instance=certify_instance("rank_deficient", 5, 6),
+                          n_grid=(64, 1024), seeds=1)
+    rep = run_duality(spec)
+    pairs = [(prev, row) for prev, row in zip(rep.rows, rep.rows[1:]) if prev["n"] == row["n"]]
+    assert any(row["upper_value"] > prev["upper_value"] * (1 + 1e-9) for prev, row in pairs)
+    assert all(row["lower_value"] <= prev["upper_value"] for prev, row in pairs)
+    assert rep.ladder_monotone and rep.ok
+
+
+@pytest.mark.parametrize("floor_rises", [True, False], ids=["floor-rise", "upper-rise"])
+def test_run_duality_flags_a_certified_ladder_rise(monkeypatch, floor_rises):
+    # crafted rungs: a floor above the previous rung's objective proves the
+    # minimax value rose and is flagged; an objective that rises while the
+    # floor stays below the previous objective is not
+    spec = ExperimentSpec(kind="duality", instance=certify_instance("rank_deficient", 5, 4),
+                          n_grid=(64,), seeds=1)
+    real = experiments.solve_stack
+
+    def crafted(progs):
+        precs = real(progs)
+        prev, prec = precs[2], precs[3]
+        if floor_rises:
+            cert = dataclasses.replace(prec.certificate,
+                                       value=math.nextafter(prev.objective_value, math.inf))
+            precs[3] = dataclasses.replace(prec, certificate=cert)
+        else:
+            precs[3] = dataclasses.replace(prec, objective_value=2 * prev.objective_value)
+        return precs
+
+    monkeypatch.setattr(experiments, "solve_stack", crafted)
+    rep = run_duality(spec)
+    assert rep.ladder_monotone is not floor_rises
+    assert rep.ok is not floor_rises
 
 
 # ------------------------------------------------------------- bound check

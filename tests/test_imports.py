@@ -42,8 +42,15 @@ instance description table (``model.POWER_LAW_KEYS``, ``EXPLICIT_KEYS``)
 that accepts more than one value is set by an instance literal of that
 type in the package or the benchmark, or is on INSTANCE_KEYS_KEPT with the
 reason it is kept unset.
+
+Raised exceptions: every exception class in a module's ``__all__`` (a class
+that derives, through classes of the package, from a builtin exception) is
+raised by name somewhere in the package, or is on EXCEPTIONS_KEPT with the
+reason it is kept. An exception nothing raises is an error contract no
+caller can meet.
 """
 import ast
+import builtins
 import math
 import os
 import subprocess
@@ -69,6 +76,11 @@ PUBLIC_API = {
     "riskoracle.SemiStochastic.per_direction": "the strict xfail "
         "test_semi_stochastic_variance_matches_extended_precision replays three of its "
         "directions in 40 digits (ROADMAP item 12)",
+}
+
+EXCEPTIONS_KEPT = {
+    "lowerbound.MaxIterationsError": "perfbench/workloads.py names it in an except "
+        "clause; it goes with that file's edit (ROADMAP item 26)",
 }
 
 INSTANCE_KEYS_KEPT = {
@@ -155,6 +167,34 @@ def uncalled_exports(modules: dict[str, str], callers: list[str]) -> list[str]:
         unread += [f"{module}.{name}" for name in public_members(tree)
                    if name.rsplit(".", 1)[-1] not in loaded]
     return sorted(unread)
+
+
+def unraised_exceptions(modules: dict[str, str]) -> list[str]:
+    """``module.Class`` for each exception class in a module's ``__all__``
+    that no ``raise`` statement of ``modules`` names, called or not. A class
+    is an exception class when one of its bases is a builtin exception or,
+    by name, an exception class of ``modules``."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    bases, raised = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+
+    def is_exception(name):
+        if name in bases:
+            return any(is_exception(base) for base in bases[name])
+        builtin = getattr(builtins, str(name), None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name in exported(tree)
+                  and is_exception(node.name) and node.name not in raised)
 
 
 def eigh_calls(source: str) -> list[tuple[int, str]]:
@@ -401,6 +441,35 @@ def test_every_export_has_a_caller_or_a_reason():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert uncalled_exports(modules, callers) == sorted(PUBLIC_API)
+
+
+def test_gate_flags_an_unraised_exception():
+    base = ("__all__ = ['Bad', 'Worse', 'Spare', 'Caught', 'Plain', 'run']\n"
+            "class Bad(ValueError): pass\n"
+            "class Worse(Bad): pass\n"
+            "class Spare(RuntimeError): pass\n"
+            "class Caught(Exception): pass\n"
+            "class Plain: pass\n"
+            "class _Hidden(Exception): pass\n"
+            "def run(x):\n"
+            "    try:\n"
+            "        return 1 / x\n"
+            "    except Caught:\n"
+            "        raise Bad('x') from None\n")
+    lib = ("import base\n"
+           "__all__ = ['Deep', 'Loud']\n"
+           "class Deep(base.Worse): pass\n"
+           "class Loud(base.Bad): pass\n"
+           "def shout():\n"
+           "    raise base.Loud\n"
+           "    raise\n")
+    assert unraised_exceptions({"base": base, "lib": lib}) == [
+        "base.Caught", "base.Spare", "base.Worse", "lib.Deep"]
+
+
+def test_every_exception_is_raised_or_kept():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unraised_exceptions(modules) == sorted(EXCEPTIONS_KEPT)
 
 
 def test_gate_flags_an_unpassed_default():

@@ -12,6 +12,11 @@
   invariant. The rotated instance is decomposed in another basis, so the
   test allows the rounding error of that eigendecomposition, stated below
   from u and the condition number of S.
+* Coordinate permutation (S, T, M, w*) -> (PSP', PTP', PMP', Pw*) of the
+  diagonal power-law instance: its eigendecomposition sorts the same
+  eigenvalues, so the schedule and the risks keep their bits and the
+  water-filled floor permutes; sums taken in coordinate order move the
+  floor and the objective within d u.
 
 The known failures are strict xfails that name the ROADMAP item whose change
 removes the mark.
@@ -21,7 +26,14 @@ import pytest
 
 from covshift.asgd import choose_parameters, risk_bound
 from covshift.estimators import DEFAULT_BIAS_COEFF
-from covshift.model import PowerLawSpec, ProblemInstance, SpectralTriple, make_power_law_instance
+from covshift.lowerbound import maximize_F
+from covshift.model import (
+    PowerLawSpec,
+    ProblemInstance,
+    SpectralTriple,
+    make_power_law_instance,
+    whiten,
+)
 from covshift.precond import PrecondProgram, solve_stack
 from covshift.riskoracle import semi_stochastic
 
@@ -146,3 +158,36 @@ def test_scaling_the_source_and_the_noise_keeps_the_preconditioner(program, n, k
     assert np.array_equal(cert_scaled.F, cert.F)
     assert (cert_scaled.value, cert_scaled.iterations, cert_scaled.stop_reason) == (
         cert.value, cert.iterations, cert.stop_reason)
+
+
+def permuted(inst, seed=0):
+    """(p, the instance with its coordinates permuted by p), p seeded."""
+    p = np.random.default_rng(seed).permutation(inst.d)
+    ix = np.ix_(p, p)
+    return p, ProblemInstance(S=inst.S[ix], T=inst.T[ix], M=inst.M[ix],
+                              w_star=inst.w_star[p], sigma2=inst.sigma2)
+
+
+@pytest.mark.parametrize("n", sorted(SCHEDULES))
+def test_permuting_the_coordinates_keeps_the_schedule_the_oracle_and_the_bound(n):
+    _, perm = permuted(BASE)
+    cfg = choose_parameters(perm, n, require_admissible=False)
+    assert cfg == SCHEDULES[n]
+    assert reported(perm, cfg) == reported(BASE, SCHEDULES[n])
+
+
+@pytest.mark.parametrize("n", sorted(SCHEDULES))
+def test_permuting_the_coordinates_permutes_the_floor(n):
+    p, perm = permuted(BASE)
+    tol = D * np.finfo(float).eps
+    cert, cert_perm = (maximize_F(whiten(inst), inst.sigma2, n) for inst in (BASE, perm))
+    assert (cert.iterations, cert_perm.iterations) == (1, 1)  # both water-filled
+    # the water level and the active set keep their bits; the step that puts
+    # tr F back at the radius sums f in coordinate order
+    F = cert.F[np.ix_(p, p)]
+    assert np.array_equal(cert_perm.F != 0, F != 0)
+    assert np.abs(cert_perm.F - F).max() <= tol * np.trace(F)
+    assert abs(cert_perm.value - cert.value) <= tol * cert.value
+    prec, prec_perm = solve_stack([PrecondProgram(whiten(inst), DEFAULT_BIAS_COEFF,
+                                                  inst.sigma2 / n) for inst in (BASE, perm)])
+    assert abs(prec_perm.objective_value - prec.objective_value) <= tol * prec.objective_value
